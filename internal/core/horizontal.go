@@ -1,6 +1,7 @@
 package core
 
 import (
+	"vero/internal/bitmap"
 	"vero/internal/cluster"
 	"vero/internal/histogram"
 	"vero/internal/index"
@@ -23,7 +24,8 @@ type horizontalEngine struct {
 
 	rows   []*sparse.BinnedCSR // QD2: per-worker row shards
 	cols   []*sparse.BinnedCSC // QD1: per-worker column views of row shards
-	blocks []*rowBlockBuilder  // QD2 out-of-core: per-worker row rebuilders
+	blocks []*blockScan        // QD2 out-of-core: per-worker histogram scans
+	placed []*bitmap.Bitmap    // QD2 out-of-core: per-worker placement scratch
 	n2i    []*index.NodeToInstance
 	i2n    []*index.InstanceToNode
 	agg    map[int32]*histogram.Hist // aggregated histograms, by node id

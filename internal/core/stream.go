@@ -17,16 +17,21 @@ import (
 // datasets.BlockSource (an mmap-backed .vbin view) instead of a
 // materialized matrix, the engines replace every data access with
 // streamed block reads through a colStream: column scans arrive in
-// fixed-size entry chunks, row stores are rebuilt block-by-block from the
-// on-disk columns, and point probes become binary searches over the
-// mapped column ranges. Resident scratch is bounded by Config.MemBudget.
+// fixed-size entry chunks, the row-store quadrants (QD2, QD4) build their
+// histograms from the column segments of one row block at a time, node
+// splits place a node's instances by merging its ascending instance list
+// against the split column, and point probes become binary searches over
+// the mapped column ranges. Resident scratch is bounded by
+// Config.MemBudget.
 //
-// The invariant every streamed path preserves is bit-identity with the
-// in-memory engines: chunking a sequential scan never reorders the
-// additions flowing into any single accumulator, block transposition
-// emits each row's entries in ascending global feature order (exactly the
-// materialized CSR row order), and aggregation inputs and reduction order
-// are unchanged — so the trained forest's encoded bytes match the
+// The image is column-major, so over it the streamed row-store quadrants
+// scan column segments; no row store is ever rebuilt. The invariant every
+// streamed path preserves is bit-identity with the in-memory engines:
+// chunking a sequential scan never reorders the additions flowing into any
+// single accumulator, a histogram cell (node, feature, bin) receives its
+// additions in ascending instance order whether the node's rows or the
+// feature's column drive the scan, and aggregation inputs and reduction
+// order are unchanged — so the trained forest's encoded bytes match the
 // in-memory run for any block size.
 
 // defaultMemBudget bounds resident streaming scratch when Config.MemBudget
@@ -39,6 +44,14 @@ const defaultMemBudget int64 = 64 << 20
 // tests do).
 const minDerivedChunk = 256
 
+// maxBlockRows caps the derived row-block size. The budget would allow
+// far more 2-byte slots, but a block's columns all route through the same
+// rows' slots and gradients, and those stay cache-resident only for a
+// bounded block: on the 200k x 100 benchmark image 16Ki-row blocks train
+// ~8 % faster than one whole-range block and ~20 % faster than 2Ki-row
+// ones (per-block column searches).
+const maxBlockRows = 1 << 14
+
 // colStream provides budgeted, chunked access to an out-of-core block
 // source for every worker. Each worker owns scratch for one column chunk;
 // read failures are sticky — the first error is recorded and the trainer
@@ -47,7 +60,7 @@ const minDerivedChunk = 256
 type colStream struct {
 	src       datasets.BlockSource
 	chunk     int // entries per column-chunk read
-	blockRows int // rows per rebuilt row block
+	blockRows int // rows per histogram row block
 	perWorker int64
 
 	inst [][]uint32
@@ -57,10 +70,9 @@ type colStream struct {
 	err error
 }
 
-// newColStream sizes the streaming scratch from the configuration: the
-// budget is split evenly between column-chunk scratch and row-block
-// scratch across workers; explicit BlockNNZ/BlockRows override the
-// derived sizes (tests use them to pin block-boundary edge cases).
+// newColStream sizes the streaming scratch from the configuration;
+// explicit BlockNNZ/BlockRows override the derived sizes (tests use them
+// to pin block-boundary edge cases).
 func newColStream(src datasets.BlockSource, w int, cfg Config) *colStream {
 	budget := cfg.MemBudget
 	if budget <= 0 {
@@ -68,10 +80,12 @@ func newColStream(src datasets.BlockSource, w int, cfg Config) *colStream {
 	}
 	s := &colStream{src: src}
 	// A column-chunk entry costs 6 bytes of scratch (uint32 instance +
-	// uint16 bin). A quarter of the budget serves the column chunks and a
-	// quarter the row blocks; the remaining half is headroom for
-	// histograms and trainer state, so whole-run peak heap stays under
-	// the budget rather than matching it.
+	// uint16 bin); a quarter of the budget serves the column chunks. A row
+	// block costs one 2-byte build-node slot per row (blockScan.slot): up
+	// to another quarter, though maxBlockRows keeps it to 32 KiB a worker
+	// in practice. The rest is headroom for histograms and trainer state,
+	// so whole-run peak heap stays under the budget rather than matching
+	// it.
 	s.chunk = int(budget / 4 / int64(w) / 6)
 	if s.chunk < minDerivedChunk {
 		s.chunk = minDerivedChunk
@@ -79,14 +93,7 @@ func newColStream(src datasets.BlockSource, w int, cfg Config) *colStream {
 	if cfg.BlockNNZ > 0 {
 		s.chunk = cfg.BlockNNZ
 	}
-	// Row blocks hold ~avgRowNNZ entries of 6 bytes plus an 8-byte row
-	// pointer per row.
-	rows, nnz := src.Rows(), src.NNZ()
-	avgRowNNZ := int64(1)
-	if rows > 0 && nnz > int64(rows) {
-		avgRowNNZ = nnz / int64(rows)
-	}
-	s.blockRows = int(budget / 4 / int64(w) / (6*avgRowNNZ + 8))
+	s.blockRows = int(min(budget/4/int64(w)/2, maxBlockRows))
 	if s.blockRows < 1 {
 		s.blockRows = 1
 	}
@@ -179,18 +186,25 @@ func (s *colStream) entryRange(col, rowLo, rowHi int) (int64, int64) {
 	return lo, hi
 }
 
-// lookup probes column col for instance inst — the streamed equivalent of
-// searchColumn over a materialized column. On a read failure it reports
-// the instance missing; the sticky error aborts the run at the tree
-// boundary, so the garbage placement is never observed in a result.
-func (s *colStream) lookup(col int, inst uint32) (uint16, bool) {
-	lo, hi := s.src.ColRange(col)
+// lookup probes [lo, hi) — a range within one column — for instance inst,
+// the streamed equivalent of searchColumn over a materialized column. On a
+// read failure it reports the instance missing; the sticky error aborts the
+// run at the tree boundary, so the garbage placement is never observed in
+// a result.
+func (s *colStream) lookup(lo, hi int64, inst uint32) (uint16, bool) {
 	bin, found, err := s.src.LookupInst(lo, hi, inst)
 	if err != nil {
 		s.fail(err)
 		return 0, false
 	}
 	return bin, found
+}
+
+// probesCheaper is the paper's hybrid cost test (Section 5.2.2): one
+// binary search per node instance beats a linear pass over colLen column
+// entries when colLen > |node|·(⌈log₂ colLen⌉+1).
+func probesCheaper(colLen, nodeLen int) bool {
+	return colLen > nodeLen*(bits.Len(uint(colLen))+1)
 }
 
 // initStream validates the out-of-core configuration and sizes the
@@ -212,126 +226,134 @@ func (t *trainer) initStream() error {
 	return nil
 }
 
-// rowBlockBuilder rebuilds a row store block-by-block from the on-disk
-// columns: per-column cursors advance through the global row range, and
-// each block is a two-pass (count, scatter) transpose of the cursor
-// segments. Columns are processed in ascending global feature id order,
-// so each row's entries come out exactly as the materialized CSR stores
-// them — the bit-identity requirement of the row-scan kernels.
-type rowBlockBuilder struct {
+// maxBlockSlots is how many build nodes one blockScan pass can route: a
+// slot is a uint16 with 0 reserved for "no build node".
+const maxBlockSlots = 1<<16 - 1
+
+// blockScan builds the histograms of a streamed row-store quadrant (QD2,
+// QD4) in one forward pass per layer over a worker's columns: per-column
+// cursors advance through the global row range one row block at a time,
+// the block's rows are marked with the slot of the build node they sit on,
+// and each column's segment inside the block streams through
+// histogram.ColumnScanBlock. Only the cursors and the 2-byte-per-row slot
+// array are resident.
+type blockScan struct {
 	s            *colStream
 	w            int
 	rowLo, rowHi int
-	cols         []int    // global feature ids, ascending
-	emit         []uint32 // Feat value per column (global id or group slot)
+	cols         []int // global feature ids, ascending; cols[i] fills feature slot i
 
-	cur, end []int64 // per-column cursor / end of restricted range
-	ends     []int64 // per-block segment ends scratch
-	row      int     // next global row to emit
-
-	rowPtr  []int64
-	nextPos []int64
-	feat    []uint32
-	bin     []uint16
+	cur, end []int64  // per-column cursor / end of the restricted range
+	slot     []uint16 // block-local: 1 + build-node index of each row, 0 = none
 }
 
-// newRowBlockBuilder prepares a builder over global rows [rowLo, rowHi)
-// for the given columns; emit[i] is the feature value written for
-// cols[i]'s entries.
-func newRowBlockBuilder(s *colStream, w, rowLo, rowHi int, cols []int, emit []uint32) *rowBlockBuilder {
-	return &rowBlockBuilder{
-		s: s, w: w, rowLo: rowLo, rowHi: rowHi, cols: cols, emit: emit,
+// newBlockScan prepares a scan over global rows [rowLo, rowHi) of the
+// given columns.
+func newBlockScan(s *colStream, w, rowLo, rowHi int, cols []int) *blockScan {
+	return &blockScan{
+		s: s, w: w, rowLo: rowLo, rowHi: rowHi, cols: cols,
 		cur:  make([]int64, len(cols)),
 		end:  make([]int64, len(cols)),
-		ends: make([]int64, len(cols)),
+		slot: make([]uint16, min(s.blockRows, rowHi-rowLo)),
 	}
 }
 
-// reset repositions every column cursor at the start of the row range.
-func (b *rowBlockBuilder) reset() {
+// build accumulates hs[i] over the rows lists[i] — ascending ids relative
+// to rowLo, the node-to-instance index's order. It stops early after a
+// read failure (sticky on the colStream).
+func (b *blockScan) build(hs []*histogram.Hist, lists [][]uint32, grad, hess []float64) {
+	for lo := 0; lo < len(hs); lo += maxBlockSlots {
+		hi := min(lo+maxBlockSlots, len(hs))
+		b.pass(hs[lo:hi], lists[lo:hi], grad, hess)
+	}
+}
+
+// pass is build for at most maxBlockSlots nodes.
+func (b *blockScan) pass(hs []*histogram.Hist, lists [][]uint32, grad, hess []float64) {
+	s := b.s
 	for i, f := range b.cols {
-		b.cur[i], b.end[i] = b.s.entryRange(f, b.rowLo, b.rowHi)
+		b.cur[i], b.end[i] = s.entryRange(f, b.rowLo, b.rowHi)
 	}
-	b.row = b.rowLo
-}
-
-// next assembles the next row block. It returns the block's first global
-// row, local row pointers (rows [start, start+len(rowPtr)-1)), and the
-// entry arrays; ok is false when the range is exhausted or a read failed.
-// The returned slices are reused by the following next call.
-func (b *rowBlockBuilder) next() (start int, rowPtr []int64, feat []uint32, bin []uint16, ok bool) {
-	if b.row >= b.rowHi || b.s.failed() {
-		return 0, nil, nil, nil, false
-	}
-	start = b.row
-	end := start + b.s.blockRows
-	if end > b.rowHi {
-		end = b.rowHi
-	}
-	nrows := end - start
-
-	if cap(b.rowPtr) < nrows+1 {
-		b.rowPtr = make([]int64, nrows+1)
-		b.nextPos = make([]int64, nrows)
-	}
-	b.rowPtr = b.rowPtr[:nrows+1]
-	b.nextPos = b.nextPos[:nrows]
-	clear(b.rowPtr)
-
-	// Pass 1: count each row's entries across the column segments that
-	// fall inside the block (rowPtr[r+1] accumulates row r's count).
-	for i := range b.cols {
-		b.ends[i] = b.s.search(b.cur[i], b.end[i], uint32(end))
-		if !b.s.scan(b.w, b.cur[i], b.ends[i], 0, func(insts []uint32, _ []uint16) {
-			for _, inst := range insts {
-				b.rowPtr[int(inst)-start+1]++
+	pos := make([]int, len(lists))
+	for start := b.rowLo; start < b.rowHi; start += s.blockRows {
+		end := min(start+s.blockRows, b.rowHi)
+		slot := b.slot[:end-start]
+		clear(slot)
+		for i, list := range lists {
+			k := pos[i]
+			for ; k < len(list) && b.rowLo+int(list[k]) < end; k++ {
+				slot[b.rowLo+int(list[k])-start] = uint16(i + 1)
 			}
-		}) {
-			return 0, nil, nil, nil, false
+			pos[i] = k
+		}
+		for i := range b.cols {
+			segEnd := b.end[i]
+			if end < b.rowHi {
+				segEnd = s.search(b.cur[i], b.end[i], uint32(end))
+			}
+			if s.failed() {
+				return
+			}
+			if !s.scan(b.w, b.cur[i], segEnd, 0, func(insts []uint32, bins []uint16) {
+				histogram.ColumnScanBlock(hs, i, insts, bins, start, slot, grad, hess)
+			}) {
+				return
+			}
+			b.cur[i] = segEnd
 		}
 	}
-	for r := 0; r < nrows; r++ {
-		b.rowPtr[r+1] += b.rowPtr[r]
-	}
-	total := b.rowPtr[nrows]
-	if int64(cap(b.feat)) < total {
-		b.feat = make([]uint32, total)
-		b.bin = make([]uint16, total)
-	}
-	b.feat = b.feat[:total]
-	b.bin = b.bin[:total]
-
-	// Pass 2: scatter, ascending feature order within each row.
-	copy(b.nextPos, b.rowPtr[:nrows])
-	for i := range b.cols {
-		ev := b.emit[i]
-		if !b.s.scan(b.w, b.cur[i], b.ends[i], 0, func(insts []uint32, binsArr []uint16) {
-			for k, inst := range insts {
-				r := int(inst) - start
-				p := b.nextPos[r]
-				b.feat[p] = ev
-				b.bin[p] = binsArr[k]
-				b.nextPos[r] = p + 1
-			}
-		}) {
-			return 0, nil, nil, nil, false
-		}
-		b.cur[i] = b.ends[i]
-	}
-	b.row = end
-	return start, b.rowPtr, b.feat, b.bin, true
 }
 
-// allFeatures returns [0..d) with identity emit values — the column set
-// of a horizontal row shard (all features, global ids).
-func allFeatures(d int) (cols []int, emit []uint32) {
-	cols = make([]int, d)
-	emit = make([]uint32, d)
-	for f := 0; f < d; f++ {
+// allFeatures returns [0..d) — the column set of a horizontal row shard.
+func allFeatures(d int) []int {
+	cols := make([]int, d)
+	for f := range cols {
 		cols[f] = f
-		emit[f] = uint32(f)
 	}
-	return cols, emit
+	return cols
+}
+
+// place writes the placement bits (set = left child) of one splitting
+// node's instances — ascending ids relative to base, bit positions
+// likewise — from the mapped split column. Instance list and column are
+// both ascending, so placement is a two-pointer merge over the column
+// range the list spans; where probesCheaper says so, each instance is
+// probed instead. On a read failure the remaining
+// instances keep the default direction; the sticky error aborts the run at
+// the tree boundary, so the garbage placement is never observed.
+func (s *colStream) place(w int, sp resolvedSplit, insts []uint32, base int, bm *bitmap.Bitmap) {
+	for _, inst := range insts {
+		bm.SetTo(int(inst), sp.defaultLeft)
+	}
+	if len(insts) == 0 {
+		return
+	}
+	lo, hi := s.src.ColRange(sp.feature)
+	lo = s.search(lo, hi, uint32(base)+insts[0])
+	hi = s.search(lo, hi, uint32(base)+insts[len(insts)-1]+1)
+	if s.failed() {
+		return
+	}
+	if probesCheaper(int(hi-lo), len(insts)) {
+		for _, inst := range insts {
+			if bin, ok := s.lookup(lo, hi, uint32(base)+inst); ok {
+				bm.SetTo(int(inst), int(bin) <= sp.bin)
+			}
+		}
+		return
+	}
+	k := 0
+	s.scan(w, lo, hi, 0, func(colInsts []uint32, bins []uint16) {
+		for j, ci := range colInsts {
+			inst := ci - uint32(base)
+			for k < len(insts) && insts[k] < inst {
+				k++
+			}
+			if k < len(insts) && insts[k] == inst {
+				bm.SetTo(int(inst), int(bins[j]) <= sp.bin)
+			}
+		}
+	})
 }
 
 // ---- horizontal engine, streamed (QD1/QD2) ----
@@ -354,15 +376,17 @@ func (e *horizontalEngine) prepareStreamed() error {
 	dataGauge := t.cl.Stats().Mem("data")
 	if t.cfg.Quadrant == QD2 {
 		e.n2i = make([]*index.NodeToInstance, t.w)
-		e.blocks = make([]*rowBlockBuilder, t.w)
-		cols, emit := allFeatures(t.d)
+		e.blocks = make([]*blockScan, t.w)
+		e.placed = make([]*bitmap.Bitmap, t.w)
+		cols := allFeatures(t.d)
 		// ParallelLocal: on a distributed cluster each rank builds only its
-		// hosted worker's index and block builder — the aggregation path
+		// hosted worker's index and block scan — the aggregation path
 		// (sumLocalInto) requires the locals' shape to match the hosting.
 		t.cl.ParallelLocal("prep.bin", func(w int) {
 			lo, hi := t.ranges[w][0], t.ranges[w][1]
 			e.n2i[w] = index.NewNodeToInstance(hi - lo)
-			e.blocks[w] = newRowBlockBuilder(t.stream, w, lo, hi, cols, emit)
+			e.blocks[w] = newBlockScan(t.stream, w, lo, hi, cols)
+			e.placed[w] = bitmap.New(hi - lo)
 			dataGauge.Set(w, t.stream.perWorker)
 		})
 		return t.stream.ok()
@@ -376,13 +400,21 @@ func (e *horizontalEngine) prepareStreamed() error {
 	return t.stream.ok()
 }
 
-// buildHistogramsStreamedQD2 is buildHistograms for streamed QD2,
-// restructured block-outer/node-inner: each worker rebuilds its row
-// blocks once per layer and advances every build node's instance cursor
-// through them, so the data is read once regardless of the node count.
-// Per node the accumulation order (ascending instances, CSR row order
-// within) and the per-node aggregation order over workers are exactly the
-// in-memory ones, so the result is bit-identical.
+// nodeLists returns each node's (ascending) instance list.
+func nodeLists(idx *index.NodeToInstance, nodes []*nodeInfo) [][]uint32 {
+	lists := make([][]uint32, len(nodes))
+	for i, nd := range nodes {
+		lists[i] = idx.Instances(nd.id)
+	}
+	return lists
+}
+
+// buildHistogramsStreamedQD2 is buildHistograms for streamed QD2: each
+// worker builds every build node's local histogram in one blockScan pass
+// over its row range, so the data is read once per layer regardless of the
+// node count. Per histogram cell the accumulation order (ascending
+// instances) and the per-node aggregation order over workers are exactly
+// the in-memory ones, so the result is bit-identical.
 func (e *horizontalEngine) buildHistogramsStreamedQD2(toBuild []*nodeInfo) {
 	t := e.t
 	locals := make([][]*histogram.Hist, len(toBuild))
@@ -390,33 +422,12 @@ func (e *horizontalEngine) buildHistogramsStreamedQD2(toBuild []*nodeInfo) {
 		locals[i] = make([]*histogram.Hist, t.w)
 	}
 	t.cl.ParallelLocal(phaseHist, func(w int) {
-		base := t.ranges[w][0]
-		insts := make([][]uint32, len(toBuild))
-		pos := make([]int, len(toBuild))
-		for i, nd := range toBuild {
-			locals[i][w] = t.pool.Get(e.layout)
-			insts[i] = e.n2i[w].Instances(nd.id)
+		hs := make([]*histogram.Hist, len(toBuild))
+		for i := range hs {
+			hs[i] = t.pool.Get(e.layout)
+			locals[i][w] = hs[i]
 		}
-		b := e.blocks[w]
-		b.reset()
-		for {
-			start, rowPtr, feat, bin, ok := b.next()
-			if !ok {
-				break
-			}
-			localStart := start - base
-			localEnd := localStart + len(rowPtr) - 1
-			for i := range toBuild {
-				list := insts[i]
-				k := pos[i]
-				from := k
-				for k < len(list) && int(list[k]) < localEnd {
-					k++
-				}
-				pos[i] = k
-				locals[i][w].RowScan(list[from:k], localStart, rowPtr, feat, bin, t.grads, t.hessv, base)
-			}
-		}
+		e.blocks[w].build(hs, nodeLists(e.n2i[w], toBuild), t.grads, t.hessv)
 	})
 	for i, nd := range toBuild {
 		e.aggregate(nd.id, locals[i])
@@ -460,25 +471,21 @@ func (e *horizontalEngine) buildHistogramsStreamedQD1(toBuild []*nodeInfo, slot 
 	})
 }
 
-// applyLayerStreamed updates the horizontal indexes with split-feature
-// probes served by binary searches over the mapped columns (global
-// instance ids); the placement decisions are the same booleans the
-// materialized shards produce.
+// applyLayerStreamed updates the horizontal indexes from the mapped split
+// columns (global instance ids): QD2 places each splitting node by
+// colStream.place, QD1 probes each instance by binary search — the
+// column-store node-splitting cost of Section 3.2.3. The placement
+// decisions are the same booleans the materialized shards produce.
 func (e *horizontalEngine) applyLayerStreamed(splits map[int32]resolvedSplit, children map[int32][2]int32) {
 	t := e.t
 	t.cl.Broadcast(phaseNode, int64(len(splits))*splitWireBytes)
 	if t.cfg.Quadrant == QD2 {
 		t.cl.ParallelLocal(phaseNode, func(w int) {
-			base := t.ranges[w][0]
+			bm := e.placed[w]
+			goesLeft := func(inst uint32) bool { return bm.Get(int(inst)) }
 			for parent, ch := range children {
-				sp := splits[parent]
-				e.n2i[w].Split(parent, ch[0], ch[1], func(inst uint32) bool {
-					bin, ok := t.stream.lookup(sp.feature, uint32(base)+inst)
-					if !ok {
-						return sp.defaultLeft
-					}
-					return int(bin) <= sp.bin
-				})
+				t.stream.place(w, splits[parent], e.n2i[w].Instances(parent), t.ranges[w][0], bm)
+				e.n2i[w].Split(parent, ch[0], ch[1], goesLeft)
 			}
 		})
 		return
@@ -488,7 +495,8 @@ func (e *horizontalEngine) applyLayerStreamed(splits map[int32]resolvedSplit, ch
 		i2n := e.i2n[w]
 		i2n.SplitLayer(children, func(inst uint32) bool {
 			sp := splits[i2n.Node(inst)]
-			bin, ok := t.stream.lookup(sp.feature, uint32(base)+inst)
+			lo, hi := t.stream.src.ColRange(sp.feature)
+			bin, ok := t.stream.lookup(lo, hi, uint32(base)+inst)
 			if !ok {
 				return sp.defaultLeft
 			}
@@ -540,11 +548,9 @@ func (e *verticalEngine) prepareStreamedQD3() error {
 
 // prepareStreamedVero mirrors prepareVero: the transformation's grouping
 // and wire charges are computed from the mapped columns
-// (partition.TransformStreamed), and each worker gets a row-block builder
-// over its feature group instead of materialized shards. Group feature
-// lists are ascending (GroupColumnsBalanced sorts them), so rebuilt rows
-// list slots in ascending global feature order — the order the
-// materialized transformation stores.
+// (partition.TransformStreamed), and each worker gets a blockScan over its
+// feature group instead of materialized shards; a group's i-th feature is
+// the worker's feature slot i, as in the materialized transformation.
 func (e *verticalEngine) prepareStreamedVero() error {
 	t := e.t
 	pb, err := t.usablePrebin()
@@ -579,30 +585,28 @@ func (e *verticalEngine) prepareStreamedVero() error {
 	e.hist = make([]map[int32]*histogram.Hist, t.w)
 	e.layout = make([]histogram.Layout, t.w)
 	e.numBins = make([][]int, t.w)
-	e.blocks = make([]*rowBlockBuilder, t.w)
+	e.blocks = make([]*blockScan, t.w)
 	dataGauge := t.cl.Stats().Mem("data")
 	for w := 0; w < t.w; w++ {
 		e.n2i[w] = index.NewNodeToInstance(t.n)
 		e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
 		e.hist[w] = make(map[int32]*histogram.Hist)
 		numBins := make([]int, len(e.groups[w]))
-		emit := make([]uint32, len(e.groups[w]))
 		for slot, f := range e.groups[w] {
 			numBins[slot] = len(t.binner.Splits[f])
-			emit[slot] = uint32(slot)
 		}
 		e.numBins[w] = numBins
-		e.blocks[w] = newRowBlockBuilder(t.stream, w, 0, t.n, e.groups[w], emit)
+		e.blocks[w] = newBlockScan(t.stream, w, 0, t.n, e.groups[w])
 		dataGauge.Set(w, t.stream.perWorker+int64(t.n)*4)
 	}
 	return t.stream.ok()
 }
 
 // buildHistogramsStreamedVertical is buildHistograms for the streamed
-// vertical quadrants. QD4 runs block-outer/node-inner over rebuilt row
-// blocks (one data pass per layer); QD3 runs the hybrid per-node plan
-// with streamed linear scans and mapped binary probes. Both preserve the
-// in-memory accumulation order exactly.
+// vertical quadrants. QD4 builds every node in one blockScan pass over the
+// worker's feature group (one data pass per layer); QD3 runs the hybrid
+// per-node plan with streamed linear scans and mapped binary probes. Both
+// preserve the in-memory accumulation order exactly.
 func (e *verticalEngine) buildHistogramsStreamedVertical(toBuild []*nodeInfo) {
 	t := e.t
 	mem := t.cl.Stats().Mem("histogram")
@@ -613,7 +617,7 @@ func (e *verticalEngine) buildHistogramsStreamedVertical(toBuild []*nodeInfo) {
 			mem.Add(w, e.layout[w].SizeBytes())
 		}
 		if t.cfg.Quadrant == QD4 {
-			e.buildRowStoreStreamed(w, toBuild, hs)
+			e.blocks[w].build(hs, nodeLists(e.n2i[w], toBuild), t.grads, t.hessv)
 		} else {
 			for i, nd := range toBuild {
 				e.buildHybridStreamed(w, nd, hs[i])
@@ -623,38 +627,6 @@ func (e *verticalEngine) buildHistogramsStreamedVertical(toBuild []*nodeInfo) {
 			e.hist[w][nd.id] = hs[i]
 		}
 	})
-}
-
-// buildRowStoreStreamed advances every build node's (ascending) instance
-// cursor through the worker's rebuilt row blocks — the streamed analogue
-// of buildRowStore's per-block segment scans, covering all build nodes in
-// one data pass.
-func (e *verticalEngine) buildRowStoreStreamed(w int, toBuild []*nodeInfo, hs []*histogram.Hist) {
-	t := e.t
-	insts := make([][]uint32, len(toBuild))
-	pos := make([]int, len(toBuild))
-	for i, nd := range toBuild {
-		insts[i] = e.n2i[w].Instances(nd.id)
-	}
-	b := e.blocks[w]
-	b.reset()
-	for {
-		start, rowPtr, feat, bin, ok := b.next()
-		if !ok {
-			return
-		}
-		end := start + len(rowPtr) - 1
-		for i := range toBuild {
-			list := insts[i]
-			k := pos[i]
-			from := k
-			for k < len(list) && int(list[k]) < end {
-				k++
-			}
-			pos[i] = k
-			hs[i].RowScan(list[from:k], start, rowPtr, feat, bin, t.grads, t.hessv, 0)
-		}
-	}
 }
 
 // buildHybridStreamed is buildHybrid over mapped columns: the same
@@ -674,15 +646,14 @@ func (e *verticalEngine) buildHybridStreamed(w int, nd *nodeInfo, h *histogram.H
 		if t.stream.failed() {
 			return
 		}
-		searchCost := len(nodeInsts) * (bits.Len(uint(colLen)) + 1)
-		if colLen <= searchCost {
+		if !probesCheaper(colLen, len(nodeInsts)) {
 			t.stream.scan(w, lo, hi, 0, func(insts []uint32, binsArr []uint16) {
 				h.ColumnScanNode(j, insts, binsArr, nodeOf, nd.id, t.grads, t.hessv)
 			})
 			continue
 		}
 		for _, inst := range nodeInsts {
-			bin, ok := t.stream.lookup(f, inst)
+			bin, ok := t.stream.lookup(lo, hi, inst)
 			if !ok {
 				continue
 			}
@@ -692,26 +663,21 @@ func (e *verticalEngine) buildHybridStreamed(w int, nd *nodeInfo, h *histogram.H
 }
 
 // fillPlacementStreamed writes one splitting node's placement bits from
-// the mapped split-feature column: QD4 probes each node instance by
-// binary search, QD3 streams the column linearly with node-membership
-// checks — the same decisions the materialized shards produce.
+// the mapped split-feature column: QD4 merges the node's instance list
+// against it (colStream.place), QD3 streams the column linearly with
+// node-membership checks — the same decisions the materialized shards
+// produce.
 func (e *verticalEngine) fillPlacementStreamed(w int, parent int32, sp resolvedSplit, bm *bitmap.Bitmap) {
 	t := e.t
 	insts := e.n2i[w].Instances(parent)
+	if t.cfg.Quadrant == QD4 {
+		t.stream.place(w, sp, insts, 0, bm)
+		return
+	}
 	if sp.defaultLeft {
 		for _, inst := range insts {
 			bm.Set(int(inst))
 		}
-	}
-	if t.cfg.Quadrant == QD4 {
-		for _, inst := range insts {
-			bin, ok := t.stream.lookup(sp.feature, inst)
-			if !ok {
-				continue // stays at the default direction
-			}
-			bm.SetTo(int(inst), int(bin) <= sp.bin)
-		}
-		return
 	}
 	lo, hi := t.stream.src.ColRange(sp.feature)
 	i2n := e.i2n[w]

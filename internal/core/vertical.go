@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"vero/internal/bitmap"
 	"vero/internal/cluster"
 	"vero/internal/histogram"
@@ -25,13 +23,17 @@ type verticalEngine struct {
 	shards   []*partition.Shard  // QD4
 	fullRows *sparse.BinnedCSR   // QD4 FullCopy (feature-parallel)
 	cols     []*sparse.BinnedCSC // QD3: per-worker full columns (slot-indexed)
-	blocks   []*rowBlockBuilder  // QD4 out-of-core: per-worker row rebuilders
+	blocks   []*blockScan        // QD4 out-of-core: per-worker histogram scans
 	numBins  [][]int             // per worker, per slot
 	n2i      []*index.NodeToInstance
 	i2n      []*index.InstanceToNode // QD3 hybrid
 	cw       []*index.ColumnWise     // QD3 column-wise (Yggdrasil)
 	hist     []map[int32]*histogram.Hist
 	layout   []histogram.Layout
+
+	// parts holds the per-worker placement bitmaps applyLayer merges,
+	// reused (and cleared) layer after layer.
+	parts []*bitmap.Bitmap
 
 	// scratch holds the non-leader workers' redundant-compute gradient
 	// buffers: every worker computes all gradients (Section 4.2.1 step 5),
@@ -468,8 +470,7 @@ func (e *verticalEngine) buildHybrid(w int, nd *nodeInfo, h *histogram.Hist) {
 		if colLen == 0 {
 			continue
 		}
-		searchCost := len(nodeInsts) * (bits.Len(uint(colLen)) + 1)
-		if colLen <= searchCost {
+		if !probesCheaper(colLen, len(nodeInsts)) {
 			// Linear scan, filtering by the instance-to-node index.
 			h.ColumnScanNode(j, insts, binsArr, nodeOf, nd.id, t.grads, t.hessv)
 			continue
@@ -559,9 +560,15 @@ func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map
 	// worker's columns and indexes at every rank, so each rank derives the
 	// full placement locally and only the broadcast's charge — realized
 	// as shadow traffic — touches the wire.
-	parts := make([]*bitmap.Bitmap, t.w)
+	if e.parts == nil {
+		e.parts = make([]*bitmap.Bitmap, t.w)
+		for w := range e.parts {
+			e.parts[w] = bitmap.New(t.n)
+		}
+	}
 	t.cl.Parallel(phaseNode, func(w int) {
-		bm := bitmap.New(t.n)
+		bm := e.parts[w]
+		bm.Reset()
 		for parent := range children {
 			sp := splits[parent]
 			if e.ownerOf[sp.feature] != int32(w) {
@@ -569,15 +576,10 @@ func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map
 			}
 			e.fillPlacement(w, parent, sp, bm)
 		}
-		parts[w] = bm
 	})
-	placement := parts[0]
+	placement := e.parts[0]
 	for w := 1; w < t.w; w++ {
-		for i := range placement.Len() {
-			if parts[w].Get(i) {
-				placement.Set(i)
-			}
-		}
+		placement.Or(e.parts[w])
 	}
 	t.cl.Broadcast(phaseNode, int64(placement.SizeBytes()))
 

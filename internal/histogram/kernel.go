@@ -144,6 +144,53 @@ func (h *Hist) ColumnScanNode(col int, insts []uint32, bins []uint16, nodeOf []i
 	}
 }
 
+// ColumnScanBlock is the fused column kernel of the streamed row-store
+// quadrants (out-of-core QD2, QD4): one column's (instance, bin) entries
+// that fall inside a row block are routed to the histograms of all nodes
+// under construction. slot is block-local — slot[inst-rowOff] is 1 + the
+// index into hs of the node the row sits on, 0 when that node is not being
+// built — so it stays cache-resident while the block's column segments
+// stream past it. Instance ids index the gradient arrays directly.
+//
+// A histogram cell (node, col, bin) receives its additions in ascending
+// instance order, the order RowScan adds them in when it walks the node's
+// ascending instance list, so the result is bit-identical to the row scan.
+func ColumnScanBlock(hs []*Hist, col int, insts []uint32, bins []uint16, rowOff int, slot []uint16, grad, hess []float64) {
+	if len(insts) == 0 || len(hs) == 0 {
+		return
+	}
+	bins = bins[:len(insts)]
+	if hs[0].NumClass == 1 {
+		colBase := col * hs[0].MaxBins
+		for k, inst := range insts {
+			s := slot[int(inst)-rowOff]
+			if s == 0 {
+				continue
+			}
+			h := hs[s-1]
+			i := colBase + int(bins[k])
+			h.Grad[i] += grad[inst]
+			h.Hess[i] += hess[inst]
+		}
+		return
+	}
+	c := hs[0].NumClass
+	colBase := col * hs[0].MaxBins * c
+	for k, inst := range insts {
+		s := slot[int(inst)-rowOff]
+		if s == 0 {
+			continue
+		}
+		hg, hh := hs[s-1].Grad, hs[s-1].Hess
+		i := colBase + int(bins[k])*c
+		gi := int(inst) * c
+		for j := 0; j < c; j++ {
+			hg[i+j] += grad[gi+j]
+			hh[i+j] += hess[gi+j]
+		}
+	}
+}
+
 // ColumnGather accumulates the column entries at the given positions —
 // the column-wise node-to-instance shape (QD3 with Yggdrasil's index),
 // where an index already knows which entry positions belong to the node.

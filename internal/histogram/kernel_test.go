@@ -240,3 +240,81 @@ func TestColumnScanRoutedMatchesPerNodeScans(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnScanBlockMatchesRowScan pins the streamed row-store kernel to
+// the in-memory one: routing the column segments of each row block through
+// ColumnScanBlock must leave every build node's histogram bit-equal to a
+// RowScan of the node's ascending instance list over the transposed (CSR)
+// rows — for any block size (one-row blocks, ragged, one block), any chunk
+// size (down to one entry), with rows on nodes that are not being built,
+// a build node without instances, and an empty build list.
+func TestColumnScanBlockMatchesRowScan(t *testing.T) {
+	const n = 61
+	for _, c := range []int{1, 5} {
+		f := newKernelFixture(t, c, n, 8)
+		// Transpose the fixture's rows into per-feature columns.
+		colInst := make([][]uint32, f.layout.NumFeat)
+		colBin := make([][]uint16, f.layout.NumFeat)
+		for i := 0; i < n; i++ {
+			feats, bins := f.row(i)
+			for k, ft := range feats {
+				colInst[ft] = append(colInst[ft], uint32(i))
+				colBin[ft] = append(colBin[ft], bins[k])
+			}
+		}
+		rng := rand.New(rand.NewSource(80))
+		nodeOf := make([]int, n)
+		for i := range nodeOf {
+			nodeOf[i] = rng.Intn(4) // nodes 0 and 2 are not being built
+		}
+		for _, build := range [][]int{{1, 3}, {3, 9, 1}, {}} { // node 9 holds no rows
+			lists := make([][]uint32, len(build))
+			wants := make([]*Hist, len(build))
+			for s, node := range build {
+				for i, nd := range nodeOf {
+					if nd == node {
+						lists[s] = append(lists[s], uint32(i))
+					}
+				}
+				wants[s] = New(f.layout)
+				wants[s].RowScan(lists[s], 0, f.rowPtr, f.feat, f.bin, f.grad, f.hess, 0)
+			}
+			for _, blockRows := range []int{1, 7, n, n + 10} {
+				for _, chunk := range []int{1, 3, n} {
+					gots := make([]*Hist, len(build))
+					for s := range gots {
+						gots[s] = New(f.layout)
+					}
+					for start := 0; start < n; start += blockRows {
+						end := min(start+blockRows, n)
+						slot := make([]uint16, end-start)
+						for s, list := range lists {
+							for _, inst := range list {
+								if int(inst) >= start && int(inst) < end {
+									slot[int(inst)-start] = uint16(s + 1)
+								}
+							}
+						}
+						for col := range colInst {
+							insts, bins := colInst[col], colBin[col]
+							for k := 0; k < len(insts); k += chunk {
+								ci, cb := insts[k:min(k+chunk, len(insts))], bins[k:min(k+chunk, len(insts))]
+								// Keep the chunk's entries that fall inside the block.
+								for len(ci) > 0 && int(ci[0]) < start {
+									ci, cb = ci[1:], cb[1:]
+								}
+								for len(ci) > 0 && int(ci[len(ci)-1]) >= end {
+									ci, cb = ci[:len(ci)-1], cb[:len(cb)-1]
+								}
+								ColumnScanBlock(gots, col, ci, cb, start, slot, f.grad, f.hess)
+							}
+						}
+					}
+					for s := range wants {
+						requireEqualHists(t, wants[s], gots[s], "ColumnScanBlock")
+					}
+				}
+			}
+		}
+	}
+}

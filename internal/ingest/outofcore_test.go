@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"vero/internal/core"
 	"vero/internal/datasets"
 	"vero/internal/failpoint"
+	"vero/internal/partition"
 )
 
 // oocPair builds one dataset two ways from the same cache image: the
@@ -191,6 +193,94 @@ func TestOutOfCoreReadFailureAborts(t *testing.T) {
 		// Disarmed, the same configuration trains cleanly.
 		if _, err := core.Train(cluster.New(2, cluster.Gigabit()), ooc, cfg); err != nil {
 			t.Fatalf("%v: disarmed run failed: %v", tc.quadrant, err)
+		}
+	}
+}
+
+// countingSource counts the block reads (the calls behind the
+// ingest.mmap.read failpoint) a run issues against a mapped view.
+type countingSource struct {
+	*MappedCache
+	reads int
+}
+
+func (c *countingSource) Entries(lo, hi int64, instBuf []uint32, binBuf []uint16) ([]uint32, []uint16, error) {
+	c.reads++
+	return c.MappedCache.Entries(lo, hi, instBuf, binBuf)
+}
+
+func (c *countingSource) SearchInst(lo, hi int64, inst uint32) (int64, error) {
+	c.reads++
+	return c.MappedCache.SearchInst(lo, hi, inst)
+}
+
+func (c *countingSource) LookupInst(lo, hi int64, inst uint32) (uint16, bool, error) {
+	c.reads++
+	return c.MappedCache.LookupInst(lo, hi, inst)
+}
+
+// TestOutOfCoreReadFailureSweep fails exactly the K-th block read, for
+// every K a 3-tree streamed row-store run performs: whichever read it is —
+// a block's column search, a segment chunk, a placement range search, a
+// merge chunk or a sparse-arm probe — the run must return an
+// ErrCacheCorrupt-wrapped injected fault (never a panic, never a model),
+// and once preparation is over the error must name the aborted round.
+// Small blocks and chunks put several reads of every kind into each layer.
+func TestOutOfCoreReadFailureSweep(t *testing.T) {
+	defer failpoint.Reset()
+	_, ooc, mc := oocPair(t, 120, 20, 9)
+	defer mc.Close()
+
+	for _, q := range []core.Quadrant{core.QD4, core.QD2} {
+		cfg, err := core.ConfigureQuadrant(q, core.Config{Trees: 3, Layers: 7, Splits: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.BlockRows, cfg.BlockNNZ = 50, 8
+		src := &countingSource{MappedCache: mc}
+		ds := mc.Dataset()
+		ds.Blocks = src
+
+		// Reads issued by preparation: QD4 runs the streamed transformation,
+		// QD2 touches no block before the first round.
+		prepReads := 0
+		if q == core.QD4 {
+			pb := ooc.Prebin
+			if _, err := partition.TransformStreamed(cluster.New(2, cluster.Gigabit()), src, ooc.Labels,
+				partition.Options{Q: cfg.Splits, SketchEps: pb.SketchEps, Splits: pb.Splits, FeatCount: pb.FeatCount}); err != nil {
+				t.Fatal(err)
+			}
+			prepReads, src.reads = src.reads, 0
+		}
+		if _, err := core.Train(cluster.New(2, cluster.Gigabit()), ds, cfg); err != nil {
+			t.Fatalf("%v: disarmed run failed: %v", q, err)
+		}
+		total := src.reads
+		if total <= prepReads+3 {
+			t.Fatalf("%v: %d reads in all, %d in preparation: nothing to sweep", q, total, prepReads)
+		}
+
+		for k := 1; k <= total+1; k++ {
+			if err := failpoint.Enable(FailpointMmapRead, fmt.Sprintf("%d-%d*error", k, k)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Train(cluster.New(2, cluster.Gigabit()), ds, cfg)
+			failpoint.Reset()
+			if k > total {
+				if err != nil {
+					t.Fatalf("%v: a fault armed past the last read (%d) failed the run: %v", q, total, err)
+				}
+				break
+			}
+			if err == nil || res != nil {
+				t.Fatalf("%v: read %d/%d failed but training returned (%v, %v)", q, k, total, res, err)
+			}
+			if !errors.Is(err, ErrCacheCorrupt) || !errors.Is(err, failpoint.ErrInjected) {
+				t.Fatalf("%v: read %d/%d: error does not wrap ErrCacheCorrupt and the injected fault: %v", q, k, total, err)
+			}
+			if inRound := strings.Contains(err.Error(), "aborted during round"); inRound != (k > prepReads) {
+				t.Fatalf("%v: read %d/%d (%d in preparation): %q", q, k, total, prepReads, err)
+			}
 		}
 	}
 }
