@@ -181,7 +181,7 @@ type Config struct {
 	// config hash.
 	MemBudget int64
 	// BlockRows and BlockNNZ override the derived out-of-core block
-	// sizes (rows per rebuilt row block, entries per column chunk);
+	// sizes (rows per histogram row block, entries per column chunk);
 	// mainly for tests pinning block-boundary edge cases. Zero derives
 	// both from MemBudget.
 	BlockRows int

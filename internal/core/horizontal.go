@@ -22,27 +22,28 @@ type horizontalEngine struct {
 	// a layer, reused (and re-zeroed) layer after layer.
 	flatG, flatH [][]float64
 
-	rows   []*sparse.BinnedCSR // QD2: per-worker row shards
-	cols   []*sparse.BinnedCSC // QD1: per-worker column views of row shards
-	blocks []*blockScan        // QD2 out-of-core: per-worker histogram scans
-	placed []*bitmap.Bitmap    // QD2 out-of-core: per-worker placement scratch
-	n2i    []*index.NodeToInstance
-	i2n    []*index.InstanceToNode
-	agg    map[int32]*histogram.Hist // aggregated histograms, by node id
-	layout histogram.Layout
+	rows []rowStore // QD2: per-worker row shards
+	// perNode says QD2 builds and aggregates node by node, keeping one
+	// transient local histogram per worker (materialized rows); a mapped
+	// store builds the whole layer in one pass over the data instead.
+	perNode bool
+	placed  []*bitmap.Bitmap // QD2: per-worker placement scratch
+	cols    []*colStream     // QD1: per-worker column views of row shards
+	n2i     []*index.NodeToInstance
+	i2n     []*index.InstanceToNode
+	agg     map[int32]*histogram.Hist // aggregated histograms, by node id
+	layout  histogram.Layout
 }
 
 // splitWireBytes is the serialized size of one best-split record
 // (feature id, bin, gain, default direction).
 const splitWireBytes = 24
 
-// prepare sketches candidate splits and bins each worker's row shard into
-// the quadrant's storage pattern.
+// prepare sketches candidate splits and gives each worker its row shard
+// in the quadrant's storage pattern: binned and materialized, or — out of
+// core — a reader over the worker's row range of the mapped image.
 func (e *horizontalEngine) prepare() error {
 	t := e.t
-	if t.stream != nil {
-		return e.prepareStreamed()
-	}
 	if _, err := t.distributedSketch(); err != nil {
 		return err
 	}
@@ -54,38 +55,55 @@ func (e *horizontalEngine) prepare() error {
 	e.layout = histogram.Layout{NumFeat: t.d, MaxBins: t.maxBins, NumClass: t.c}
 	e.agg = make(map[int32]*histogram.Hist)
 
-	dataGauge := t.cl.Stats().Mem("data")
+	cols := allFeatures(t.d)
 	errs := make([]error, t.w)
+	// binShard materializes worker w's binned row shard.
+	binShard := func(w int) (*sparse.BinnedCSR, error) {
+		return t.binner.BinCSR(t.ds.X.SliceRows(t.ranges[w][0], t.ranges[w][1]))
+	}
+	// ParallelLocal: on a distributed cluster each rank builds only its
+	// hosted worker's structures — the aggregation path (sumLocalInto)
+	// requires the locals' shape to match the hosting.
 	if t.cfg.Quadrant == QD2 {
-		e.rows = make([]*sparse.BinnedCSR, t.w)
+		e.rows = make([]rowStore, t.w)
 		e.n2i = make([]*index.NodeToInstance, t.w)
+		e.placed = make([]*bitmap.Bitmap, t.w)
+		outOfCore := t.ds.OutOfCore()
+		e.perNode = !outOfCore
+		dataGauge := t.cl.Stats().Mem("data")
 		t.cl.ParallelLocal("prep.bin", func(w int) {
-			shard := t.ds.X.SliceRows(t.ranges[w][0], t.ranges[w][1])
-			binned, err := t.binner.BinCSR(shard)
+			lo, hi := t.ranges[w][0], t.ranges[w][1]
+			e.n2i[w] = index.NewNodeToInstance(hi - lo)
+			e.placed[w] = bitmap.New(hi - lo)
+			if outOfCore {
+				e.rows[w] = newBlockScan(t.mappedColumns(cols, lo, hi), t.sizes.blockRows)
+				dataGauge.Set(w, t.sizes.perWorker)
+				return
+			}
+			binned, err := binShard(w)
 			if err != nil {
 				errs[w] = err
 				return
 			}
-			e.rows[w] = binned
-			e.n2i[w] = index.NewNodeToInstance(binned.Rows())
+			e.rows[w] = csrRows{m: binned, base: lo}
 			dataGauge.Set(w, binnedCSRBytes(binned))
 		})
 		return cluster.FirstError(errs)
 	}
 
 	// QD1: column views of the row shards, instance-to-node index.
-	e.cols = make([]*sparse.BinnedCSC, t.w)
+	e.cols = make([]*colStream, t.w)
 	e.i2n = make([]*index.InstanceToNode, t.w)
 	t.cl.ParallelLocal("prep.bin", func(w int) {
-		shard := t.ds.X.SliceRows(t.ranges[w][0], t.ranges[w][1])
-		binned, err := t.binner.BinCSR(shard)
-		if err != nil {
-			errs[w] = err
-			return
-		}
-		e.cols[w] = binned.ToCSC()
-		e.i2n[w] = index.NewInstanceToNode(shard.Rows())
-		dataGauge.Set(w, binnedCSCBytes(e.cols[w]))
+		lo, hi := t.ranges[w][0], t.ranges[w][1]
+		e.i2n[w] = index.NewInstanceToNode(hi - lo)
+		e.cols[w], errs[w] = t.openColumns(w, cols, lo, hi, func() (*sparse.BinnedCSC, error) {
+			binned, err := binShard(w)
+			if err != nil {
+				return nil, err
+			}
+			return binned.ToCSC(), nil
+		})
 	})
 	return cluster.FirstError(errs)
 }
@@ -218,29 +236,12 @@ func (e *horizontalEngine) rootTotals() ([]float64, []float64) {
 func (e *horizontalEngine) buildHistograms(toBuild []*nodeInfo) {
 	t := e.t
 	if t.cfg.Quadrant == QD2 {
-		if t.stream != nil {
-			e.buildHistogramsStreamedQD2(toBuild)
-			return
+		step := len(toBuild)
+		if e.perNode {
+			step = 1
 		}
-		// Row-store: per node, scan the node's instances (node-to-instance
-		// index) through the fused row-scan kernel and aggregate
-		// immediately, keeping one transient local histogram per worker at
-		// a time (recycled through the arena).
-		for _, nd := range toBuild {
-			locals := make([]*histogram.Hist, t.w)
-			t.cl.ParallelLocal(phaseHist, func(w int) {
-				h := t.pool.Get(e.layout)
-				shard := e.rows[w]
-				h.RowScan(e.n2i[w].Instances(nd.id), 0, shard.RowPtr, shard.Feat, shard.Bin,
-					t.grads, t.hessv, t.ranges[w][0])
-				locals[w] = h
-			})
-			e.aggregate(nd.id, locals)
-			for _, h := range locals {
-				if h != nil {
-					t.pool.Put(h)
-				}
-			}
+		for lo := 0; lo < len(toBuild); lo += step {
+			e.buildRowStore(toBuild[lo : lo+step])
 		}
 		return
 	}
@@ -277,35 +278,65 @@ func (e *horizontalEngine) buildHistograms(toBuild []*nodeInfo) {
 	for w := range merged {
 		merged[w] = make(chan struct{})
 	}
-	if t.stream != nil {
-		e.buildHistogramsStreamedQD1(toBuild, slot, acc, merged)
-	} else {
-		t.cl.ParallelLocal(phaseHist, func(w int) {
-			stride := e.layout.FloatsPerSide()
-			ag, ah := e.flatScratch(w, stride*len(toBuild))
-			cols := e.cols[w]
-			nodeOf := e.i2n[w].Assignments()
-			base := t.ranges[w][0]
-			for j := 0; j < cols.Cols(); j++ {
-				insts, bins := cols.Col(j)
+	t.cl.ParallelLocal(phaseHist, func(w int) {
+		stride := e.layout.FloatsPerSide()
+		ag, ah := e.flatScratch(w, stride*len(toBuild))
+		cols := e.cols[w]
+		nodeOf := e.i2n[w].Assignments()
+		base := t.ranges[w][0]
+		// Chunking a column preserves the per-accumulator addition order.
+		for j := 0; j < t.d && !cols.failed(); j++ {
+			lo, hi := cols.colRange(j)
+			cols.scan(lo, hi, cols.rowLo, func(insts []uint32, bins []uint16) {
 				histogram.ColumnScanRouted(ag, ah, stride, e.layout, j, insts, bins, nodeOf, slot, t.grads, t.hessv, base)
-			}
-			if w > 0 && t.cl.HostsWorker(w-1) {
-				<-merged[w-1]
-			}
-			for i := range acc {
-				acc[i].Merge(&histogram.Hist{Layout: e.layout,
-					Grad: ag[i*stride : (i+1)*stride], Hess: ah[i*stride : (i+1)*stride]})
-			}
-			close(merged[w])
-		})
-	}
+			})
+		}
+		// A distributed rank hosts one worker; its predecessor's channel is
+		// never closed locally (the AllReduce below replaces the chain).
+		if w > 0 && t.cl.HostsWorker(w-1) {
+			<-merged[w-1]
+		}
+		for i := range acc {
+			acc[i].Merge(&histogram.Hist{Layout: e.layout,
+				Grad: ag[i*stride : (i+1)*stride], Hess: ah[i*stride : (i+1)*stride]})
+		}
+		close(merged[w])
+	})
 	mem := t.cl.Stats().Mem("histogram")
 	for i, nd := range toBuild {
 		e.aggregateMerged(acc[i])
 		e.agg[nd.id] = acc[i]
 		for w := 0; w < t.w; w++ {
 			mem.Add(w, e.layout.SizeBytes())
+		}
+	}
+}
+
+// buildRowStore builds the given nodes' local histograms — one pass of
+// each worker's row store over all of them — and aggregates node by node.
+// Per histogram cell the accumulation order (ascending instances) and the
+// per-node aggregation order over workers are the same for every kind of
+// store and any grouping of the nodes, so the result is bit-identical.
+func (e *horizontalEngine) buildRowStore(nodes []*nodeInfo) {
+	t := e.t
+	locals := make([][]*histogram.Hist, len(nodes))
+	for i := range locals {
+		locals[i] = make([]*histogram.Hist, t.w)
+	}
+	t.cl.ParallelLocal(phaseHist, func(w int) {
+		hs := make([]*histogram.Hist, len(nodes))
+		for i := range hs {
+			hs[i] = t.pool.Get(e.layout)
+			locals[i][w] = hs[i]
+		}
+		e.rows[w].build(hs, nodeLists(e.n2i[w], nodes), t.grads, t.hessv)
+	})
+	for i, nd := range nodes {
+		e.aggregate(nd.id, locals[i])
+		for _, h := range locals[i] {
+			if h != nil { // distributed ranks fill only their hosted slot
+				t.pool.Put(h)
+			}
 		}
 	}
 }
@@ -444,24 +475,14 @@ func (e *horizontalEngine) findSplits(frontier []*nodeInfo) map[int32]resolvedSp
 // placement broadcast, only the (tiny) split records travel.
 func (e *horizontalEngine) applyLayer(splits map[int32]resolvedSplit, children map[int32][2]int32) {
 	t := e.t
-	if t.stream != nil {
-		e.applyLayerStreamed(splits, children)
-		return
-	}
 	t.cl.Broadcast(phaseNode, int64(len(splits))*splitWireBytes)
 	if t.cfg.Quadrant == QD2 {
 		t.cl.ParallelLocal(phaseNode, func(w int) {
-			shard := e.rows[w]
+			bm := e.placed[w]
+			goesLeft := func(inst uint32) bool { return bm.Get(int(inst)) }
 			for parent, ch := range children {
-				sp := splits[parent]
-				e.n2i[w].Split(parent, ch[0], ch[1], func(inst uint32) bool {
-					feats, bins := shard.Row(int(inst))
-					bin, ok := lookupBin(feats, bins, uint32(sp.feature))
-					if !ok {
-						return sp.defaultLeft
-					}
-					return int(bin) <= sp.bin
-				})
+				e.rows[w].place(splits[parent], e.n2i[w].Instances(parent), bm)
+				e.n2i[w].Split(parent, ch[0], ch[1], goesLeft)
 			}
 		})
 		return
@@ -474,8 +495,8 @@ func (e *horizontalEngine) applyLayer(splits map[int32]resolvedSplit, children m
 		i2n := e.i2n[w]
 		i2n.SplitLayer(children, func(inst uint32) bool {
 			sp := splits[i2n.Node(inst)]
-			insts, bins := cols.Col(sp.feature)
-			bin, ok := searchColumn(insts, bins, inst)
+			lo, hi := cols.src.ColRange(sp.feature)
+			bin, ok := cols.lookup(lo, hi, uint32(cols.rowLo)+inst)
 			if !ok {
 				return sp.defaultLeft
 			}

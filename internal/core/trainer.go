@@ -79,9 +79,11 @@ type trainer struct {
 	ckptConfigHash string
 	ckptDataFP     string
 
-	// stream serves block reads when the dataset is out-of-core
-	// (ds.OutOfCore()); nil for materialized datasets.
-	stream *colStream
+	// reads latches the first failed block read of the engines' column
+	// readers; sizes is the scratch sizing of an out-of-core run
+	// (ds.OutOfCore()), zero for materialized datasets.
+	reads readErr
+	sizes streamSizes
 	// peakHeap is the heap high-water mark sampled at tree boundaries.
 	peakHeap uint64
 
@@ -139,13 +141,11 @@ func (t *trainer) run(ck *checkpoint) (*Result, error) {
 	for ti := start; ti < t.cfg.Trees; ti++ {
 		t.computeGradients()
 		tr := t.trainTree()
-		if t.stream != nil {
-			// A streaming read failure is sticky: abort at the tree
-			// boundary rather than appending a tree built from partial
-			// data (its histograms saw garbage after the failure point).
-			if err := t.stream.ok(); err != nil {
-				return nil, fmt.Errorf("core: out-of-core training aborted during round %d: %w", ti+1, err)
-			}
+		// A block read failure is sticky (only a mapped source can fail):
+		// abort at the tree boundary rather than appending a tree built from
+		// partial data (its histograms saw garbage after the failure point).
+		if err := t.reads.get(); err != nil {
+			return nil, fmt.Errorf("core: out-of-core training aborted during round %d: %w", ti+1, err)
 		}
 		// A transport failure is likewise sticky (the collectives record
 		// it and return without reducing): abort at the tree boundary

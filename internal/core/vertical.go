@@ -20,10 +20,10 @@ type verticalEngine struct {
 	groups   [][]int
 	ownerOf  []int32             // global feature -> worker
 	slotOf   []int32             // global feature -> slot within its group
-	shards   []*partition.Shard  // QD4
+	rows     []rowStore          // QD4: per-worker blockified shards, or scans of the mapped image
 	fullRows *sparse.BinnedCSR   // QD4 FullCopy (feature-parallel)
-	cols     []*sparse.BinnedCSC // QD3: per-worker full columns (slot-indexed)
-	blocks   []*blockScan        // QD4 out-of-core: per-worker histogram scans
+	cols     []*colStream        // QD3: per-worker full columns (slot-indexed)
+	csc      []*sparse.BinnedCSC // QD3 column-wise: the matrices cw's positions address
 	numBins  [][]int             // per worker, per slot
 	n2i      []*index.NodeToInstance
 	i2n      []*index.InstanceToNode // QD3 hybrid
@@ -43,19 +43,11 @@ type verticalEngine struct {
 	transformBytes partition.ByteReport
 }
 
-// prepare materializes the vertical layout: QD4 runs the paper's
+// prepare sets up the vertical layout: QD4 runs the paper's
 // horizontal-to-vertical transformation, QD3 repartitions raw columns, and
 // feature-parallel keeps a full copy per worker.
 func (e *verticalEngine) prepare() error {
 	t := e.t
-	if t.stream != nil {
-		// initStream already rejected the unstreamable policies
-		// (QD3 column-wise index, QD4 full copy).
-		if t.cfg.Quadrant == QD4 {
-			return e.prepareStreamedVero()
-		}
-		return e.prepareStreamedQD3()
-	}
 	if t.cfg.Quadrant == QD4 && !t.cfg.FullCopy {
 		return e.prepareVero()
 	}
@@ -68,48 +60,44 @@ func (e *verticalEngine) prepare() error {
 	}
 	e.groups = partition.GroupColumnsBalanced(featCount, t.w)
 	e.buildFeatureMaps()
+	e.allocWorkers()
 	dataGauge := t.cl.Stats().Mem("data")
 
 	if t.cfg.Quadrant == QD3 {
-		e.cols = make([]*sparse.BinnedCSC, t.w)
-		e.numBins = make([][]int, t.w)
-		e.n2i = make([]*index.NodeToInstance, t.w)
-		e.i2n = make([]*index.InstanceToNode, t.w)
-		e.hist = make([]map[int32]*histogram.Hist, t.w)
-		e.layout = make([]histogram.Layout, t.w)
-		if t.cfg.ColumnIndex == IndexColumnWise {
+		e.cols = make([]*colStream, t.w)
+		columnWise := t.cfg.ColumnIndex == IndexColumnWise
+		if columnWise {
+			e.csc = make([]*sparse.BinnedCSC, t.w)
 			e.cw = make([]*index.ColumnWise, t.w)
 		}
 		errs := make([]error, t.w)
 		binPrep := func(w int) {
-			sub := t.ds.X.SelectColumns(e.groups[w])
-			subBinner := &sparse.Binner{Splits: make([][]float32, len(e.groups[w]))}
-			numBins := make([]int, len(e.groups[w]))
-			for slot, f := range e.groups[w] {
-				subBinner.Splits[slot] = t.binner.Splits[f]
-				numBins[slot] = len(t.binner.Splits[f])
-			}
-			binned, err := subBinner.BinCSR(sub)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			e.cols[w] = binned.ToCSC()
-			e.numBins[w] = numBins
-			e.n2i[w] = index.NewNodeToInstance(t.n)
-			e.i2n[w] = index.NewInstanceToNode(t.n)
-			e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-			e.hist[w] = make(map[int32]*histogram.Hist)
-			if e.cw != nil {
-				colLens := make([]int, len(e.groups[w]))
-				for j := range colLens {
-					colLens[j] = e.cols[w].ColNNZ(j)
+			e.initWorker(w)
+			// Out of core the worker reads its group's columns off the
+			// mapped image (slot i = the group's i-th feature); otherwise
+			// they are binned into a matrix of their own.
+			e.cols[w], errs[w] = t.openColumns(w, e.groups[w], 0, t.n, func() (*sparse.BinnedCSC, error) {
+				subBinner := &sparse.Binner{Splits: make([][]float32, len(e.groups[w]))}
+				for slot, f := range e.groups[w] {
+					subBinner.Splits[slot] = t.binner.Splits[f]
 				}
-				e.cw[w] = index.NewColumnWise(colLens)
-			}
-			dataGauge.Set(w, binnedCSCBytes(e.cols[w])+int64(t.n)*4) // + broadcast labels
+				binned, err := subBinner.BinCSR(t.ds.X.SelectColumns(e.groups[w]))
+				if err != nil {
+					return nil, err
+				}
+				m := binned.ToCSC()
+				if columnWise {
+					colLens := make([]int, m.Cols())
+					for j := range colLens {
+						colLens[j] = m.ColNNZ(j)
+					}
+					e.csc[w], e.cw[w] = m, index.NewColumnWise(colLens)
+				}
+				return m, nil
+			})
+			dataGauge.Add(w, int64(t.n)*4) // + broadcast labels
 		}
-		globalNNZ := int64(t.ds.X.NNZ())
+		globalNNZ := t.ds.NNZ()
 		if sh := t.ds.Shard; sh != nil {
 			// A column shard materialized only this rank's feature group;
 			// build hosted-only (applyLayer broadcasts real placement shards
@@ -140,19 +128,8 @@ func (e *verticalEngine) prepare() error {
 		return err
 	}
 	e.fullRows = binned
-	e.n2i = make([]*index.NodeToInstance, t.w)
-	e.hist = make([]map[int32]*histogram.Hist, t.w)
-	e.layout = make([]histogram.Layout, t.w)
-	e.numBins = make([][]int, t.w)
 	for w := 0; w < t.w; w++ {
-		e.n2i[w] = index.NewNodeToInstance(t.n)
-		e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-		e.hist[w] = make(map[int32]*histogram.Hist)
-		numBins := make([]int, len(e.groups[w]))
-		for slot, f := range e.groups[w] {
-			numBins[slot] = len(t.binner.Splits[f])
-		}
-		e.numBins[w] = numBins
+		e.initWorker(w)
 		// Feature-parallel's defining cost: the whole dataset on
 		// every worker (Appendix D).
 		dataGauge.Set(w, binnedCSRBytes(binned)+int64(t.n)*4)
@@ -160,7 +137,37 @@ func (e *verticalEngine) prepare() error {
 	return nil
 }
 
-// prepareVero runs the full horizontal-to-vertical transformation
+// allocWorkers allocates the per-worker slots initWorker fills.
+func (e *verticalEngine) allocWorkers() {
+	w := e.t.w
+	e.numBins = make([][]int, w)
+	e.n2i = make([]*index.NodeToInstance, w)
+	e.hist = make([]map[int32]*histogram.Hist, w)
+	e.layout = make([]histogram.Layout, w)
+	if e.t.cfg.Quadrant == QD3 {
+		e.i2n = make([]*index.InstanceToNode, w)
+	}
+}
+
+// initWorker builds worker w's indexes, histogram layout and map, and
+// per-slot bin counts. Slots of workers this rank does not host stay nil
+// (every access runs under ParallelLocal or a nil guard).
+func (e *verticalEngine) initWorker(w int) {
+	t := e.t
+	e.n2i[w] = index.NewNodeToInstance(t.n)
+	if e.i2n != nil {
+		e.i2n[w] = index.NewInstanceToNode(t.n)
+	}
+	e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
+	e.hist[w] = make(map[int32]*histogram.Hist)
+	numBins := make([]int, len(e.groups[w]))
+	for slot, f := range e.groups[w] {
+		numBins[slot] = len(t.binner.Splits[f])
+	}
+	e.numBins[w] = numBins
+}
+
+// prepareVero runs the horizontal-to-vertical transformation
 // (Section 4.2.1) and adopts its shards. A dataset with matching
 // ingestion-derived splits starts the transformation at the grouping
 // step: sketching was already paid at ingestion.
@@ -179,12 +186,17 @@ func (e *verticalEngine) prepareVero() error {
 		opts.Splits, opts.FeatCount = pb.Splits, pb.FeatCount
 	}
 	var res *partition.Result
-	if sh := t.ds.Shard; sh != nil {
+	switch sh := t.ds.Shard; {
+	case t.ds.OutOfCore():
+		// Grouping and wire charges come from the mapped columns; the
+		// repartitioned rows stay on disk (res.Shards is nil).
+		res, err = partition.TransformStreamed(t.cl, t.ds.Blocks, t.ds.Labels, opts)
+	case sh != nil:
 		// The rank already holds its feature group: build only its own
 		// blockified shard and charge the repartition from the replicated
 		// per-group entry matrix.
 		res, err = partition.TransformSharded(t.cl, t.ds.X, t.ds.Labels, sh, opts)
-	} else {
+	default:
 		res, err = partition.Transform(t.cl, t.ds.X, t.ds.Labels, opts)
 	}
 	if err != nil {
@@ -192,7 +204,6 @@ func (e *verticalEngine) prepareVero() error {
 	}
 	t.binner = res.Binner
 	e.groups = res.Groups
-	e.shards = res.Shards
 	e.transformBytes = res.Bytes
 	e.buildFeatureMaps()
 	t.numBinsGlobal = make([]int, t.d)
@@ -202,27 +213,29 @@ func (e *verticalEngine) prepareVero() error {
 	if err := t.checkMaxBins(); err != nil {
 		return err
 	}
-	e.n2i = make([]*index.NodeToInstance, t.w)
-	e.hist = make([]map[int32]*histogram.Hist, t.w)
-	e.layout = make([]histogram.Layout, t.w)
-	e.numBins = make([][]int, t.w)
+	e.allocWorkers()
+	e.rows = make([]rowStore, t.w)
 	dataGauge := t.cl.Stats().Mem("data")
 	for w := 0; w < t.w; w++ {
-		if e.shards[w] == nil {
-			// Sharded cluster: only the hosted rank's shard was assembled;
-			// the other workers' structures stay nil (every access runs
-			// under ParallelLocal or a nil guard).
+		var dataBytes int64
+		switch {
+		case res.Shards == nil:
+			// A group's i-th feature is the worker's feature slot i, as in
+			// the materialized transformation.
+			e.rows[w] = newBlockScan(t.mappedColumns(e.groups[w], 0, t.n), t.sizes.blockRows)
+			dataBytes = t.sizes.perWorker
+		case res.Shards[w] == nil:
+			// Sharded cluster: only the hosted rank's shard was assembled.
 			continue
+		default:
+			data := res.Shards[w].Data
+			e.rows[w] = shardRows{data: data, slotOf: e.slotOf}
+			for _, b := range data.Blocks {
+				dataBytes += int64(len(b.RowPtr))*8 + int64(b.NNZ())*6
+			}
 		}
-		e.n2i[w] = index.NewNodeToInstance(t.n)
-		e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-		e.hist[w] = make(map[int32]*histogram.Hist)
-		e.numBins[w] = e.shards[w].NumBins
-		var blockBytes int64
-		for _, b := range e.shards[w].Data.Blocks {
-			blockBytes += int64(len(b.RowPtr))*8 + int64(b.NNZ())*6
-		}
-		dataGauge.Set(w, blockBytes+int64(t.n)*4)
+		e.initWorker(w)
+		dataGauge.Set(w, dataBytes+int64(t.n)*4)
 	}
 	return nil
 }
@@ -372,10 +385,6 @@ func (e *verticalEngine) rootTotals() ([]float64, []float64) {
 
 func (e *verticalEngine) buildHistograms(toBuild []*nodeInfo) {
 	t := e.t
-	if t.stream != nil {
-		e.buildHistogramsStreamedVertical(toBuild)
-		return
-	}
 	mem := t.cl.Stats().Mem("histogram")
 	t.cl.ParallelLocal(phaseHist, func(w int) {
 		hs := make([]*histogram.Hist, len(toBuild))
@@ -385,9 +394,7 @@ func (e *verticalEngine) buildHistograms(toBuild []*nodeInfo) {
 		}
 		switch {
 		case t.cfg.Quadrant == QD4 && !t.cfg.FullCopy:
-			for i, nd := range toBuild {
-				e.buildRowStore(w, nd, hs[i])
-			}
+			e.rows[w].build(hs, nodeLists(e.n2i[w], toBuild), t.grads, t.hessv)
 		case t.cfg.Quadrant == QD4: // feature-parallel full copy
 			for i, nd := range toBuild {
 				e.buildFullCopy(w, nd, hs[i])
@@ -407,30 +414,6 @@ func (e *verticalEngine) buildHistograms(toBuild []*nodeInfo) {
 	})
 }
 
-// buildRowStore scans the node's instances through the blockified rows —
-// Vero's histogram construction (node-to-instance index + row-store). The
-// node's instance list is ascending (the node-to-instance index partitions
-// stably from an ascending initial order) and the shard's blocks cover
-// contiguous ascending row ranges, so the scan runs the fused row-scan
-// kernel once per block segment instead of resolving every row through a
-// per-instance block lookup.
-func (e *verticalEngine) buildRowStore(w int, nd *nodeInfo, h *histogram.Hist) {
-	t := e.t
-	insts := e.n2i[w].Instances(nd.id)
-	k := 0
-	for _, b := range e.shards[w].Data.Blocks {
-		if k == len(insts) {
-			break
-		}
-		end := b.RowStart + b.NumRows()
-		start := k
-		for k < len(insts) && int(insts[k]) < end {
-			k++
-		}
-		h.RowScan(insts[start:k], b.RowStart, b.RowPtr, b.Feat, b.Bin, t.grads, t.hessv, 0)
-	}
-}
-
 // buildFullCopy scans full rows but accumulates only the worker's assigned
 // features — LightGBM feature-parallel (Appendix D).
 func (e *verticalEngine) buildFullCopy(w int, nd *nodeInfo, h *histogram.Hist) {
@@ -443,7 +426,7 @@ func (e *verticalEngine) buildFullCopy(w int, nd *nodeInfo, h *histogram.Hist) {
 // column-wise node-to-instance index (Yggdrasil's plan).
 func (e *verticalEngine) buildColumnWise(w int, nd *nodeInfo, h *histogram.Hist) {
 	t := e.t
-	cols := e.cols[w]
+	cols := e.csc[w]
 	cw := e.cw[w]
 	for j := 0; j < cols.Cols(); j++ {
 		insts, binsArr := cols.Col(j)
@@ -464,19 +447,24 @@ func (e *verticalEngine) buildHybrid(w int, nd *nodeInfo, h *histogram.Hist) {
 	cols := e.cols[w]
 	nodeOf := e.i2n[w].Assignments()
 	nodeInsts := e.n2i[w].Instances(nd.id)
-	for j := 0; j < cols.Cols(); j++ {
-		insts, binsArr := cols.Col(j)
-		colLen := len(insts)
+	for j := range e.groups[w] {
+		lo, hi := cols.colRange(j)
+		colLen := int(hi - lo)
 		if colLen == 0 {
 			continue
 		}
+		if cols.failed() {
+			return
+		}
 		if !probesCheaper(colLen, len(nodeInsts)) {
 			// Linear scan, filtering by the instance-to-node index.
-			h.ColumnScanNode(j, insts, binsArr, nodeOf, nd.id, t.grads, t.hessv)
+			cols.scan(lo, hi, 0, func(insts []uint32, binsArr []uint16) {
+				h.ColumnScanNode(j, insts, binsArr, nodeOf, nd.id, t.grads, t.hessv)
+			})
 			continue
 		}
 		for _, inst := range nodeInsts {
-			bin, ok := searchColumn(insts, binsArr, inst)
+			bin, ok := cols.lookup(lo, hi, inst)
 			if !ok {
 				continue
 			}
@@ -588,7 +576,7 @@ func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map
 		for parent, ch := range children {
 			e.n2i[w].Split(parent, ch[0], ch[1], goesLeft)
 			if t.cfg.Quadrant == QD3 && t.cfg.ColumnIndex == IndexColumnWise {
-				cols := e.cols[w]
+				cols := e.csc[w]
 				e.cw[w].Split(parent, ch[0], ch[1], goesLeft, func(col int, pos uint32) uint32 {
 					insts, _ := cols.Col(col)
 					return insts[pos]
@@ -665,7 +653,7 @@ func (e *verticalEngine) applyLayerSharded(splits map[int32]resolvedSplit, child
 		for parent, ch := range children {
 			e.n2i[w].Split(parent, ch[0], ch[1], goesLeft)
 			if t.cfg.Quadrant == QD3 && t.cfg.ColumnIndex == IndexColumnWise {
-				cols := e.cols[w]
+				cols := e.csc[w]
 				e.cw[w].Split(parent, ch[0], ch[1], goesLeft, func(col int, pos uint32) uint32 {
 					insts, _ := cols.Col(col)
 					return insts[pos]
@@ -681,39 +669,29 @@ func (e *verticalEngine) applyLayerSharded(splits map[int32]resolvedSplit, child
 // fillPlacement writes the left/right bits of one splitting node, owned by
 // worker w (set bit = left child).
 func (e *verticalEngine) fillPlacement(w int, parent int32, sp resolvedSplit, bm *bitmap.Bitmap) {
-	if e.t.stream != nil {
-		e.fillPlacementStreamed(w, parent, sp, bm)
+	insts := e.n2i[w].Instances(parent)
+	if e.t.cfg.Quadrant == QD4 {
+		e.rows[w].place(sp, insts, bm)
 		return
 	}
-	insts := e.n2i[w].Instances(parent)
 	if sp.defaultLeft {
 		for _, inst := range insts {
 			bm.Set(int(inst))
 		}
 	}
-	slot := int(e.slotOf[sp.feature])
-	if e.t.cfg.Quadrant == QD4 {
-		data := e.shards[w].Data
-		for _, inst := range insts {
-			feats, binsArr := data.Row(int(inst))
-			bin, ok := lookupBin(feats, binsArr, uint32(slot))
-			if !ok {
-				continue // stays at the default direction
-			}
-			bm.SetTo(int(inst), int(bin) <= sp.bin)
-		}
-		return
-	}
 	// QD3: the owner holds the split feature's full column; one linear
 	// pass with node-membership checks places every present value.
-	insts2, binsArr := e.cols[w].Col(slot)
+	cols := e.cols[w]
+	lo, hi := cols.colRange(int(e.slotOf[sp.feature]))
 	i2n := e.i2n[w]
-	for k, inst := range insts2 {
-		if i2n.Node(inst) != parent {
-			continue
+	cols.scan(lo, hi, 0, func(colInsts []uint32, binsArr []uint16) {
+		for k, inst := range colInsts {
+			if i2n.Node(inst) != parent {
+				continue
+			}
+			bm.SetTo(int(inst), int(binsArr[k]) <= sp.bin)
 		}
-		bm.SetTo(int(inst), int(binsArr[k]) <= sp.bin)
-	}
+	})
 }
 
 // childStats recomputes child totals from the (identical) per-worker

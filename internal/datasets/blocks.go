@@ -35,6 +35,24 @@ type BlockSource interface {
 	Fingerprint() string
 }
 
+// RowSpan returns the entry range of column col restricted to rows
+// [rowLo, rowHi): instance ids ascend within a column, so two binary
+// searches bound it, and a bound at the edge of the matrix needs none.
+func RowSpan(src BlockSource, col, rowLo, rowHi int) (lo, hi int64, err error) {
+	lo, hi = src.ColRange(col)
+	if rowLo > 0 {
+		if lo, err = src.SearchInst(lo, hi, uint32(rowLo)); err != nil {
+			return 0, 0, err
+		}
+	}
+	if rowHi < src.Rows() {
+		if hi, err = src.SearchInst(lo, hi, uint32(rowHi)); err != nil {
+			return 0, 0, err
+		}
+	}
+	return lo, hi, nil
+}
+
 // OutOfCore reports whether the dataset is served from a BlockSource
 // instead of a materialized matrix.
 func (d *Dataset) OutOfCore() bool { return d.X == nil && d.Blocks != nil }

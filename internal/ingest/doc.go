@@ -32,10 +32,14 @@
 // WriteCacheFile stores a dataset in binned columnar form: per-feature
 // candidate splits, bin-width-packed (instance, bin) columns, and the
 // label block, all little-endian with a versioned header and checksum (the
-// byte-level specification lives in docs/DATA.md). ReadCacheFile
-// reconstructs a Dataset whose values are bin representatives — each value
-// re-bins to exactly the bin stored in the cache — with Prebin.Quantized
-// set. Training such a dataset with the cache's (SketchEps, Q) parameters
+// byte-level specification lives in docs/DATA.md). The format has one
+// decoder, MappedCache: opening a view checks the header against the file
+// size, the payload checksum, the section sizes, and every column's
+// instance order and instance/bin ranges. ReadCacheFile opens that view
+// and materializes it whole, by the transposition ReadCacheShard runs
+// over one rank's slice, into a Dataset whose values are bin
+// representatives — each value re-bins to exactly the bin stored in the
+// cache — with Prebin.Quantized set. Training such a dataset with the cache's (SketchEps, Q) parameters
 // produces a model bit-identical to training from the original source
 // file; training it with other parameters is rejected, because the source
 // values needed to re-sketch are gone.

@@ -97,8 +97,9 @@ func FuzzIngestCSV(f *testing.F) {
 }
 
 // FuzzReadCache throws arbitrary bytes at the .vbin decoder: it must
-// reject corruption gracefully (error, never panic), and a valid image
-// must round-trip.
+// reject corruption gracefully (error, never panic), the materializing
+// and the mapping entry points must agree on what they accept, and a
+// valid image must round-trip.
 func FuzzReadCache(f *testing.F) {
 	_, text := sampleLibSVMFuzz(f)
 	ds, err := Ingest(strings.NewReader(text), Options{NumClass: 2})
@@ -131,6 +132,9 @@ func FuzzReadCache(f *testing.F) {
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadCache(bytes.NewReader(data), "fuzz")
+		if _, mapErr := MapCacheBytes(data, "fuzz"); (err == nil) != (mapErr == nil) {
+			t.Fatalf("ReadCache err %v, MapCacheBytes err %v", err, mapErr)
+		}
 		if err != nil {
 			return
 		}

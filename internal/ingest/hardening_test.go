@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
+	"vero/internal/cluster"
+	"vero/internal/core"
 	"vero/internal/datasets"
 	"vero/internal/failpoint"
 )
@@ -150,6 +155,101 @@ func TestReadCacheFailpoint(t *testing.T) {
 	failpoint.Reset()
 	if _, err := ReadCache(bytes.NewReader(img), "fp"); err != nil {
 		t.Fatalf("disarmed read failed: %v", err)
+	}
+}
+
+// TestOneDefinitionOfValidImage swaps two instance ids inside one column
+// and recomputes the checksum: the image is CRC-correct but breaks the
+// ascending-instance invariant block reads binary-search on. Every entry
+// point must reject it as corrupt — an image is valid for all readers or
+// for none.
+func TestOneDefinitionOfValidImage(t *testing.T) {
+	img := sampleCacheImage(t)
+	good, err := MapCacheBytes(img, "good")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), img...)
+	swapped := false
+	for j := 0; j < good.Cols() && !swapped; j++ {
+		if lo, hi := good.ColRange(j); hi-lo >= 2 {
+			a, b := bad[good.instOff+4*lo:][:4], bad[good.instOff+4*(lo+1):][:4]
+			for k := range a {
+				a[k], b[k] = b[k], a[k]
+			}
+			swapped = true
+		}
+	}
+	if !swapped {
+		t.Fatal("sample image has no column with two entries")
+	}
+	binary.LittleEndian.PutUint32(bad[52:], crc32.Checksum(bad[vbinHeaderSize:], crcTable))
+	path := writeCacheImage(t, bad)
+
+	_, errRead := ReadCache(bytes.NewReader(bad), "swapped")
+	_, errFile := ReadCacheFile(path)
+	_, errShard := ReadCacheShard(path, datasets.ShardRows, 0, 2)
+	_, errMap := MapCacheBytes(bad, "swapped")
+	for name, err := range map[string]error{
+		"ReadCache": errRead, "ReadCacheFile": errFile, "ReadCacheShard": errShard, "MapCacheBytes": errMap,
+	} {
+		if !errors.Is(err, ErrCacheCorrupt) {
+			t.Errorf("%s on a column with swapped instances: %v, want ErrCacheCorrupt", name, err)
+		}
+	}
+}
+
+// openFDs counts this process's open descriptors, skipping the test where
+// /proc is not available.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd on %s: %v", runtime.GOOS, err)
+	}
+	return len(ents)
+}
+
+// TestReadCacheFileReleasesMapping: the ordinary load path maps the file,
+// so every outcome — success, each truncation, an injected read failure —
+// must leave the descriptor count where it started and fail descriptively,
+// and a loaded dataset must not alias the released mapping: it still
+// trains after the view is gone and the collector has run.
+func TestReadCacheFileReleasesMapping(t *testing.T) {
+	defer failpoint.Reset()
+	img := sampleCacheImage(t)
+	path := writeCacheImage(t, img)
+	before := openFDs(t)
+
+	ds, err := ReadCacheFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(img); cut += 64 {
+		_, err := ReadCacheFile(writeCacheImage(t, img[:cut]))
+		var mismatch *CacheMismatchError
+		if err == nil || (!errors.Is(err, ErrCacheCorrupt) && !errors.As(err, &mismatch)) {
+			t.Fatalf("truncation at %d of %d: %v, want a corrupt-cache error", cut, len(img), err)
+		}
+	}
+	if err := failpoint.Enable(FailpointMmapRead, "error"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCacheFile(path); !errors.Is(err, ErrCacheCorrupt) || !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("load under %s: %v, want the injected failure as a corrupt-cache error", FailpointMmapRead, err)
+	}
+	failpoint.Reset()
+	if after := openFDs(t); after != before {
+		t.Fatalf("open descriptors: %d before, %d after", before, after)
+	}
+
+	runtime.GC()
+	cfg, err := core.ConfigureQuadrant(core.QD4, core.Config{Trees: 1, Layers: 3, Splits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Train(cluster.New(2, cluster.Gigabit()), ds, cfg); err != nil {
+		t.Fatalf("training on the loaded dataset after its view was released: %v", err)
 	}
 }
 

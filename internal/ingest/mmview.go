@@ -160,6 +160,11 @@ func (m *MappedCache) open(size int64) error {
 	if err := h.checkPayloadSize(payloadLen); err != nil {
 		return err
 	}
+	// The checksum covers the whole payload and comes first, so no section
+	// is interpreted before the bytes are known to be the ones written.
+	if err := m.verifyChecksum(payloadLen); err != nil {
+		return err
+	}
 
 	// Split counts pin the one variable-length section; after them the
 	// payload size must match the header exactly.
@@ -188,10 +193,6 @@ func (m *MappedCache) open(size int64) error {
 	m.instOff = colPtrOff + 8*(c64+1)
 	m.binsOff = m.instOff + 4*h.nnz
 	labelsOff := m.binsOff + int64(h.binWidth)*h.nnz
-
-	if err := m.verifyChecksum(payloadLen); err != nil {
-		return err
-	}
 
 	// Decode the O(cols+rows) metadata onto the heap.
 	m.splits = make([][]float32, h.cols)

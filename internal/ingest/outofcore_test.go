@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -126,6 +127,95 @@ func TestOutOfCoreTransformParity(t *testing.T) {
 	if diff := got.CommSeconds - want.CommSeconds; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("simulated comm time differs: streamed %v, memory %v",
 			got.CommSeconds, want.CommSeconds)
+	}
+}
+
+// transformBytes returns the bytes each transform.* phase charged to cl.
+func transformBytes(cl *cluster.Cluster) map[string]int64 {
+	out := map[string]int64{}
+	for _, name := range cl.Stats().PhaseNames() {
+		p := cl.Stats().Phase(name)
+		if b := p.TotalBytes(); b != 0 && strings.HasPrefix(name, "transform.") {
+			out[name] = b
+		}
+	}
+	return out
+}
+
+// TestTransformEntryPointsAgree states the transformation's parity
+// directly: over one cache image, for every worker count and charge
+// variant, the materialized, streamed and rank-sharded entry points return
+// the same grouping and byte report and charge their clusters the same
+// bytes per phase, and each rank's sharded shard is block for block the
+// one the materialized transformation assembles for that worker.
+func TestTransformEntryPointsAgree(t *testing.T) {
+	warm, ooc, mc := oocPair(t, 120, 17, 7)
+	defer mc.Close()
+	var buf bytes.Buffer
+	if err := WriteCache(&buf, warm, warm.Prebin); err != nil {
+		t.Fatal(err)
+	}
+	path := writeCacheImage(t, buf.Bytes())
+	for _, w := range []int{1, 2, 3, 5} {
+		for _, charge := range []partition.Variant{partition.VariantNaive, partition.VariantCompressed, partition.VariantBlockified} {
+			opts := partition.Options{
+				Q: warm.Prebin.Q, SketchEps: warm.Prebin.SketchEps, Charge: charge,
+				Splits: warm.Prebin.Splits, FeatCount: warm.Prebin.FeatCount,
+			}
+			memCl := cluster.New(w, cluster.Gigabit())
+			mem, err := partition.Transform(memCl, warm.X, warm.Labels, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(how string, cl *cluster.Cluster, res *partition.Result) {
+				t.Helper()
+				if !reflect.DeepEqual(res.Groups, mem.Groups) {
+					t.Fatalf("W=%d %v %s: groups differ", w, charge, how)
+				}
+				if res.Bytes != mem.Bytes {
+					t.Fatalf("W=%d %v %s: byte report %+v, materialized %+v", w, charge, how, res.Bytes, mem.Bytes)
+				}
+				if got, want := transformBytes(cl), transformBytes(memCl); !reflect.DeepEqual(got, want) {
+					t.Fatalf("W=%d %v %s: charged %v, materialized %v", w, charge, how, got, want)
+				}
+			}
+			cl := cluster.New(w, cluster.Gigabit())
+			streamed, err := partition.TransformStreamed(cl, ooc.Blocks, ooc.Labels, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if streamed.Shards != nil {
+				t.Fatalf("W=%d: streamed transformation assembled shards", w)
+			}
+			same("streamed", cl, streamed)
+			for rank := 0; rank < w; rank++ {
+				shard, err := ReadCacheShard(path, datasets.ShardCols, rank, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl := cluster.New(w, cluster.Gigabit())
+				res, err := partition.TransformSharded(cl, shard.X, shard.Labels, shard.Shard, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				how := fmt.Sprintf("rank %d sharded", rank)
+				same(how, cl, res)
+				for other, sh := range res.Shards {
+					if (sh != nil) != (other == rank) {
+						t.Fatalf("W=%d %s: shard slot %d filled=%v", w, how, other, sh != nil)
+					}
+				}
+				got, want := res.Shards[rank].Data.Blocks, mem.Shards[rank].Data.Blocks
+				if len(got) != len(want) {
+					t.Fatalf("W=%d %s: %d blocks, materialized %d", w, how, len(got), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("W=%d %s: block %d differs from the materialized shard's", w, how, i)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -47,74 +47,56 @@ func ReadCacheShard(path string, kind datasets.ShardKind, rank, workers int) (*d
 	return shardFromView(m, kind, rank, workers)
 }
 
-// shardFromView materializes one rank's shard from an open cache view.
+// shardFromView materializes the part of an open cache view that kind
+// selects: rank's row range, its feature group, or — kind "" — the whole
+// image, whose dataset carries no Shard. It is the one place .vbin columns
+// are transposed into rows.
 func shardFromView(m *MappedCache, kind datasets.ShardKind, rank, workers int) (*datasets.Dataset, error) {
 	rows, cols := m.Rows(), m.Cols()
-	ranges := partition.HorizontalRanges(rows, workers)
 
-	// Per-column selected entry range [sel[j], sel[j+1]) in global entry
-	// space; empty for columns (or row spans) outside the shard.
+	// Per-column selected entry range [selLo[j], selHi[j]) in global entry
+	// space; empty for columns (or row spans) outside the selection.
 	selLo := make([]int64, cols)
 	selHi := make([]int64, cols)
-	shard := &datasets.Shard{
-		Kind:        kind,
-		Rank:        rank,
-		Workers:     workers,
-		Fingerprint: m.Fingerprint(),
-		GlobalNNZ:   m.NNZ(),
+	var shard *datasets.Shard
+	if kind != "" {
+		shard = &datasets.Shard{
+			Kind:        kind,
+			Rank:        rank,
+			Workers:     workers,
+			Fingerprint: m.Fingerprint(),
+			GlobalNNZ:   m.NNZ(),
+		}
 	}
 	switch kind {
-	case datasets.ShardRows:
-		rlo, rhi := ranges[rank][0], ranges[rank][1]
+	case "":
 		for j := 0; j < cols; j++ {
-			glo, ghi := m.ColRange(j)
-			lo, err := m.SearchInst(glo, ghi, uint32(rlo))
-			if err != nil {
+			selLo[j], selHi[j] = m.ColRange(j)
+		}
+	case datasets.ShardRows:
+		r := partition.HorizontalRanges(rows, workers)[rank]
+		for j := 0; j < cols; j++ {
+			var err error
+			if selLo[j], selHi[j], err = datasets.RowSpan(m, j, r[0], r[1]); err != nil {
 				return nil, err
 			}
-			hi := ghi
-			if rhi < rows {
-				if hi, err = m.SearchInst(lo, ghi, uint32(rhi)); err != nil {
-					return nil, err
-				}
-			}
-			selLo[j], selHi[j] = lo, hi
 		}
 	case datasets.ShardCols:
 		groups := partition.GroupColumnsBalanced(m.featCount, workers)
 		for _, f := range groups[rank] {
 			selLo[f], selHi[f] = m.ColRange(f)
 		}
-		groupOf := make([]int, cols)
-		for g, feats := range groups {
-			for _, f := range feats {
-				groupOf[f] = g
-			}
-		}
 		// GroupNNZ[src][dst]: entries in horizontal range src belonging to
-		// feature group dst — the charge matrix of the QD4 transformation,
+		// feature group dst — the cell counts of the QD4 transformation,
 		// derived from the column index alone so every rank computes the
 		// identical volumes without touching remote shards.
-		gnnz := make([][]int64, workers)
-		for s := range gnnz {
-			gnnz[s] = make([]int64, workers)
-		}
-		for f := 0; f < cols; f++ {
-			glo, ghi := m.ColRange(f)
-			pos := glo
-			for s := 0; s < workers; s++ {
-				hi := ghi
-				if ranges[s][1] < rows {
-					var err error
-					if hi, err = m.SearchInst(pos, ghi, uint32(ranges[s][1])); err != nil {
-						return nil, err
-					}
-				}
-				gnnz[s][groupOf[f]] += hi - pos
-				pos = hi
+		shard.GroupNNZ = make([][]int64, workers)
+		for s, r := range partition.HorizontalRanges(rows, workers) {
+			var err error
+			if shard.GroupNNZ[s], err = partition.RangeGroupNNZ(m, r[0], r[1], groups); err != nil {
+				return nil, err
 			}
 		}
-		shard.GroupNNZ = gnnz
 	}
 
 	// Count pass: per-row entry tallies of the selected ranges.
@@ -141,10 +123,10 @@ func shardFromView(m *MappedCache, kind datasets.ShardKind, rank, workers int) (
 		rowPtr[i+1] = rowPtr[i] + rowCnt[i+1]
 	}
 
-	// Fill pass: columns ascending, instances ascending within a column —
-	// the same transposition ReadCache performs, so values come out in the
-	// identical order and bit pattern (bin representatives; NaN for
-	// features binned without splits).
+	// Fill pass: columns ascending, instances ascending within a column, so
+	// every row's features come out ascending. Entry (i, f, b) becomes the
+	// bin representative splits[f][b] (NaN for features binned without
+	// splits, i.e. NaN-only columns).
 	feat := make([]uint32, localNNZ)
 	val := make([]float32, localNNZ)
 	next := make([]int64, rows)

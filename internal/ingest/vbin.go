@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"vero/internal/datasets"
 	"vero/internal/failpoint"
@@ -253,226 +253,51 @@ func (h vbinHeader) checkPayloadSize(payloadLen int64) error {
 //
 // The 64-byte header is read and validated on its own before the payload:
 // a corrupt or forged header fails from the prefix read alone, without
-// the reader ever being asked for (or memory allocated for) the body.
+// the reader ever being asked for (or memory allocated for) the body. The
+// image is then opened as a view (MapCacheBytes — the one decoder, with
+// all its checks) and materialized whole; the dataset aliases none of the
+// bytes read.
 func ReadCache(r io.Reader, name string) (*datasets.Dataset, error) {
 	if err := failpoint.Inject(FailpointReadCache); err != nil {
 		return nil, fmt.Errorf("ingest: cache read: %w", err)
 	}
-	var hbuf [vbinHeaderSize]byte
-	if n, err := io.ReadFull(r, hbuf[:]); err != nil {
+	img := make([]byte, vbinHeaderSize)
+	if n, err := io.ReadFull(r, img); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// A sub-header prefix can never parse; report whichever
 			// structural complaint the partial header earns.
-			_, herr := parseVbinHeader(hbuf[:n])
+			_, herr := parseVbinHeader(img[:n])
 			return nil, herr
 		}
 		return nil, fmt.Errorf("ingest: cache read: %w", err)
 	}
-	h, err := parseVbinHeader(hbuf[:])
-	if err != nil {
+	if _, err := parseVbinHeader(img); err != nil {
 		return nil, err
 	}
-	payload, err := io.ReadAll(r)
-	if err != nil {
+	buf := bytes.NewBuffer(img)
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("ingest: cache read: %w", err)
 	}
-	if err := h.checkPayloadSize(int64(len(payload))); err != nil {
-		return nil, err
-	}
-	rows, cols, nnz := h.rows, h.cols, int(h.nnz)
-	numClass, q, eps, binWidth := h.numClass, h.q, h.eps, h.binWidth
-	if got := crc32.Checksum(payload, crcTable); got != h.crc {
-		return nil, corruptf("checksum %08x, want %08x", got, h.crc)
-	}
-
-	off := 0
-	need := func(n int) error {
-		if off+n > len(payload) {
-			return corruptf("truncated payload")
-		}
-		return nil
-	}
-	if err := need(4 * cols); err != nil {
-		return nil, err
-	}
-	counts := make([]int, cols)
-	splitsTotal := 0
-	for f := range counts {
-		counts[f] = int(binary.LittleEndian.Uint32(payload[off:]))
-		splitsTotal += counts[f]
-		if splitsTotal > len(payload) {
-			return nil, corruptf("truncated payload")
-		}
-		off += 4
-	}
-	if err := need(4 * splitsTotal); err != nil {
-		return nil, err
-	}
-	splits := make([][]float32, cols)
-	for f, n := range counts {
-		if n == 0 {
-			continue
-		}
-		s := make([]float32, n)
-		for k := range s {
-			s[k] = math.Float32frombits(binary.LittleEndian.Uint32(payload[off:]))
-			off += 4
-		}
-		splits[f] = s
-	}
-	if err := need(8 * cols); err != nil {
-		return nil, err
-	}
-	featCount := make([]int64, cols)
-	for f := range featCount {
-		featCount[f] = int64(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-	}
-	if err := need(8 * (cols + 1)); err != nil {
-		return nil, err
-	}
-	colPtr := make([]int64, cols+1)
-	for j := range colPtr {
-		colPtr[j] = int64(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-	}
-	if colPtr[0] != 0 || (cols >= 0 && colPtr[cols] != int64(nnz)) {
-		return nil, corruptf("colPtr endpoints [%d,%d], want [0,%d]", colPtr[0], colPtr[cols], nnz)
-	}
-	if err := need(4 * nnz); err != nil {
-		return nil, err
-	}
-	inst := make([]uint32, nnz)
-	for k := range inst {
-		inst[k] = binary.LittleEndian.Uint32(payload[off:])
-		off += 4
-	}
-	if err := need(binWidth * nnz); err != nil {
-		return nil, err
-	}
-	bins := make([]uint16, nnz)
-	if binWidth == 1 {
-		for k := range bins {
-			bins[k] = uint16(payload[off])
-			off++
-		}
-	} else {
-		for k := range bins {
-			bins[k] = binary.LittleEndian.Uint16(payload[off:])
-			off += 2
-		}
-	}
-	if err := need(4 * rows); err != nil {
-		return nil, err
-	}
-	labels := make([]float32, rows)
-	for i := range labels {
-		labels[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-	}
-	if off != len(payload) {
-		return nil, corruptf("%d trailing bytes", len(payload)-off)
-	}
-
-	// Transpose the binned columns back into a raw CSR of representative
-	// values: entry (i, f, b) becomes value splits[f][b] (NaN for features
-	// binned without splits, i.e. NaN-only columns).
-	rowCnt := make([]int64, rows+1)
-	for j := 0; j < cols; j++ {
-		if colPtr[j] > colPtr[j+1] || colPtr[j+1] > int64(nnz) {
-			return nil, corruptf("colPtr not monotone at column %d", j)
-		}
-		for k := colPtr[j]; k < colPtr[j+1]; k++ {
-			if int(inst[k]) >= rows {
-				return nil, corruptf("instance %d out of range (rows=%d)", inst[k], rows)
-			}
-			rowCnt[inst[k]+1]++
-		}
-	}
-	rowPtr := make([]int64, rows+1)
-	for i := 0; i < rows; i++ {
-		rowPtr[i+1] = rowPtr[i] + rowCnt[i+1]
-	}
-	feat := make([]uint32, nnz)
-	val := make([]float32, nnz)
-	next := make([]int64, rows)
-	copy(next, rowPtr[:rows])
-	nan := float32(math.NaN())
-	for j := 0; j < cols; j++ {
-		s := splits[j]
-		for k := colPtr[j]; k < colPtr[j+1]; k++ {
-			i := inst[k]
-			p := next[i]
-			feat[p] = uint32(j)
-			if int(bins[k]) < len(s) {
-				val[p] = s[bins[k]]
-			} else if len(s) == 0 && bins[k] == 0 {
-				val[p] = nan
-			} else {
-				return nil, corruptf("bin %d of feature %d out of range (%d bins)", bins[k], j, len(s))
-			}
-			next[i] = p + 1
-		}
-	}
-	x, err := sparse.NewCSR(rows, cols, rowPtr, feat, val)
+	m, err := MapCacheBytes(buf.Bytes(), name)
 	if err != nil {
-		return nil, corruptf("%v", err)
+		return nil, err
 	}
-	task := datasets.TaskRegression
-	switch {
-	case numClass == 2:
-		task = datasets.TaskBinary
-	case numClass > 2:
-		task = datasets.TaskMulti
-	case numClass < 1:
-		return nil, corruptf("numClass %d", numClass)
-	}
-	return &datasets.Dataset{
-		Name:     name,
-		X:        x,
-		Labels:   labels,
-		NumClass: numClass,
-		Task:     task,
-		Prebin: &datasets.Prebin{
-			SketchEps: eps,
-			Q:         q,
-			Splits:    splits,
-			FeatCount: featCount,
-			Quantized: true,
-		},
-	}, nil
+	return shardFromView(m, "", 0, 1)
 }
 
 // ReadCacheFile reads a .vbin cache from disk; the dataset is named after
-// the file. The header is validated against the file's real size before
-// the body is read, so a forged header cannot trigger a huge allocation.
+// the file. The file is mapped (or, where mapping is unavailable, read
+// positionally), validated against its real size before anything is
+// allocated for the body, materialized, and released again before the
+// dataset is returned.
 func ReadCacheFile(path string) (*datasets.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: %w", err)
-	}
-	defer f.Close()
-	var hbuf [vbinHeaderSize]byte
-	if _, err := io.ReadFull(f, hbuf[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, corruptf("file shorter than the %d-byte header", vbinHeaderSize)
-		}
+	if err := failpoint.Inject(FailpointReadCache); err != nil {
 		return nil, fmt.Errorf("ingest: cache read: %w", err)
 	}
-	h, err := parseVbinHeader(hbuf[:])
+	m, err := MapCacheFile(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("ingest: cache read: %w", err)
-	}
-	if err := h.checkPayloadSize(st.Size() - vbinHeaderSize); err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("ingest: cache read: %w", err)
-	}
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	return ReadCache(f, name)
+	defer m.Close()
+	return shardFromView(m, "", 0, 1)
 }

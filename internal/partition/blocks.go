@@ -39,8 +39,14 @@ func (b *Block) Row(r int) (feat []uint32, bin []uint16) {
 // encoding: a fixed header, 4-byte row pointers, and featWidth+binWidth
 // bytes per pair.
 func (b *Block) WireSizeBytes(featWidth, binWidth int64) int64 {
+	return blockWireSize(int64(b.NumRows()), int64(b.NNZ()), featWidth, binWidth)
+}
+
+// blockWireSize is WireSizeBytes from the counts alone, for callers that
+// size a block they never build.
+func blockWireSize(rows, nnz, featWidth, binWidth int64) int64 {
 	const header = 16 // row start + row count + pair count + widths
-	return header + int64(len(b.RowPtr))*4 + int64(b.NNZ())*(featWidth+binWidth)
+	return header + (rows+1)*4 + nnz*(featWidth+binWidth)
 }
 
 // Encode serializes the block with the given pair widths. The layout is
@@ -98,7 +104,7 @@ func DecodeBlock(data []byte) (*Block, error) {
 	nnz := int(binary.LittleEndian.Uint32(data[8:]))
 	featWidth := int64(data[12])
 	binWidth := int64(data[13])
-	want := int64(16) + int64(numRows+1)*4 + int64(nnz)*(featWidth+binWidth)
+	want := blockWireSize(int64(numRows), int64(nnz), featWidth, binWidth)
 	if int64(len(data)) != want {
 		return nil, fmt.Errorf("partition: block payload %d bytes, want %d", len(data), want)
 	}

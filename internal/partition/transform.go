@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vero/internal/cluster"
+	"vero/internal/datasets"
 	"vero/internal/sketch"
 	"vero/internal/sparse"
 )
@@ -119,50 +120,225 @@ type Result struct {
 	Bytes  ByteReport
 }
 
+// transformation is the state the three entry points share between
+// their steps: the cluster being charged, the incoming horizontal layout,
+// the candidate splits and column grouping once known, and the byte
+// report filled step by step.
+type transformation struct {
+	cl     *cluster.Cluster
+	opts   Options
+	labels []float32
+	ranges [][2]int // source row range of each worker
+	binner *sparse.Binner
+	groups [][]int
+	bytes  ByteReport
+}
+
+// start validates what every entry point validates. When the options
+// carry ingestion-derived splits the transformation starts at step 3:
+// they are broadcast and the columns grouped; otherwise binner and groups
+// stay nil for the caller to derive (Transform) or reject.
+func start(cl *cluster.Cluster, rows, d int, labels []float32, opts Options) (*transformation, error) {
+	if err := opts.setDefaults(); err != nil {
+		return nil, err
+	}
+	if rows != len(labels) {
+		return nil, fmt.Errorf("partition: %d rows but %d labels", rows, len(labels))
+	}
+	t := &transformation{cl: cl, opts: opts, labels: labels, ranges: HorizontalRanges(rows, cl.Workers())}
+	if opts.Splits != nil && opts.FeatCount != nil {
+		if len(opts.Splits) != d || len(opts.FeatCount) != d {
+			return nil, fmt.Errorf("partition: prebin covers %d features, matrix has %d", len(opts.Splits), d)
+		}
+		t.adoptSplits(opts.Splits, opts.FeatCount)
+	}
+	return t, nil
+}
+
+// adoptSplits closes step 2 — the master broadcasts the candidate splits
+// to all workers — and opens step 3 with the greedy load-balanced column
+// grouping.
+func (t *transformation) adoptSplits(splits [][]float32, featCount []int64) {
+	t.binner = &sparse.Binner{Splits: splits}
+	var splitBytes int64
+	for _, s := range splits {
+		splitBytes += int64(len(s)) * 4
+	}
+	t.cl.Broadcast("transform.splits", splitBytes)
+	t.bytes.SplitBroadcast = splitBytes
+	t.groups = GroupColumnsBalanced(featCount, t.cl.Workers())
+}
+
+// splitRows is step 3's compact encoding for one source: rows [lo, hi) of
+// x become one block per destination, entry (i, f) landing in block
+// destOf[f] as the pair (slotOf[f], bin of the value).
+func (t *transformation) splitRows(x *sparse.CSR, lo, hi int, destOf, slotOf []int32, ndest int) []*Block {
+	out := make([]*Block, ndest)
+	for dst := range out {
+		out[dst] = &Block{RowStart: lo, RowPtr: make([]int64, 1, hi-lo+1)}
+	}
+	for i := lo; i < hi; i++ {
+		feats, vals := x.Row(i)
+		for k, f := range feats {
+			b := out[destOf[f]]
+			b.Feat = append(b.Feat, uint32(slotOf[f]))
+			b.Bin = append(b.Bin, t.binner.BinValue(int(f), vals[k]))
+		}
+		for _, b := range out {
+			b.RowPtr = append(b.RowPtr, int64(len(b.Feat)))
+		}
+	}
+	return out
+}
+
+// finish runs steps 4 and 5 from the W×W cell counts — nnz[src][dst]
+// entries of source range src belong to feature group dst; a cell's row
+// count is its source range's — and assembles the shard of every
+// destination recv yields blocks for. A nil recv assembles nothing: the
+// streamed transformation leaves the repartitioned rows on disk.
+func (t *transformation) finish(nnz [][]int64, recv func(dst int) []*Block) (*Result, error) {
+	w := t.cl.Workers()
+
+	// Step 4: repartition the column groups and charge the selected
+	// variant's wire cost; all three variants' volumes are reported.
+	naive := make([][]int64, w)
+	compressed := make([][]int64, w)
+	blockified := make([][]int64, w)
+	binWidth := BinWidthBytes(t.opts.Q)
+	for src := 0; src < w; src++ {
+		naive[src] = make([]int64, w)
+		compressed[src] = make([]int64, w)
+		blockified[src] = make([]int64, w)
+		rows := int64(t.ranges[src][1] - t.ranges[src][0])
+		for dst := 0; dst < w; dst++ {
+			n := nnz[src][dst]
+			fw := FeatWidthBytes(len(t.groups[dst]))
+			naive[src][dst] = n*naiveKVBytes + rows*perObjectOverheadBytes
+			compressed[src][dst] = n*(fw+binWidth) + rows*perObjectOverheadBytes
+			blockified[src][dst] = blockWireSize(rows, n, fw, binWidth)
+		}
+	}
+	sumOffDiag := func(m [][]int64) int64 {
+		var sum int64
+		for i := range m {
+			for j := range m[i] {
+				if i != j {
+					sum += m[i][j]
+				}
+			}
+		}
+		return sum
+	}
+	t.bytes.NaiveShuffle = sumOffDiag(naive)
+	t.bytes.CompressedShuffle = sumOffDiag(compressed)
+	t.bytes.BlockifiedShuffle = sumOffDiag(blockified)
+	switch t.opts.Charge {
+	case VariantNaive:
+		t.cl.Shuffle("transform.repartition", naive)
+	case VariantCompressed:
+		t.cl.Shuffle("transform.repartition", compressed)
+	default:
+		t.cl.Shuffle("transform.repartition", blockified)
+	}
+
+	// Step 5: the master collects all labels and broadcasts them so every
+	// worker can coalesce rows with labels.
+	labelBytes := int64(len(t.labels)) * 4
+	t.cl.PointToPoint("transform.labels", labelBytes)
+	t.cl.Broadcast("transform.labels", labelBytes)
+	t.bytes.LabelBroadcast = labelBytes
+
+	res := &Result{Groups: t.groups, Binner: t.binner, Bytes: t.bytes}
+	if recv == nil {
+		return res, nil
+	}
+	res.Shards = make([]*Shard, w)
+	// Per-worker error slots: each worker writes only its own, so the
+	// assembly stays race-free on a concurrent cluster.
+	errs := make([]error, w)
+	t.cl.Parallel("transform.assemble", func(dst int) {
+		if blocks := recv(dst); blocks != nil {
+			res.Shards[dst], errs[dst] = t.assembleShard(dst, blocks)
+		}
+	})
+	if err := cluster.FirstError(errs); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// assembleShard sorts the blocks destination dst received by source
+// offset (they are contiguous row ranges) and merges them down to
+// MaxBlocks.
+func (t *transformation) assembleShard(dst int, recv []*Block) (*Shard, error) {
+	bs, err := NewBlockSet(recv)
+	if err != nil {
+		return nil, err
+	}
+	bs.Merge(t.opts.MaxBlocks)
+	feats := t.groups[dst]
+	numBins := make([]int, len(feats))
+	for slot, f := range feats {
+		numBins[slot] = len(t.binner.Splits[f])
+	}
+	return &Shard{Worker: dst, Features: feats, NumBins: numBins, Data: bs, Labels: t.labels}, nil
+}
+
 // Transform runs the five-step horizontal-to-vertical transformation of
 // Section 4.2.1 over a dataset whose rows are horizontally partitioned
 // across the cluster's workers (worker w owns the rows of
 // HorizontalRanges(N, W)[w]). Compute time is measured under the
 // "transform.*" phases; network volume is charged per the options.
 func Transform(cl *cluster.Cluster, x *sparse.CSR, labels []float32, opts Options) (*Result, error) {
-	if err := opts.setDefaults(); err != nil {
+	t, err := start(cl, x.Rows(), x.Cols(), labels, opts)
+	if err != nil {
 		return nil, err
 	}
-	if x.Rows() != len(labels) {
-		return nil, fmt.Errorf("partition: %d rows but %d labels", x.Rows(), len(labels))
+	if t.binner == nil {
+		t.sketchSplits(x)
 	}
-	w := cl.Workers()
-	d := x.Cols()
-	ranges := HorizontalRanges(x.Rows(), w)
-	var report ByteReport
-
-	// Warm path: ingestion already derived the candidate splits, so the
-	// transformation starts at step 3 after broadcasting them.
-	if opts.Splits != nil && opts.FeatCount != nil {
-		if len(opts.Splits) != d || len(opts.FeatCount) != d {
-			return nil, fmt.Errorf("partition: prebin covers %d features, matrix has %d", len(opts.Splits), d)
+	w, d := cl.Workers(), x.Cols()
+	groupOf := make([]int32, d)
+	slotOf := make([]int32, d) // global feature -> slot within its group
+	for g, feats := range t.groups {
+		for slot, f := range feats {
+			groupOf[f] = int32(g)
+			slotOf[f] = int32(slot)
 		}
-		binner := &sparse.Binner{Splits: opts.Splits}
-		var splitBytes int64
-		for f := 0; f < d; f++ {
-			splitBytes += int64(len(opts.Splits[f])) * 4
-		}
-		cl.Broadcast("transform.splits", splitBytes)
-		report.SplitBroadcast = splitBytes
-		return transformGrouped(cl, x, labels, opts, binner, opts.FeatCount, report)
 	}
+	// blocks[src][dst], built in parallel over sources; walking them gives
+	// the cell counts.
+	blocks := make([][]*Block, w)
+	nnz := make([][]int64, w)
+	cl.Parallel("transform.group", func(src int) {
+		blocks[src] = t.splitRows(x, t.ranges[src][0], t.ranges[src][1], groupOf, slotOf, w)
+		nnz[src] = make([]int64, w)
+		for dst, b := range blocks[src] {
+			nnz[src][dst] = int64(b.NNZ())
+		}
+	})
+	return t.finish(nnz, func(dst int) []*Block {
+		recv := make([]*Block, w)
+		for src := range recv {
+			recv[src] = blocks[src][dst]
+		}
+		return recv
+	})
+}
 
-	// Step 1: per-worker quantile sketches, repartitioned by feature and
-	// merged into global sketches.
+// sketchSplits runs steps 1 and 2 for a dataset that arrives without
+// ingestion-derived splits: per-worker quantile sketches, repartitioned
+// by feature and merged, then candidate splits gathered at the master.
+func (t *transformation) sketchSplits(x *sparse.CSR) {
+	cl, w, d := t.cl, t.cl.Workers(), x.Cols()
 	local := make([][]*sketch.GK, w)
 	cl.Parallel("transform.sketch", func(wk int) {
 		sks := make([]*sketch.GK, d)
-		lo, hi := ranges[wk][0], ranges[wk][1]
-		for i := lo; i < hi; i++ {
+		for i := t.ranges[wk][0]; i < t.ranges[wk][1]; i++ {
 			feats, vals := x.Row(i)
 			for k, f := range feats {
 				if sks[f] == nil {
-					sks[f] = sketch.New(opts.SketchEps)
+					sks[f] = sketch.New(t.opts.SketchEps)
 				}
 				sks[f].Add(float64(vals[k]))
 			}
@@ -180,167 +356,132 @@ func Transform(cl *cluster.Cluster, x *sparse.CSR, labels []float32, opts Option
 	for f := 0; f < d; f++ {
 		owner := f % w
 		for wk := 0; wk < w; wk++ {
-			if local[wk][f] == nil {
-				continue
-			}
-			if wk != owner {
-				sketchSend[wk][owner] += int64(local[wk][f].NumTuples())*sketchTupleBytes + 16
+			if local[wk][f] != nil && wk != owner {
+				n := int64(local[wk][f].NumTuples())*sketchTupleBytes + 16
+				sketchSend[wk][owner] += n
+				t.bytes.SketchShuffle += n
 			}
 		}
 	}
-	global := sketch.Canonical(x, opts.SketchEps)
+	global := sketch.Canonical(x, t.opts.SketchEps)
 	cl.Shuffle("transform.sketch", sketchSend)
-	for i := range sketchSend {
-		for j := range sketchSend[i] {
-			if i != j {
-				report.SketchShuffle += sketchSend[i][j]
-			}
-		}
-	}
 
-	// Step 2: candidate splits from the merged sketches; the master
-	// collects them and broadcasts to all workers.
-	binner := &sparse.Binner{Splits: make([][]float32, d)}
+	splits := make([][]float32, d)
 	featCount := make([]int64, d)
 	var splitBytes int64
 	for f := 0; f < d; f++ {
 		if global[f] == nil {
 			continue
 		}
-		binner.Splits[f] = global[f].CandidateSplits(opts.Q)
+		splits[f] = global[f].CandidateSplits(t.opts.Q)
 		featCount[f] = global[f].Count()
-		splitBytes += int64(len(binner.Splits[f])) * 4
+		splitBytes += int64(len(splits[f])) * 4
 	}
 	cl.PointToPoint("transform.splits", splitBytes) // gather at master
-	cl.Broadcast("transform.splits", splitBytes)
-	report.SplitBroadcast = splitBytes
-	return transformGrouped(cl, x, labels, opts, binner, featCount, report)
+	t.adoptSplits(splits, featCount)
 }
 
-// transformGrouped runs steps 3–5 of the transformation — column
-// grouping, blockified repartition and label broadcast — from already
-// derived candidate splits.
-func transformGrouped(cl *cluster.Cluster, x *sparse.CSR, labels []float32, opts Options, binner *sparse.Binner, featCount []int64, report ByteReport) (*Result, error) {
-	w := cl.Workers()
-	d := x.Cols()
-	ranges := HorizontalRanges(x.Rows(), w)
-
-	// Step 3: column grouping with greedy load balancing, plus compact
-	// encoding of each (source worker, destination group) partial column
-	// group into a block.
-	groups := GroupColumnsBalanced(featCount, w)
-	slotOf := make([]int32, d) // global feature -> slot within its group
-	groupOf := make([]int32, d)
-	for g, feats := range groups {
-		for slot, f := range feats {
-			groupOf[f] = int32(g)
-			slotOf[f] = int32(slot)
-		}
-	}
-	// blocks[src][dst] built in parallel over sources.
-	blocks := make([][]*Block, w)
-	cl.Parallel("transform.group", func(src int) {
-		lo, hi := ranges[src][0], ranges[src][1]
-		out := make([]*Block, w)
-		for dst := 0; dst < w; dst++ {
-			out[dst] = &Block{RowStart: lo, RowPtr: make([]int64, 1, hi-lo+1)}
-		}
-		for i := lo; i < hi; i++ {
-			feats, vals := x.Row(i)
-			for k, f := range feats {
-				dst := groupOf[f]
-				b := out[dst]
-				b.Feat = append(b.Feat, uint32(slotOf[f]))
-				b.Bin = append(b.Bin, binner.BinValue(int(f), vals[k]))
-			}
-			for dst := 0; dst < w; dst++ {
-				out[dst].RowPtr = append(out[dst].RowPtr, int64(len(out[dst].Feat)))
-			}
-		}
-		blocks[src] = out
-	})
-
-	// Step 4: repartition the column groups and charge the selected
-	// variant's wire cost; all three variants' volumes are reported.
-	naive := make([][]int64, w)
-	compressed := make([][]int64, w)
-	blockified := make([][]int64, w)
-	binWidth := BinWidthBytes(opts.Q)
-	for src := 0; src < w; src++ {
-		naive[src] = make([]int64, w)
-		compressed[src] = make([]int64, w)
-		blockified[src] = make([]int64, w)
-		for dst := 0; dst < w; dst++ {
-			b := blocks[src][dst]
-			rows := int64(b.NumRows())
-			nnz := int64(b.NNZ())
-			fw := FeatWidthBytes(len(groups[dst]))
-			naive[src][dst] = nnz*naiveKVBytes + rows*perObjectOverheadBytes
-			compressed[src][dst] = nnz*(fw+binWidth) + rows*perObjectOverheadBytes
-			blockified[src][dst] = b.WireSizeBytes(fw, binWidth)
-		}
-	}
-	sumOffDiag := func(m [][]int64) int64 {
-		var t int64
-		for i := range m {
-			for j := range m[i] {
-				if i != j {
-					t += m[i][j]
-				}
-			}
-		}
-		return t
-	}
-	report.NaiveShuffle = sumOffDiag(naive)
-	report.CompressedShuffle = sumOffDiag(compressed)
-	report.BlockifiedShuffle = sumOffDiag(blockified)
-	switch opts.Charge {
-	case VariantNaive:
-		cl.Shuffle("transform.repartition", naive)
-	case VariantCompressed:
-		cl.Shuffle("transform.repartition", compressed)
-	default:
-		cl.Shuffle("transform.repartition", blockified)
-	}
-
-	// Step 5: the master collects all labels and broadcasts them so every
-	// worker can coalesce rows with labels.
-	labelBytes := int64(len(labels)) * 4
-	cl.PointToPoint("transform.labels", labelBytes)
-	cl.Broadcast("transform.labels", labelBytes)
-	report.LabelBroadcast = labelBytes
-
-	// Assemble shards: sort received blocks by source offset (they are
-	// contiguous row ranges) and merge down to MaxBlocks.
-	shards := make([]*Shard, w)
-	// Per-worker error slots: each worker writes only its own, so the
-	// assembly stays race-free on a concurrent cluster.
-	shardErrs := make([]error, w)
-	cl.Parallel("transform.assemble", func(dst int) {
-		recv := make([]*Block, 0, w)
-		for src := 0; src < w; src++ {
-			recv = append(recv, blocks[src][dst])
-		}
-		bs, err := NewBlockSet(recv)
-		if err != nil {
-			shardErrs[dst] = err
-			return
-		}
-		bs.Merge(opts.MaxBlocks)
-		numBins := make([]int, len(groups[dst]))
-		for slot, f := range groups[dst] {
-			numBins[slot] = len(binner.Splits[f])
-		}
-		shards[dst] = &Shard{
-			Worker:   dst,
-			Features: groups[dst],
-			NumBins:  numBins,
-			Data:     bs,
-			Labels:   labels,
-		}
-	})
-	if err := cluster.FirstError(shardErrs); err != nil {
+// TransformStreamed is the out-of-core variant of Transform: it computes
+// the column grouping and charges the transformation's wire costs from an
+// on-disk block source without materializing per-worker shards (the
+// Result's Shards are nil). It requires ingestion-derived splits
+// (Options.Splits/FeatCount): a .vbin-backed dataset always has them, and
+// sketching would need the raw values the binned cache no longer stores.
+//
+// The byte report matches Transform's for the same data exactly: the cell
+// counts are identical, only found by binary searches on the mapped
+// columns instead of walks over materialized blocks.
+func TransformStreamed(cl *cluster.Cluster, src datasets.BlockSource, labels []float32, opts Options) (*Result, error) {
+	t, err := start(cl, src.Rows(), src.Cols(), labels, opts)
+	if err != nil {
 		return nil, err
 	}
-	return &Result{Groups: groups, Binner: binner, Shards: shards, Bytes: report}, nil
+	if t.binner == nil {
+		return nil, fmt.Errorf("partition: streamed transformation requires ingestion-derived splits (train from a .vbin cache)")
+	}
+	nnz := make([][]int64, cl.Workers())
+	errs := make([]error, cl.Workers())
+	cl.Parallel("transform.group", func(s int) {
+		nnz[s], errs[s] = RangeGroupNNZ(src, t.ranges[s][0], t.ranges[s][1], t.groups)
+	})
+	if err := cluster.FirstError(errs); err != nil {
+		return nil, err
+	}
+	return t.finish(nnz, nil)
+}
+
+// RangeGroupNNZ counts the entries of rows [rowLo, rowHi) that belong to
+// each feature group, by two binary searches per column of the source.
+// One row of the transformation's cell matrix: the streamed
+// transformation computes it per source worker, and ingest.ReadCacheShard
+// records all W rows in datasets.Shard.GroupNNZ.
+func RangeGroupNNZ(src datasets.BlockSource, rowLo, rowHi int, groups [][]int) ([]int64, error) {
+	nnz := make([]int64, len(groups))
+	for g, feats := range groups {
+		for _, f := range feats {
+			lo, hi, err := datasets.RowSpan(src, f, rowLo, rowHi)
+			if err != nil {
+				return nil, err
+			}
+			nnz[g] += hi - lo
+		}
+	}
+	return nnz, nil
+}
+
+// TransformSharded is the rank-sharded variant of Transform: the caller
+// already materialized only this rank's feature group (a column shard
+// loaded by ingest.ReadCacheShard — x keeps the global shape but holds
+// entries for the rank's columns only), so the transformation builds just
+// the rank's own blockified shard — the other Shards slots stay nil,
+// matching the engine's hosted-only structures — and takes the cell
+// counts from the shard's replicated GroupNNZ matrix instead of walking
+// remote data. Every rank derives that matrix identically from the
+// cache's column index — a requirement, since charge-only collectives are
+// realized as shadow frames on the distributed transport and
+// rank-divergent volumes would desynchronize the mesh.
+//
+// Like TransformStreamed it requires ingestion-derived splits: a shard
+// holds a fraction of the values, so candidate splits cannot be sketched
+// from it.
+func TransformSharded(cl *cluster.Cluster, x *sparse.CSR, labels []float32, sh *datasets.Shard, opts Options) (*Result, error) {
+	w := cl.Workers()
+	if sh.Workers != w {
+		return nil, fmt.Errorf("partition: shard spans %d workers, cluster has %d", sh.Workers, w)
+	}
+	if len(sh.GroupNNZ) != w {
+		return nil, fmt.Errorf("partition: shard carries a %dx? group matrix, want %dx%d", len(sh.GroupNNZ), w, w)
+	}
+	t, err := start(cl, x.Rows(), x.Cols(), labels, opts)
+	if err != nil {
+		return nil, err
+	}
+	if t.binner == nil {
+		return nil, fmt.Errorf("partition: sharded transformation requires ingestion-derived splits (load shards from a .vbin cache)")
+	}
+	// The rank's own blocks: one per source row range, holding the rows of
+	// that range restricted to the rank's feature group — exactly the
+	// blocks Transform would have shipped to this destination. Every entry
+	// x holds belongs to the one destination.
+	rank := sh.Rank
+	oneDest := make([]int32, x.Cols())
+	slotOf := make([]int32, x.Cols())
+	for slot, f := range t.groups[rank] {
+		slotOf[f] = int32(slot)
+	}
+	own := make([]*Block, w)
+	cl.ParallelLocal("transform.group", func(wk int) {
+		if wk != rank {
+			return
+		}
+		for src := range own {
+			own[src] = t.splitRows(x, t.ranges[src][0], t.ranges[src][1], oneDest, slotOf, 1)[0]
+		}
+	})
+	return t.finish(sh.GroupNNZ, func(dst int) []*Block {
+		if dst != rank {
+			return nil
+		}
+		return own
+	})
 }
