@@ -6,7 +6,11 @@
 // costs ceil(N/8) bytes per tree layer instead of 4N bytes, a 32x saving.
 package bitmap
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Bitmap is a fixed-length bitset. The zero value is an empty bitmap of
 // length zero; use New to allocate one of a given length.
@@ -38,17 +42,25 @@ func (b *Bitmap) Clear(i int) {
 
 // SetTo sets bit i to v.
 func (b *Bitmap) SetTo(i int, v bool) {
+	// Branch-free: placement bits are coin flips to a branch predictor.
+	var bit uint64
 	if v {
-		b.Set(i)
-	} else {
-		b.Clear(i)
+		bit = 1
 	}
+	w, s := &b.words[i>>6], uint(i)&63
+	*w = *w&^(1<<s) | bit<<s
 }
 
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
+
+// Words returns the bitmap's backing words: bit i is bit i&63 of word
+// i>>6. The slice aliases internal storage and must be treated as
+// read-only; it is the flat view the index split kernels read instead of
+// calling Get per instance.
+func (b *Bitmap) Words() []uint64 { return b.words }
 
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int {
@@ -74,23 +86,34 @@ func (b *Bitmap) SizeBytes() int { return (b.n + 7) / 8 }
 // MarshalBinary encodes the bitmap into a compact byte slice of
 // SizeBytes() bytes (little-endian bit order within each byte).
 func (b *Bitmap) MarshalBinary() ([]byte, error) {
-	out := make([]byte, b.SizeBytes())
-	for i := 0; i < b.n; i++ {
-		if b.Get(i) {
-			out[i>>3] |= 1 << (uint(i) & 7)
-		}
+	// Bit i of the bitmap is bit i&7 of byte i>>3, which is exactly the
+	// little-endian byte image of the words; the last word is cut to the
+	// payload length.
+	buf := make([]byte, 0, b.SizeBytes())
+	var tmp [8]byte
+	rem := b.SizeBytes()
+	for _, w := range b.words {
+		binary.LittleEndian.PutUint64(tmp[:], w)
+		buf = append(buf, tmp[:min(rem, 8)]...)
+		rem -= 8
 	}
-	return out, nil
+	return buf, nil
 }
 
 // UnmarshalBinary decodes a payload produced by MarshalBinary. The bitmap
-// must already have the correct length.
+// must already have the correct length. Payload bits past Len are dropped,
+// as bits no index addresses.
 func (b *Bitmap) UnmarshalBinary(data []byte) error {
 	if len(data) != b.SizeBytes() {
 		return fmt.Errorf("bitmap: payload has %d bytes, want %d", len(data), b.SizeBytes())
 	}
-	for i := 0; i < b.n; i++ {
-		b.SetTo(i, data[i>>3]&(1<<(uint(i)&7)) != 0)
+	for i := range b.words {
+		var tmp [8]byte
+		copy(tmp[:], data[i*8:]) // the last word's payload may be short
+		b.words[i] = binary.LittleEndian.Uint64(tmp[:])
+	}
+	if tail := uint(b.n) & 63; tail != 0 {
+		b.words[len(b.words)-1] &= 1<<tail - 1
 	}
 	return nil
 }
@@ -115,12 +138,5 @@ func (b *Bitmap) Clone() *Bitmap {
 	return c
 }
 
-func popcount(x uint64) int {
-	// Hacker's Delight population count; avoids importing math/bits for
-	// no reason other than symmetry, but math/bits is stdlib — use it via
-	// the same algorithm to keep this file dependency-free.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
-}
+// popcount returns the number of set bits of x.
+func popcount(x uint64) int { return bits.OnesCount64(x) }

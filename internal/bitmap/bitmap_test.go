@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,5 +170,46 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarshalMatchesBitwiseEncoding holds the word-wise codec to the
+// bit-by-bit definition of the wire format (bit i is bit i&7 of byte i>>3)
+// at lengths around the word and byte boundaries.
+func TestMarshalMatchesBitwiseEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1000} {
+		b := New(n)
+		want := make([]byte, (n+7)/8)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 1 {
+				b.Set(i)
+				want[i>>3] |= 1 << (uint(i) & 7)
+			}
+		}
+		buf, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("n=%d: payload %x, want %x", n, buf, want)
+		}
+		// Set payload bits past Len must not leak into the bitmap.
+		dirty := append([]byte(nil), want...)
+		if n%8 != 0 {
+			dirty[len(dirty)-1] |= 0xff << (uint(n) & 7)
+		}
+		c := New(n)
+		if err := c.UnmarshalBinary(dirty); err != nil {
+			t.Fatal(err)
+		}
+		if c.Count() != b.Count() {
+			t.Fatalf("n=%d: decoded %d set bits, want %d", n, c.Count(), b.Count())
+		}
+		for i := 0; i < n; i++ {
+			if c.Get(i) != b.Get(i) {
+				t.Fatalf("n=%d: bit %d differs after decode", n, i)
+			}
+		}
 	}
 }

@@ -9,7 +9,9 @@
 // its aggregation methods) converts them into simulated seconds.
 // Computation time is measured for real, per worker, and the per-phase
 // record keeps the maximum across workers — the makespan a real cluster
-// would observe.
+// would observe. Work every worker would perform identically (Replicated)
+// is executed and charged once per process: the makespan of W identical
+// passes is one pass.
 //
 // Workers can execute sequentially (deterministic timing on a single core,
 // the default) or concurrently via goroutines; results are identical
@@ -87,7 +89,9 @@ func (c *Cluster) Stats() *Stats { return c.stats }
 func (c *Cluster) ResetStats() { c.stats = newStats(c.w) }
 
 // Parallel runs fn(worker) for every worker and records, under the given
-// phase, the maximum per-worker busy time — the makespan of the phase.
+// phase, the maximum per-worker busy time — the makespan of the phase. It
+// is for partitioned work, where each worker's share differs; on the
+// sequential simulation its wall time is the sum over workers.
 func (c *Cluster) Parallel(phase string, fn func(worker int)) {
 	elapsed := make([]time.Duration, c.w)
 	if c.concurrent {

@@ -258,3 +258,65 @@ func TestOpKindString(t *testing.T) {
 		t.Fatal("unknown kind formatting")
 	}
 }
+
+// rankOnly is a Transport that only knows its place in the deployment:
+// enough for the work-placement seams, which never touch the wire.
+type rankOnly struct{ w, rank int }
+
+func (r rankOnly) Workers() int                               { return r.w }
+func (r rankOnly) Rank() int                                  { return r.rank }
+func (rankOnly) AllReduce(string, []float64) error            { return nil }
+func (rankOnly) ReduceScatter(string, []float64, []int) error { return nil }
+func (rankOnly) Gather(string, []float64, int) error          { return nil }
+func (rankOnly) AllGather(string, [][]byte) error             { return nil }
+func (rankOnly) Broadcast(string, []byte, int) error          { return nil }
+func (rankOnly) Shadow(string, [][]int64) error               { return nil }
+func (rankOnly) PayloadBytesSent() int64                      { return 0 }
+func (rankOnly) WireBytes() int64                             { return 0 }
+func (rankOnly) Err() error                                   { return nil }
+func (rankOnly) Close() error                                 { return nil }
+
+// TestReplicatedRunsOncePerProcess pins the replicated step in every mode:
+// fn runs exactly once, the phase is charged that one pass, and the pass
+// lands on the process's lead worker alone, so the sum of WorkerComp stays
+// the host seconds spent.
+func TestReplicatedRunsOncePerProcess(t *testing.T) {
+	const w = 4
+	modes := []struct {
+		name string
+		opts []Option
+		lead int
+	}{
+		{"sequential", nil, 0},
+		{"concurrent", []Option{WithConcurrent()}, 0},
+		{"transport", []Option{WithTransport(rankOnly{w: w, rank: 2})}, 2},
+	}
+	for _, m := range modes {
+		c := New(w, Gigabit(), m.opts...)
+		calls := 0
+		var inside time.Duration // the pass as fn itself measures it
+		c.Replicated("p", func() {
+			calls++
+			start := time.Now()
+			time.Sleep(time.Millisecond)
+			inside = time.Since(start)
+		})
+		if calls != 1 {
+			t.Fatalf("%s: fn ran %d times, want 1", m.name, calls)
+		}
+		phase := c.Stats().Phase("p").CompSeconds
+		if phase < inside.Seconds() {
+			t.Fatalf("%s: phase charged %.6fs, less than the pass of %v", m.name, phase, inside)
+		}
+		var sum time.Duration
+		for v, d := range c.Stats().WorkerComp() {
+			if v != m.lead && d != 0 {
+				t.Fatalf("%s: worker %d charged %v, want only lead worker %d", m.name, v, d, m.lead)
+			}
+			sum += d
+		}
+		if sum.Seconds() != phase {
+			t.Fatalf("%s: worker busy time %v, phase %.6fs: want the same single pass", m.name, sum, phase)
+		}
+	}
+}

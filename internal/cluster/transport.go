@@ -74,7 +74,7 @@ type Transport interface {
 // payloads through it (in simulation-identical reduction order) while
 // still charging the alpha-beta model, and Stats additionally records
 // measured bytes and wall-clock per phase. The cluster then represents
-// one rank of a W-process deployment; see ParallelLocal, Lead and
+// one rank of a W-process deployment; see ParallelLocal, Replicated and
 // HostsWorker for the work-placement seams.
 func WithTransport(tr Transport) Option {
 	return func(c *Cluster) {
@@ -121,23 +121,32 @@ func (c *Cluster) LocalWorkers() []int {
 	return []int{c.tr.Rank()}
 }
 
-// Lead reports whether worker w is this process's leader for replicated
-// state: code that in the simulation ran once "at worker 0" (because the
-// result is logically replicated) must instead run once per process on a
-// distributed cluster — each process materializes the state locally.
-func (c *Cluster) Lead(w int) bool {
-	if c.tr == nil {
-		return w == 0
-	}
-	return w == c.tr.Rank()
+// Replicated runs fn once for a replicated step: work every worker of a
+// real cluster performs identically on identical state (the vertical
+// quadrants' gradient pass and index updates over all N instances, a
+// leader's scan of fully reduced histograms), so its result is logically
+// present at every worker. W simulated workers hosted in one process would
+// compute the same answer W times; the process computes it once, in
+// sequential, concurrent and transport modes alike. The measured duration
+// is added to the phase's computation seconds — the makespan of W
+// identical passes is one pass — and to the busy time of the process's
+// lead worker (worker 0 on the simulation, the rank's own worker on a
+// distributed cluster), so the sum of WorkerComp stays host seconds.
+func (c *Cluster) Replicated(phase string, fn func()) {
+	start := time.Now()
+	fn()
+	e := time.Since(start)
+	c.stats.addWorkerComp(c.Rank(), e)
+	c.stats.addComp(phase, e.Seconds())
 }
 
 // ParallelLocal runs fn for the workers hosted by this process: all of
 // them (exactly Parallel) on the simulation, only this rank's worker on a
 // distributed cluster. It is the placement seam for sharded work — per-row
 // or per-feature-group loops where each rank computes only its own shard.
-// Loops whose side effects every rank needs (replicated state) must keep
-// using Parallel.
+// Loops whose side effects every rank needs (replicated state that differs
+// per worker) must keep using Parallel; a step whose result is the same at
+// every worker runs through Replicated.
 func (c *Cluster) ParallelLocal(phase string, fn func(worker int)) {
 	if c.tr == nil {
 		c.Parallel(phase, fn)

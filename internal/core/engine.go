@@ -22,13 +22,10 @@ type engine interface {
 	// repartitioning, index and histogram-map allocation), charging the
 	// preparation communication. Called once, before any run.
 	prepare() error
-	// beginRun allocates per-run scratch that depends on run geometry
-	// (e.g. the vertical quadrants' redundant-compute gradient buffers).
-	// Called after the trainer's shared run state exists.
-	beginRun()
 	// computeGradients refreshes the trainer's gradient/hessian vectors
 	// with the engine's work placement (horizontal: own rows; vertical:
-	// every worker processes all instances, Section 4.2.1 step 5).
+	// every worker processes all instances, Section 4.2.1 step 5 — one
+	// replicated pass per process).
 	computeGradients()
 	// rootTotals returns the gradient/hessian totals over all instances.
 	rootTotals() ([]float64, []float64)

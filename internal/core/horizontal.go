@@ -108,10 +108,6 @@ func (e *horizontalEngine) prepare() error {
 	return cluster.FirstError(errs)
 }
 
-// beginRun implements engine; the horizontal quadrants need no per-run
-// scratch beyond the trainer's shared buffers.
-func (e *horizontalEngine) beginRun() {}
-
 // usesSubtraction implements engine: QD1's shared accumulators cannot
 // retain per-parent state, so both children always build.
 func (e *horizontalEngine) usesSubtraction() bool { return e.t.cfg.Quadrant != QD1 }
@@ -174,10 +170,8 @@ func (e *horizontalEngine) dropHist(id int32) {
 // derived node's local contribution — the invariant every shard reader
 // relies on survives subtraction.
 func (e *horizontalEngine) deriveHistograms(toDerive []*nodeInfo) {
-	e.t.cl.ParallelLocal(phaseHist, func(w int) {
-		if !e.t.cl.Lead(w) {
-			return // aggregated histograms are logically replicated; derive once
-		}
+	// Aggregated histograms are logically replicated: derive once.
+	e.t.cl.Replicated(phaseHist, func() {
 		for _, nd := range toDerive {
 			parent := e.agg[nd.parent]
 			sibling := e.agg[siblingOf(nd)]
@@ -452,13 +446,10 @@ func (e *horizontalEngine) findSplits(frontier []*nodeInfo) map[int32]resolvedSp
 				gain: best.Gain, defaultLeft: best.DefaultLeft, valid: best.Valid}
 		}
 	default: // AggAllReduce: the leader scans all features.
-		t.cl.ParallelLocal(phaseSplit, func(w int) {
-			if !t.cl.Lead(w) {
-				return // at most one lead per rank writes out
-			}
-			// Every rank's lead recomputes the identical result from the
-			// fully reduced histograms; the broadcast below charges the
-			// split records the leader would send.
+		// Every rank recomputes the identical result from the fully reduced
+		// histograms; the broadcast below charges the split records the
+		// leader would send.
+		t.cl.Replicated(phaseSplit, func() {
 			for _, nd := range frontier {
 				s := t.finder.FindBest(e.agg[nd.id], nd.totalG, nd.totalH, t.numBinsGlobal)
 				out[nd.id] = resolvedSplit{node: nd.id, feature: s.Feature, bin: s.Bin,
@@ -478,12 +469,7 @@ func (e *horizontalEngine) applyLayer(splits map[int32]resolvedSplit, children m
 	t.cl.Broadcast(phaseNode, int64(len(splits))*splitWireBytes)
 	if t.cfg.Quadrant == QD2 {
 		t.cl.ParallelLocal(phaseNode, func(w int) {
-			bm := e.placed[w]
-			goesLeft := func(inst uint32) bool { return bm.Get(int(inst)) }
-			for parent, ch := range children {
-				e.rows[w].place(splits[parent], e.n2i[w].Instances(parent), bm)
-				e.n2i[w].Split(parent, ch[0], ch[1], goesLeft)
-			}
+			placeAndSplit(e.rows[w], e.n2i[w], e.placed[w], splits, children)
 		})
 		return
 	}
@@ -624,23 +610,6 @@ func (e *horizontalEngine) updatePredictions(tr *tree.Tree) {
 			}
 		}
 	})
-}
-
-// lookupBin binary-searches a sorted sparse row for a feature.
-func lookupBin(feats []uint32, bins []uint16, f uint32) (uint16, bool) {
-	lo, hi := 0, len(feats)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if feats[mid] < f {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(feats) && feats[lo] == f {
-		return bins[lo], true
-	}
-	return 0, false
 }
 
 // searchColumn binary-searches a column's sorted instance list.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"vero/internal/bitmap"
 	"vero/internal/histogram"
 	"vero/internal/index"
@@ -15,9 +17,10 @@ import (
 //
 // The two kinds are different algorithms, not two copies of one: over a
 // materialized row store (csrRows, shardRows) a node's rows are scanned
-// through histogram.RowScan and placed by a lookup in each row — the
-// paper's QD2/QD4 — while the column-major mapped image has no rows to
-// scan and is served by blockScan. prepare picks by Dataset.OutOfCore.
+// through histogram.RowScan and placed by placeSegment's lookup in each
+// row — the paper's QD2/QD4 — while the column-major mapped image has no
+// rows to scan and is served by blockScan. prepare picks by
+// Dataset.OutOfCore.
 type rowStore interface {
 	// build accumulates hs[i] over the rows lists[i], ascending — the
 	// node-to-instance index's order.
@@ -36,17 +39,54 @@ func nodeLists(idx *index.NodeToInstance, nodes []*nodeInfo) [][]uint32 {
 	return lists
 }
 
-// placeRows places instances by binary-searching each one's row for the
-// split column col; an absent value goes the default direction.
-func placeRows(row func(i int) ([]uint32, []uint16), col uint32, sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap) {
+// placeAndSplit applies one layer's splits to an index whose rows one store
+// holds whole (QD2's row shard, feature-parallel's full copy): each
+// splitting node is placed into bm and split from it.
+func placeAndSplit(rows rowStore, idx *index.NodeToInstance, bm *bitmap.Bitmap, splits map[int32]resolvedSplit, children map[int32][2]int32) {
+	for parent, ch := range children {
+		rows.place(splits[parent], idx.Instances(parent), bm)
+		idx.Split(parent, ch[0], ch[1], bm)
+	}
+}
+
+// placeSegment is the row-store placement kernel: it places the instances
+// insts — all inside one row segment (rowStart, rowPtr, feat, bin), a
+// block of a shard or a whole CSR matrix — by finding the split column col
+// in each one's row (rows are sorted by feature); an absent value goes the
+// default direction.
+func placeSegment(insts []uint32, rowStart int, rowPtr []int64, feat []uint32, bin []uint16, col uint32, sp resolvedSplit, bm *bitmap.Bitmap) {
 	for _, inst := range insts {
+		r := int(inst) - rowStart
+		lo, hi := rowPtr[r], rowPtr[r+1]
 		left := sp.defaultLeft
-		feats, bins := row(int(inst))
-		if bin, ok := lookupBin(feats, bins, col); ok {
-			left = int(bin) <= sp.bin
+		if b, ok := lookupBin(feat[lo:hi], bin[lo:hi], col); ok {
+			left = int(b) <= sp.bin
 		}
 		bm.SetTo(int(inst), left)
 	}
+}
+
+// lookupBin binary-searches a sorted sparse row for a feature. The halving
+// loop steps by a mask, not a branch on the comparison: where in a row the
+// split feature falls is a coin flip to a branch predictor.
+func lookupBin(feats []uint32, bins []uint16, f uint32) (uint16, bool) {
+	base, n := 0, len(feats)
+	if n == 0 {
+		return 0, false
+	}
+	for n > 1 {
+		half := n / 2
+		var le int
+		if feats[base+half] <= f {
+			le = 1
+		}
+		base += half & -le
+		n -= half
+	}
+	if feats[base] == f {
+		return bins[base], true
+	}
+	return 0, false
 }
 
 // csrRows is QD2's materialized row shard: all features of the worker's
@@ -63,7 +103,7 @@ func (r csrRows) build(hs []*histogram.Hist, lists [][]uint32, grad, hess []floa
 }
 
 func (r csrRows) place(sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap) {
-	placeRows(r.m.Row, uint32(sp.feature), sp, insts, bm)
+	placeSegment(insts, 0, r.m.RowPtr, r.m.Feat, r.m.Bin, uint32(sp.feature), sp, bm)
 }
 
 // shardRows is QD4's materialized shard: the blockified rows of the
@@ -73,31 +113,41 @@ type shardRows struct {
 	slotOf []int32 // global feature -> slot within its group
 }
 
-// build scans each node's instances through the blockified rows — Vero's
-// histogram construction (node-to-instance index + row-store). A node's
-// instance list is ascending (the node-to-instance index partitions stably
-// from an ascending initial order) and the shard's blocks cover contiguous
-// ascending row ranges, so the scan runs the fused row-scan kernel once
-// per block segment instead of resolving every row through a per-instance
-// block lookup.
-func (r shardRows) build(hs []*histogram.Hist, lists [][]uint32, grad, hess []float64) {
-	for i, h := range hs {
-		insts := lists[i]
-		k := 0
-		for _, b := range r.data.Blocks {
-			if k == len(insts) {
-				break
-			}
-			end := b.RowStart + b.NumRows()
-			start := k
-			for k < len(insts) && int(insts[k]) < end {
-				k++
-			}
-			h.RowScan(insts[start:k], b.RowStart, b.RowPtr, b.Feat, b.Bin, grad, hess, 0)
+// eachSegment cuts an ascending instance list at the shard's block
+// boundaries and hands every non-empty segment to fn with its block. A
+// node's instance list is ascending (the node-to-instance index partitions
+// stably from an ascending initial order) and the blocks cover contiguous
+// ascending row ranges, so one forward walk resolves every instance's block
+// — no per-instance block lookup.
+func (r shardRows) eachSegment(insts []uint32, fn func(b *partition.Block, seg []uint32)) {
+	for _, b := range r.data.Blocks {
+		if len(insts) == 0 {
+			return
+		}
+		end := uint32(b.RowStart + b.NumRows())
+		k, _ := slices.BinarySearch(insts, end)
+		if k > 0 {
+			fn(b, insts[:k])
+			insts = insts[k:]
 		}
 	}
 }
 
+// build scans each node's instances through the blockified rows — Vero's
+// histogram construction (node-to-instance index + row-store) — running
+// the fused row-scan kernel once per block segment.
+func (r shardRows) build(hs []*histogram.Hist, lists [][]uint32, grad, hess []float64) {
+	for i, h := range hs {
+		r.eachSegment(lists[i], func(b *partition.Block, seg []uint32) {
+			h.RowScan(seg, b.RowStart, b.RowPtr, b.Feat, b.Bin, grad, hess, 0)
+		})
+	}
+}
+
+// place runs the placement kernel once per block segment, as build does.
 func (r shardRows) place(sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap) {
-	placeRows(r.data.Row, uint32(r.slotOf[sp.feature]), sp, insts, bm)
+	col := uint32(r.slotOf[sp.feature])
+	r.eachSegment(insts, func(b *partition.Block, seg []uint32) {
+		placeSegment(seg, b.RowStart, b.RowPtr, b.Feat, b.Bin, col, sp, bm)
+	})
 }

@@ -101,8 +101,7 @@ func (t *trainer) sampleHeap() {
 }
 
 // allocRunState allocates the per-run prediction and gradient buffers,
-// seeding every instance's predictions with initScore, then lets the
-// engine allocate its own run scratch.
+// seeding every instance's predictions with initScore.
 func (t *trainer) allocRunState(initScore []float64) {
 	t.preds = make([]float64, t.n*t.c)
 	for i := 0; i < t.n; i++ {
@@ -110,7 +109,6 @@ func (t *trainer) allocRunState(initScore []float64) {
 	}
 	t.grads = make([]float64, t.n*t.c)
 	t.hessv = make([]float64, t.n*t.c)
-	t.eng.beginRun()
 }
 
 func (t *trainer) run(ck *checkpoint) (*Result, error) {

@@ -25,20 +25,25 @@ type verticalEngine struct {
 	cols     []*colStream        // QD3: per-worker full columns (slot-indexed)
 	csc      []*sparse.BinnedCSC // QD3 column-wise: the matrices cw's positions address
 	numBins  [][]int             // per worker, per slot
-	n2i      []*index.NodeToInstance
-	i2n      []*index.InstanceToNode // QD3 hybrid
-	cw       []*index.ColumnWise     // QD3 column-wise (Yggdrasil)
+	cw       []*index.ColumnWise // QD3 column-wise (Yggdrasil): per worker, over its own columns
 	hist     []map[int32]*histogram.Hist
 	layout   []histogram.Layout
 
-	// parts holds the per-worker placement bitmaps applyLayer merges,
-	// reused (and cleared) layer after layer.
-	parts []*bitmap.Bitmap
+	// n2i (and QD3's i2n) index all N instances, and every worker of a
+	// vertical cluster holds and updates the same one (Section 3: node
+	// splitting does not shrink with W). The copies a process would host —
+	// all W on the simulation, full-image and out-of-core ranks included —
+	// are identical after every layer, so the process holds one: it is
+	// written only inside cluster.Replicated steps and read, possibly
+	// concurrently, by the per-worker histogram and placement passes.
+	n2i *index.NodeToInstance
+	i2n *index.InstanceToNode
 
-	// scratch holds the non-leader workers' redundant-compute gradient
-	// buffers: every worker computes all gradients (Section 4.2.1 step 5),
-	// but only worker 0's land in the trainer's shared vectors.
-	scratch [][]float64
+	// parts holds the per-worker placement bitmaps applyLayer merges,
+	// reused (and cleared) layer after layer; wire is the receive buffer of
+	// a sharded layer's bitmap broadcasts.
+	parts []*bitmap.Bitmap
+	wire  []byte
 
 	transformBytes partition.ByteReport
 }
@@ -137,27 +142,29 @@ func (e *verticalEngine) prepare() error {
 	return nil
 }
 
-// allocWorkers allocates the per-worker slots initWorker fills.
+// allocWorkers allocates the process's indexes and placement bitmaps and
+// the per-worker slots initWorker fills.
 func (e *verticalEngine) allocWorkers() {
-	w := e.t.w
+	t, w := e.t, e.t.w
 	e.numBins = make([][]int, w)
-	e.n2i = make([]*index.NodeToInstance, w)
 	e.hist = make([]map[int32]*histogram.Hist, w)
 	e.layout = make([]histogram.Layout, w)
-	if e.t.cfg.Quadrant == QD3 {
-		e.i2n = make([]*index.InstanceToNode, w)
+	e.n2i = index.NewNodeToInstance(t.n)
+	if t.cfg.Quadrant == QD3 {
+		e.i2n = index.NewInstanceToNode(t.n)
 	}
+	e.parts = make([]*bitmap.Bitmap, w)
+	for i := range e.parts {
+		e.parts[i] = bitmap.New(t.n)
+	}
+	e.wire = make([]byte, e.parts[0].SizeBytes())
 }
 
-// initWorker builds worker w's indexes, histogram layout and map, and
-// per-slot bin counts. Slots of workers this rank does not host stay nil
-// (every access runs under ParallelLocal or a nil guard).
+// initWorker builds worker w's histogram layout and map and per-slot bin
+// counts. Slots of workers this rank does not host stay nil (every access
+// runs under ParallelLocal or a nil guard).
 func (e *verticalEngine) initWorker(w int) {
 	t := e.t
-	e.n2i[w] = index.NewNodeToInstance(t.n)
-	if e.i2n != nil {
-		e.i2n[w] = index.NewInstanceToNode(t.n)
-	}
 	e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
 	e.hist[w] = make(map[int32]*histogram.Hist)
 	numBins := make([]int, len(e.groups[w]))
@@ -255,20 +262,6 @@ func (e *verticalEngine) buildFeatureMaps() {
 	}
 }
 
-// beginRun allocates the redundant-compute gradient scratch of the
-// hosted non-lead workers. On a distributed cluster each rank hosts
-// exactly its lead worker, which writes the trainer's shared vectors
-// directly, so no scratch exists at all.
-func (e *verticalEngine) beginRun() {
-	t := e.t
-	e.scratch = make([][]float64, t.w)
-	for w := 0; w < t.w; w++ {
-		if t.cl.HostsWorker(w) && !t.cl.Lead(w) {
-			e.scratch[w] = make([]float64, t.n*t.c)
-		}
-	}
-}
-
 // usesSubtraction implements engine: both vertical quadrants keep
 // per-node local histograms, so siblings derive by subtraction.
 func (e *verticalEngine) usesSubtraction() bool { return true }
@@ -276,38 +269,27 @@ func (e *verticalEngine) usesSubtraction() bool { return true }
 // transformReport implements engine.
 func (e *verticalEngine) transformReport() partition.ByteReport { return e.transformBytes }
 
-// computeGradients has every worker process every instance, because each
-// needs the gradients of all instances to build histograms for its
-// feature subset (labels were broadcast for exactly this purpose,
-// Section 4.2.1 step 5).
+// computeGradients processes every instance: each worker needs the
+// gradients of all instances to build histograms for its feature subset
+// (labels were broadcast for exactly this purpose, Section 4.2.1 step 5),
+// so the pass is the same at every worker — a replicated step.
 func (e *verticalEngine) computeGradients() {
 	t := e.t
 	labels := t.ds.Labels
-	t.cl.ParallelLocal(phaseGrad, func(w int) {
-		g, h := t.grads, t.hessv
-		if !t.cl.Lead(w) {
-			g = e.scratch[w][:t.n*t.c]
-			h = e.scratch[w][:t.n*t.c] // same buffer: redundant work, discarded
-		}
+	t.cl.Replicated(phaseGrad, func() {
 		for i := 0; i < t.n; i++ {
-			t.obj.GradHess(t.preds[i*t.c:(i+1)*t.c], labels[i], g[i*t.c:(i+1)*t.c], h[i*t.c:(i+1)*t.c])
+			t.obj.GradHess(t.preds[i*t.c:(i+1)*t.c], labels[i], t.grads[i*t.c:(i+1)*t.c], t.hessv[i*t.c:(i+1)*t.c])
 		}
 	})
 }
 
 func (e *verticalEngine) resetIndexes() {
+	e.n2i.Reset()
+	if e.i2n != nil {
+		e.i2n.Reset()
+	}
 	// Nil slots belong to workers this rank does not host (sharded
 	// clusters build hosted-only structures).
-	for _, idx := range e.n2i {
-		if idx != nil {
-			idx.Reset()
-		}
-	}
-	for _, idx := range e.i2n {
-		if idx != nil {
-			idx.Reset()
-		}
-	}
 	for _, idx := range e.cw {
 		if idx != nil {
 			idx.Reset()
@@ -351,33 +333,27 @@ func (e *verticalEngine) deriveHistograms(toDerive []*nodeInfo) {
 	})
 }
 
+// rootTotals sums the gradients of all instances, as every worker would
+// from its gradient copy.
 func (e *verticalEngine) rootTotals() ([]float64, []float64) {
 	t := e.t
 	g := make([]float64, t.c)
 	h := make([]float64, t.c)
-	t.cl.ParallelLocal(phaseGrad, func(w int) {
-		// Every worker computes the same totals from its gradient copy;
-		// the lead worker's result is adopted (identical on every rank).
-		lg := make([]float64, t.c)
-		lh := make([]float64, t.c)
+	t.cl.Replicated(phaseGrad, func() {
 		if t.c == 1 {
 			var sg, sh float64
 			for i := 0; i < t.n; i++ {
 				sg += t.grads[i]
 				sh += t.hessv[i]
 			}
-			lg[0], lh[0] = sg, sh
-		} else {
-			for i := 0; i < t.n; i++ {
-				for k := 0; k < t.c; k++ {
-					lg[k] += t.grads[i*t.c+k]
-					lh[k] += t.hessv[i*t.c+k]
-				}
-			}
+			g[0], h[0] = sg, sh
+			return
 		}
-		if t.cl.Lead(w) {
-			copy(g, lg)
-			copy(h, lh)
+		for i := 0; i < t.n; i++ {
+			for k := 0; k < t.c; k++ {
+				g[k] += t.grads[i*t.c+k]
+				h[k] += t.hessv[i*t.c+k]
+			}
 		}
 	})
 	return g, h
@@ -394,7 +370,7 @@ func (e *verticalEngine) buildHistograms(toBuild []*nodeInfo) {
 		}
 		switch {
 		case t.cfg.Quadrant == QD4 && !t.cfg.FullCopy:
-			e.rows[w].build(hs, nodeLists(e.n2i[w], toBuild), t.grads, t.hessv)
+			e.rows[w].build(hs, nodeLists(e.n2i, toBuild), t.grads, t.hessv)
 		case t.cfg.Quadrant == QD4: // feature-parallel full copy
 			for i, nd := range toBuild {
 				e.buildFullCopy(w, nd, hs[i])
@@ -418,7 +394,7 @@ func (e *verticalEngine) buildHistograms(toBuild []*nodeInfo) {
 // features — LightGBM feature-parallel (Appendix D).
 func (e *verticalEngine) buildFullCopy(w int, nd *nodeInfo, h *histogram.Hist) {
 	t := e.t
-	h.RowScanOwned(e.n2i[w].Instances(nd.id), e.fullRows.RowPtr, e.fullRows.Feat, e.fullRows.Bin,
+	h.RowScanOwned(e.n2i.Instances(nd.id), e.fullRows.RowPtr, e.fullRows.Feat, e.fullRows.Bin,
 		e.ownerOf, e.slotOf, int32(w), t.grads, t.hessv)
 }
 
@@ -445,8 +421,8 @@ func (e *verticalEngine) buildColumnWise(w int, nd *nodeInfo, h *histogram.Hist)
 func (e *verticalEngine) buildHybrid(w int, nd *nodeInfo, h *histogram.Hist) {
 	t := e.t
 	cols := e.cols[w]
-	nodeOf := e.i2n[w].Assignments()
-	nodeInsts := e.n2i[w].Instances(nd.id)
+	nodeOf := e.i2n.Assignments()
+	nodeInsts := e.n2i.Instances(nd.id)
 	for j := range e.groups[w] {
 		lo, hi := cols.colRange(j)
 		colLen := int(hi - lo)
@@ -514,89 +490,80 @@ func (e *verticalEngine) findSplits(frontier []*nodeInfo) map[int32]resolvedSpli
 }
 
 // applyLayer computes instance placements at the split owners, broadcasts
-// them as one N-bit bitmap per layer (Section 3.1.3), and updates every
-// worker's indexes. Feature-parallel skips the broadcast: every worker
-// evaluates placements on its full copy.
+// them as one N-bit bitmap per layer (Section 3.1.3), and updates the
+// indexes from the bitmap. Feature-parallel skips the broadcast: every
+// worker evaluates the same placements on its full copy.
 func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map[int32][2]int32) {
 	t := e.t
 	if t.cfg.FullCopy {
-		t.cl.ParallelLocal(phaseNode, func(w int) {
-			for parent, ch := range children {
-				sp := splits[parent]
-				e.n2i[w].Split(parent, ch[0], ch[1], func(inst uint32) bool {
-					feats, binsArr := e.fullRows.Row(int(inst))
-					bin, ok := lookupBin(feats, binsArr, uint32(sp.feature))
-					if !ok {
-						return sp.defaultLeft
-					}
-					return int(bin) <= sp.bin
-				})
-			}
+		t.cl.Replicated(phaseNode, func() {
+			placeAndSplit(csrRows{m: e.fullRows}, e.n2i, e.parts[0], splits, children)
 		})
 		return
 	}
 
-	if t.ds.Shard != nil {
-		e.applyLayerSharded(splits, children)
-		return
-	}
-
 	// Each split's owner fills the placement bits for its node; merging
-	// the per-worker bitmaps yields the layer's placement. This stays a
-	// replicated Parallel even on a distributed cluster (full-image and
-	// out-of-core datasets): the vertical engines materialize or map every
-	// worker's columns and indexes at every rank, so each rank derives the
-	// full placement locally and only the broadcast's charge — realized
-	// as shadow traffic — touches the wire.
-	if e.parts == nil {
-		e.parts = make([]*bitmap.Bitmap, t.w)
-		for w := range e.parts {
-			e.parts[w] = bitmap.New(t.n)
-		}
-	}
-	t.cl.Parallel(phaseNode, func(w int) {
+	// the per-worker bitmaps yields the layer's placement.
+	fill := func(w int) {
 		bm := e.parts[w]
 		bm.Reset()
 		for parent := range children {
 			sp := splits[parent]
-			if e.ownerOf[sp.feature] != int32(w) {
-				continue
+			if e.ownerOf[sp.feature] == int32(w) {
+				e.fillPlacement(w, parent, sp, bm)
 			}
-			e.fillPlacement(w, parent, sp, bm)
 		}
-	})
-	placement := e.parts[0]
-	for w := 1; w < t.w; w++ {
-		placement.Or(e.parts[w])
 	}
-	t.cl.Broadcast(phaseNode, int64(placement.SizeBytes()))
-
-	goesLeft := func(inst uint32) bool { return placement.Get(int(inst)) }
-	t.cl.Parallel(phaseNode, func(w int) {
-		for parent, ch := range children {
-			e.n2i[w].Split(parent, ch[0], ch[1], goesLeft)
-			if t.cfg.Quadrant == QD3 && t.cfg.ColumnIndex == IndexColumnWise {
-				cols := e.csc[w]
-				e.cw[w].Split(parent, ch[0], ch[1], goesLeft, func(col int, pos uint32) uint32 {
-					insts, _ := cols.Col(col)
-					return insts[pos]
-				})
-			}
+	var placement *bitmap.Bitmap
+	if t.ds.Shard != nil {
+		t.cl.ParallelLocal(phaseNode, fill)
+		placement = e.exchangePlacement(splits, children)
+	} else {
+		// A replicated Parallel even on a distributed cluster (full-image
+		// and out-of-core datasets): the vertical engines materialize or
+		// map every worker's columns at every rank, so each rank derives
+		// the full placement locally and only the broadcast's charge —
+		// realized as shadow traffic — touches the wire.
+		t.cl.Parallel(phaseNode, fill)
+		placement = e.parts[0]
+		for w := 1; w < t.w; w++ {
+			placement.Or(e.parts[w])
 		}
-		if t.cfg.Quadrant == QD3 {
-			e.i2n[w].SplitLayer(children, goesLeft)
+		t.cl.Broadcast(phaseNode, int64(placement.SizeBytes()))
+	}
+
+	// Every worker applies the same bitmap to the same index of all N
+	// instances: one pass per process. QD3's column-wise indexes cover each
+	// worker's own columns and stay per worker.
+	t.cl.Replicated(phaseNode, func() {
+		for parent, ch := range children {
+			e.n2i.Split(parent, ch[0], ch[1], placement)
+		}
+		if e.i2n != nil {
+			e.i2n.SplitLayer(children, func(inst uint32) bool { return placement.Get(int(inst)) })
 		}
 	})
+	if e.cw != nil {
+		t.cl.ParallelLocal(phaseNode, func(w int) {
+			instsOf := func(col int) []uint32 {
+				insts, _ := e.csc[w].Col(col)
+				return insts
+			}
+			for parent, ch := range children {
+				e.cw[w].Split(parent, ch[0], ch[1], placement, instsOf)
+			}
+		})
+	}
 }
 
-// applyLayerSharded is applyLayer for a column-sharded cluster: a rank
-// holds only its own feature group, so it can place only the nodes whose
-// split feature it owns. Each rank fills its own placement shard, then
-// every owner of a splitting node broadcasts its shard — a real
-// data-carrying collective, charged against the alpha-beta model — and
-// ranks OR the shards together (each instance is routed by exactly one
-// owner). The merged placement, and hence every index transition, is
-// bit-identical to the replicated path's.
+// exchangePlacement merges a layer's placement on a column-sharded
+// cluster: a rank holds only its own feature group, so it placed only the
+// nodes whose split feature it owns (into parts[rank]). Every owner of a
+// splitting node broadcasts its shard — a real data-carrying collective,
+// charged against the alpha-beta model — and ranks OR the shards together
+// (each instance is routed by exactly one owner). The merged placement,
+// and hence every index transition, is bit-identical to the replicated
+// path's.
 //
 // Accounting note: each owner sends the whole n-bit bitmap, so a layer
 // with k splitting owners charges k full bitmaps where the replicated
@@ -605,19 +572,10 @@ func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map
 // difference — a few bitmap payloads per run — is real data movement
 // and is charged truthfully, so sharded runs account slightly more than
 // the full-image model while still training the identical bytes.
-func (e *verticalEngine) applyLayerSharded(splits map[int32]resolvedSplit, children map[int32][2]int32) {
+func (e *verticalEngine) exchangePlacement(splits map[int32]resolvedSplit, children map[int32][2]int32) *bitmap.Bitmap {
 	t := e.t
 	rank := t.cl.Rank()
-	placement := bitmap.New(t.n)
-	t.cl.ParallelLocal(phaseNode, func(w int) {
-		for parent := range children {
-			sp := splits[parent]
-			if e.ownerOf[sp.feature] != int32(w) {
-				continue
-			}
-			e.fillPlacement(w, parent, sp, placement)
-		}
-	})
+	placement := e.parts[rank]
 	// The layer's owner set derives from the (replicated) resolved splits,
 	// so every rank issues the identical broadcast sequence in ascending
 	// rank order.
@@ -625,51 +583,36 @@ func (e *verticalEngine) applyLayerSharded(splits map[int32]resolvedSplit, child
 	for parent := range children {
 		owners[e.ownerOf[splits[parent].feature]] = true
 	}
-	// Snapshot the rank's own shard before merging peers' bits in, so the
-	// broadcast payload is exactly this owner's routing decisions.
-	ownPayload, _ := placement.MarshalBinary()
-	part := bitmap.New(t.n)
+	// The rank's own shard is merged into only after the last broadcast, so
+	// its payload is exactly this owner's routing decisions.
 	for w := 0; w < t.w; w++ {
 		if !owners[w] {
 			continue
 		}
-		payload := ownPayload
-		if w != rank {
-			payload = make([]byte, placement.SizeBytes())
+		if w == rank {
+			payload, _ := placement.MarshalBinary() // never fails
+			t.cl.BroadcastBytes(phaseNode, payload, w)
+			continue
 		}
-		t.cl.BroadcastBytes(phaseNode, payload, w)
-		if w != rank {
-			// A transport failure leaves the payload zeroed; the merge stays
-			// well-formed and the trainer aborts at the tree boundary via
-			// cl.Err().
-			if err := part.UnmarshalBinary(payload); err == nil {
-				placement.Or(part)
-			}
+		// A transport failure leaves the payload zeroed; the merge stays
+		// well-formed and the trainer aborts at the tree boundary via
+		// cl.Err(). The lengths match by construction.
+		clear(e.wire)
+		t.cl.BroadcastBytes(phaseNode, e.wire, w)
+		_ = e.parts[w].UnmarshalBinary(e.wire)
+	}
+	for w := 0; w < t.w; w++ {
+		if owners[w] && w != rank {
+			placement.Or(e.parts[w])
 		}
 	}
-
-	goesLeft := func(inst uint32) bool { return placement.Get(int(inst)) }
-	t.cl.ParallelLocal(phaseNode, func(w int) {
-		for parent, ch := range children {
-			e.n2i[w].Split(parent, ch[0], ch[1], goesLeft)
-			if t.cfg.Quadrant == QD3 && t.cfg.ColumnIndex == IndexColumnWise {
-				cols := e.csc[w]
-				e.cw[w].Split(parent, ch[0], ch[1], goesLeft, func(col int, pos uint32) uint32 {
-					insts, _ := cols.Col(col)
-					return insts[pos]
-				})
-			}
-		}
-		if t.cfg.Quadrant == QD3 {
-			e.i2n[w].SplitLayer(children, goesLeft)
-		}
-	})
+	return placement
 }
 
 // fillPlacement writes the left/right bits of one splitting node, owned by
 // worker w (set bit = left child).
 func (e *verticalEngine) fillPlacement(w int, parent int32, sp resolvedSplit, bm *bitmap.Bitmap) {
-	insts := e.n2i[w].Instances(parent)
+	insts := e.n2i.Instances(parent)
 	if e.t.cfg.Quadrant == QD4 {
 		e.rows[w].place(sp, insts, bm)
 		return
@@ -683,10 +626,9 @@ func (e *verticalEngine) fillPlacement(w int, parent int32, sp resolvedSplit, bm
 	// pass with node-membership checks places every present value.
 	cols := e.cols[w]
 	lo, hi := cols.colRange(int(e.slotOf[sp.feature]))
-	i2n := e.i2n[w]
 	cols.scan(lo, hi, 0, func(colInsts []uint32, binsArr []uint16) {
 		for k, inst := range colInsts {
-			if i2n.Node(inst) != parent {
+			if e.i2n.Node(inst) != parent {
 				continue
 			}
 			bm.SetTo(int(inst), int(binsArr[k]) <= sp.bin)
@@ -694,70 +636,52 @@ func (e *verticalEngine) fillPlacement(w int, parent int32, sp resolvedSplit, bm
 	})
 }
 
-// childStats recomputes child totals from the (identical) per-worker
-// gradient copies; worker 0's result is adopted.
+// childStats recomputes the child totals from the gradient vectors through
+// the node-to-instance index, as every worker would.
 func (e *verticalEngine) childStats(nodes []*nodeInfo) {
 	t := e.t
-	stride := 2 * t.c
-	sums := make([]float64, stride*len(nodes))
-	counts := make([]int, len(nodes))
-	t.cl.ParallelLocal(phaseNode, func(w int) {
-		local := make([]float64, stride*len(nodes))
-		for i, nd := range nodes {
-			insts := e.n2i[w].Instances(nd.id)
-			o := i * stride
+	t.cl.Replicated(phaseNode, func() {
+		for _, nd := range nodes {
+			insts := e.n2i.Instances(nd.id)
+			nd.totalG = make([]float64, t.c)
+			nd.totalH = make([]float64, t.c)
+			nd.count = len(insts)
 			if t.c == 1 {
 				var g, h float64
 				for _, inst := range insts {
 					g += t.grads[inst]
 					h += t.hessv[inst]
 				}
-				local[o], local[o+1] = g, h
-			} else {
-				for _, inst := range insts {
-					gi := int(inst) * t.c
-					for k := 0; k < t.c; k++ {
-						local[o+k] += t.grads[gi+k]
-						local[o+t.c+k] += t.hessv[gi+k]
-					}
+				nd.totalG[0], nd.totalH[0] = g, h
+				continue
+			}
+			for _, inst := range insts {
+				gi := int(inst) * t.c
+				for k := 0; k < t.c; k++ {
+					nd.totalG[k] += t.grads[gi+k]
+					nd.totalH[k] += t.hessv[gi+k]
 				}
 			}
-			if t.cl.Lead(w) {
-				counts[i] = len(insts)
-			}
-		}
-		if t.cl.Lead(w) {
-			copy(sums, local)
 		}
 	})
-	for i, nd := range nodes {
-		o := i * stride
-		nd.totalG = append([]float64(nil), sums[o:o+t.c]...)
-		nd.totalH = append([]float64(nil), sums[o+t.c:o+stride]...)
-		nd.count = counts[i]
-	}
 }
 
-// updatePredictions applies leaf weights through the (identical)
-// node-to-instance indexes; every worker performs the update on its own
-// prediction copy.
+// updatePredictions applies the leaf weights through the node-to-instance
+// index to the predictions of all instances, as every worker would on its
+// own prediction copy.
 func (e *verticalEngine) updatePredictions(tr *tree.Tree) {
 	t := e.t
 	eta := t.cfg.LearningRate
-	t.cl.ParallelLocal(phaseUpdate, func(w int) {
-		preds := t.preds
-		if !t.cl.Lead(w) {
-			preds = e.scratch[w]
-		}
+	t.cl.Replicated(phaseUpdate, func() {
 		for id := range tr.Nodes {
 			n := &tr.Nodes[id]
 			if !n.IsLeaf() {
 				continue
 			}
-			for _, inst := range e.n2i[w].Instances(int32(id)) {
+			for _, inst := range e.n2i.Instances(int32(id)) {
 				gi := int(inst) * t.c
 				for k := 0; k < t.c; k++ {
-					preds[gi+k] += eta * n.Weights[k]
+					t.preds[gi+k] += eta * n.Weights[k]
 				}
 			}
 		}

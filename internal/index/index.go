@@ -12,10 +12,43 @@
 //     column is O(1), but every node split must update all D indexes.
 //
 // All three support the same split protocol: a parent node's instances are
-// partitioned into left and right children given a placement predicate.
+// partitioned into left and right children by the layer's placement — the
+// N-bit bitmap of Section 3.1.3 (set bit = left child) for the two
+// node-to-instance indexes, a predicate for the instance-to-node index,
+// whose horizontal user (QD1) never materializes a bitmap.
 package index
 
-import "fmt"
+import (
+	"fmt"
+
+	"vero/internal/bitmap"
+)
+
+// partition is the one split kernel of both node-to-instance indexes: a
+// stable, branch-free partition of items by the placement bits of their
+// instances (instOf[item]; the item itself when instOf is nil). Left items
+// are compacted in place, right items collect in scratch and are copied
+// back behind them. It returns the number of left items.
+func partition(items, scratch []uint32, instOf []uint32, words []uint64) int {
+	nl, nr := 0, 0
+	scratch = scratch[:len(items)]
+	for _, it := range items {
+		inst := it
+		if instOf != nil {
+			inst = instOf[it]
+		}
+		left := int(words[inst>>6] >> (inst & 63) & 1)
+		// Both stores are unconditional: items[nl] was already read (nl
+		// never passes the read cursor) and scratch[nr] is overwritten by
+		// the next right item if this one went left.
+		items[nl] = it
+		scratch[nr] = it
+		nl += left
+		nr += 1 - left
+	}
+	copy(items[nl:], scratch[:nr])
+	return nl
+}
 
 // NodeToInstance maps tree nodes to their instances. Instances are kept in
 // a single permutation array; each node owns a contiguous range, so
@@ -67,27 +100,16 @@ func (idx *NodeToInstance) Count(node int32) int {
 	return r[1] - r[0]
 }
 
-// Split partitions node's instances into left and right children using the
-// placement predicate. It is stable: relative instance order is preserved
-// within each child, keeping row scans sequential.
-func (idx *NodeToInstance) Split(node, left, right int32, goesLeft func(inst uint32) bool) {
+// Split partitions node's instances into left and right children by the
+// placement bitmap (set bit = left child). It is stable: relative instance
+// order is preserved within each child, keeping row scans sequential.
+func (idx *NodeToInstance) Split(node, left, right int32, placement *bitmap.Bitmap) {
 	r, ok := idx.ranges[node]
 	if !ok {
 		panic(fmt.Sprintf("index: split of unknown node %d", node))
 	}
 	lo, hi := r[0], r[1]
-	nl := 0
-	rightBuf := idx.scratch[:0]
-	out := idx.pos[lo:lo]
-	for _, inst := range idx.pos[lo:hi] {
-		if goesLeft(inst) {
-			out = append(out, inst)
-			nl++
-		} else {
-			rightBuf = append(rightBuf, inst)
-		}
-	}
-	copy(idx.pos[lo+nl:hi], rightBuf)
+	nl := partition(idx.pos[lo:hi], idx.scratch, nil, placement.Words())
 	delete(idx.ranges, node)
 	idx.ranges[left] = [2]int{lo, lo + nl}
 	idx.ranges[right] = [2]int{lo + nl, hi}
@@ -146,9 +168,9 @@ func (idx *InstanceToNode) SplitLayer(children map[int32][2]int32, goesLeft func
 
 // ColumnWise keeps a node-to-instance index per feature column: for every
 // column, a permutation of the column's entry positions grouped by tree
-// node. colLen gives each column's entry count; the instance owning each
-// entry is resolved through the instOf callback supplied to Split, so the
-// index works for any column storage.
+// node. colLen gives each column's entry count; the instances owning a
+// column's entries are resolved through the instsOf callback supplied to
+// Split, so the index works for any column storage.
 type ColumnWise struct {
 	perm    [][]uint32
 	ranges  []map[int32][2]int
@@ -197,29 +219,19 @@ func (cw *ColumnWise) Entries(col int, node int32) []uint32 {
 	return cw.perm[col][r[0]:r[1]]
 }
 
-// Split partitions every column's entries of the splitting node — the
-// update whose cost is proportional to D and which Section 3.2.3 flags as
-// the fatal drawback for high-dimensional data. instOf resolves the
-// instance id of a column entry position.
-func (cw *ColumnWise) Split(node, left, right int32, goesLeft func(inst uint32) bool, instOf func(col int, pos uint32) uint32) {
+// Split partitions every column's entries of the splitting node by the
+// placement bitmap — the update whose cost is proportional to D and which
+// Section 3.2.3 flags as the fatal drawback for high-dimensional data.
+// instsOf returns a column's instance ids, indexed by entry position.
+func (cw *ColumnWise) Split(node, left, right int32, placement *bitmap.Bitmap, instsOf func(col int) []uint32) {
+	words := placement.Words()
 	for j := range cw.perm {
 		r, ok := cw.ranges[j][node]
 		if !ok {
 			continue
 		}
 		lo, hi := r[0], r[1]
-		nl := 0
-		rightBuf := cw.scratch[:0]
-		out := cw.perm[j][lo:lo]
-		for _, pos := range cw.perm[j][lo:hi] {
-			if goesLeft(instOf(j, pos)) {
-				out = append(out, pos)
-				nl++
-			} else {
-				rightBuf = append(rightBuf, pos)
-			}
-		}
-		copy(cw.perm[j][lo+nl:hi], rightBuf)
+		nl := partition(cw.perm[j][lo:hi], cw.scratch, instsOf(j), words)
 		delete(cw.ranges[j], node)
 		cw.ranges[j][left] = [2]int{lo, lo + nl}
 		cw.ranges[j][right] = [2]int{lo + nl, hi}

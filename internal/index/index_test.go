@@ -2,8 +2,20 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"vero/internal/bitmap"
 )
+
+// placed returns the n-bit placement bitmap of a predicate.
+func placed(n int, goesLeft func(i uint32) bool) *bitmap.Bitmap {
+	bm := bitmap.New(n)
+	for i := 0; i < n; i++ {
+		bm.SetTo(i, goesLeft(uint32(i)))
+	}
+	return bm
+}
 
 func TestNodeToInstanceInitial(t *testing.T) {
 	idx := NewNodeToInstance(5)
@@ -27,7 +39,7 @@ func TestNodeToInstanceInitial(t *testing.T) {
 func TestNodeToInstanceSplitStable(t *testing.T) {
 	idx := NewNodeToInstance(6)
 	// Even instances left, odd right.
-	idx.Split(0, 1, 2, func(i uint32) bool { return i%2 == 0 })
+	idx.Split(0, 1, 2, placed(6, func(i uint32) bool { return i%2 == 0 }))
 	left := idx.Instances(1)
 	right := idx.Instances(2)
 	if len(left) != 3 || len(right) != 3 {
@@ -56,9 +68,9 @@ func TestNodeToInstanceDeepSplits(t *testing.T) {
 	for i := range side {
 		side[i] = uint8(rng.Intn(4))
 	}
-	idx.Split(0, 1, 2, func(i uint32) bool { return side[i] < 2 })
-	idx.Split(1, 3, 4, func(i uint32) bool { return side[i] == 0 })
-	idx.Split(2, 5, 6, func(i uint32) bool { return side[i] == 2 })
+	idx.Split(0, 1, 2, placed(n, func(i uint32) bool { return side[i] < 2 }))
+	idx.Split(1, 3, 4, placed(n, func(i uint32) bool { return side[i] == 0 }))
+	idx.Split(2, 5, 6, placed(n, func(i uint32) bool { return side[i] == 2 }))
 	total := 0
 	for node := int32(3); node <= 6; node++ {
 		for _, inst := range idx.Instances(node) {
@@ -80,12 +92,12 @@ func TestNodeToInstanceSplitUnknownPanics(t *testing.T) {
 			t.Fatal("split of unknown node did not panic")
 		}
 	}()
-	idx.Split(9, 1, 2, func(uint32) bool { return true })
+	idx.Split(9, 1, 2, bitmap.New(3))
 }
 
 func TestNodeToInstanceReset(t *testing.T) {
 	idx := NewNodeToInstance(4)
-	idx.Split(0, 1, 2, func(i uint32) bool { return i < 2 })
+	idx.Split(0, 1, 2, placed(4, func(i uint32) bool { return i < 2 }))
 	idx.Reset()
 	if idx.Count(0) != 4 || idx.Nodes() != 1 {
 		t.Fatalf("after Reset: Count=%d Nodes=%d", idx.Count(0), idx.Nodes())
@@ -133,8 +145,9 @@ func TestColumnWiseSplit(t *testing.T) {
 		t.Fatalf("NumCols = %d", cw.NumCols())
 	}
 	instOf := func(col int, pos uint32) uint32 { return colInst[col][pos] }
+	instsOf := func(col int) []uint32 { return colInst[col] }
 	// Instances 0,1 go left.
-	cw.Split(0, 1, 2, func(i uint32) bool { return i < 2 }, instOf)
+	cw.Split(0, 1, 2, placed(4, func(i uint32) bool { return i < 2 }), instsOf)
 	if got := cw.Entries(0, 1); len(got) != 2 || instOf(0, got[0]) != 0 || instOf(0, got[1]) != 1 {
 		t.Fatalf("col0 left entries = %v", got)
 	}
@@ -151,12 +164,12 @@ func TestColumnWiseMissingNodeOnColumn(t *testing.T) {
 	// child must not panic and must leave column 1 untouched.
 	colInst := [][]uint32{{0, 1}, {1}}
 	cw := NewColumnWise([]int{2, 1})
-	instOf := func(col int, pos uint32) uint32 { return colInst[col][pos] }
-	cw.Split(0, 1, 2, func(i uint32) bool { return i == 0 }, instOf)
+	instsOf := func(col int) []uint32 { return colInst[col] }
+	cw.Split(0, 1, 2, placed(2, func(i uint32) bool { return i == 0 }), instsOf)
 	if got := cw.Entries(1, 1); len(got) != 0 {
 		t.Fatalf("col1 has left entries %v", got)
 	}
-	cw.Split(1, 3, 4, func(i uint32) bool { return true }, instOf)
+	cw.Split(1, 3, 4, placed(2, func(i uint32) bool { return true }), instsOf)
 	if got := cw.Entries(0, 3); len(got) != 1 {
 		t.Fatalf("col0 node3 entries = %v", got)
 	}
@@ -165,8 +178,7 @@ func TestColumnWiseMissingNodeOnColumn(t *testing.T) {
 func TestColumnWiseReset(t *testing.T) {
 	colInst := [][]uint32{{0, 1, 2}}
 	cw := NewColumnWise([]int{3})
-	instOf := func(col int, pos uint32) uint32 { return colInst[col][pos] }
-	cw.Split(0, 1, 2, func(i uint32) bool { return i == 1 }, instOf)
+	cw.Split(0, 1, 2, placed(3, func(i uint32) bool { return i == 1 }), func(col int) []uint32 { return colInst[col] })
 	cw.Reset()
 	if got := cw.Entries(0, 0); len(got) != 3 {
 		t.Fatalf("after Reset root entries = %v", got)
@@ -202,13 +214,14 @@ func TestAllIndexesAgreeOnRandomSplits(t *testing.T) {
 			assign[i] = rng.Intn(2) == 0
 		}
 		goesLeft := func(i uint32) bool { return assign[i] }
+		placement := placed(n, goesLeft)
 		var newFrontier []int32
 		for _, node := range frontier {
 			l, r := next, next+1
 			next += 2
 			children[node] = [2]int32{l, r}
-			n2i.Split(node, l, r, goesLeft)
-			cw.Split(node, l, r, goesLeft, instOf)
+			n2i.Split(node, l, r, placement)
+			cw.Split(node, l, r, placement, func(col int) []uint32 { return colInst[col] })
 			newFrontier = append(newFrontier, l, r)
 		}
 		i2n.SplitLayer(children, goesLeft)
@@ -243,6 +256,79 @@ func TestAllIndexesAgreeOnRandomSplits(t *testing.T) {
 		}
 		if seen != colLen[j] {
 			t.Fatalf("col %d: %d entries indexed, want %d", j, seen, colLen[j])
+		}
+	}
+}
+
+// refPartition is the closure-predicate stable partition the bitmap kernels
+// replaced, kept here as their reference.
+func refPartition(items []uint32, goesLeft func(item uint32) bool) (left, right []uint32) {
+	for _, it := range items {
+		if goesLeft(it) {
+			left = append(left, it)
+		} else {
+			right = append(right, it)
+		}
+	}
+	return left, right
+}
+
+// TestBitmapSplitMatchesPredicateReference drives both node-to-instance
+// indexes through random placements — including all-left and all-right
+// layers (an empty child) and instance counts that are not a multiple of
+// the bitmap's word size — and checks every child's order and range against
+// the closure-predicate reference.
+func TestBitmapSplitMatchesPredicateReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{1, 63, 64, 65, 130, 1000} {
+		colInst := make([][]uint32, 3)
+		colLen := make([]int, len(colInst))
+		for j := range colInst {
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) > 0 {
+					colInst[j] = append(colInst[j], uint32(i))
+				}
+			}
+			colLen[j] = len(colInst[j])
+		}
+		n2i := NewNodeToInstance(n)
+		cw := NewColumnWise(colLen)
+		frontier := []int32{0}
+		next := int32(1)
+		for layer := 0; layer < 5; layer++ {
+			// Layer 1 sends everything left and layer 2 everything right, so
+			// later layers also split empty nodes.
+			leftShare := []int{100, 0, 50, 30, 70}[layer]
+			placement := placed(n, func(uint32) bool { return rng.Intn(100) < leftShare })
+			goesLeft := func(inst uint32) bool { return placement.Get(int(inst)) }
+			var newFrontier []int32
+			for _, node := range frontier {
+				l, r := next, next+1
+				next += 2
+				wantL, wantR := refPartition(n2i.Instances(node), goesLeft)
+				wantCols := make([][2][]uint32, len(colInst))
+				for j := range colInst {
+					wantCols[j][0], wantCols[j][1] = refPartition(cw.Entries(j, node), func(pos uint32) bool {
+						return goesLeft(colInst[j][pos])
+					})
+				}
+				before := n2i.Count(node)
+				n2i.Split(node, l, r, placement)
+				cw.Split(node, l, r, placement, func(col int) []uint32 { return colInst[col] })
+				if !slices.Equal(n2i.Instances(l), wantL) || !slices.Equal(n2i.Instances(r), wantR) {
+					t.Fatalf("n=%d layer %d node %d: children differ from the reference", n, layer, node)
+				}
+				if n2i.Count(l)+n2i.Count(r) != before || n2i.Instances(node) != nil {
+					t.Fatalf("n=%d layer %d node %d: child ranges do not tile the parent's", n, layer, node)
+				}
+				for j := range colInst {
+					if !slices.Equal(cw.Entries(j, l), wantCols[j][0]) || !slices.Equal(cw.Entries(j, r), wantCols[j][1]) {
+						t.Fatalf("n=%d layer %d node %d col %d: column-wise children differ from the reference", n, layer, node, j)
+					}
+				}
+				newFrontier = append(newFrontier, l, r)
+			}
+			frontier = newFrontier
 		}
 	}
 }

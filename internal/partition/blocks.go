@@ -214,8 +214,8 @@ func (bs *BlockSet) Merge(maxBlocks int) {
 		merged := &Block{
 			RowStart: a.RowStart,
 			RowPtr:   make([]int64, 0, len(a.RowPtr)+len(b.RowPtr)-1),
-			Feat:     append(append([]uint32(nil), a.Feat...), b.Feat...),
-			Bin:      append(append([]uint16(nil), a.Bin...), b.Bin...),
+			Feat:     append(append(make([]uint32, 0, a.NNZ()+b.NNZ()), a.Feat...), b.Feat...),
+			Bin:      append(append(make([]uint16, 0, a.NNZ()+b.NNZ()), a.Bin...), b.Bin...),
 		}
 		merged.RowPtr = append(merged.RowPtr, a.RowPtr...)
 		base := a.RowPtr[len(a.RowPtr)-1]

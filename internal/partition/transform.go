@@ -171,11 +171,27 @@ func (t *transformation) adoptSplits(splits [][]float32, featCount []int64) {
 
 // splitRows is step 3's compact encoding for one source: rows [lo, hi) of
 // x become one block per destination, entry (i, f) landing in block
-// destOf[f] as the pair (slotOf[f], bin of the value).
+// destOf[f] as the pair (slotOf[f], bin of the value). A first pass counts
+// each destination's entries so the pair arrays are allocated once at exact
+// capacity: grown by append they left more garbage than blocks, which the
+// trainer's first heap sample then did or did not see depending on whether
+// a GC cycle had finished.
 func (t *transformation) splitRows(x *sparse.CSR, lo, hi int, destOf, slotOf []int32, ndest int) []*Block {
+	counts := make([]int, ndest)
+	for i := lo; i < hi; i++ {
+		feats, _ := x.Row(i)
+		for _, f := range feats {
+			counts[destOf[f]]++
+		}
+	}
 	out := make([]*Block, ndest)
 	for dst := range out {
-		out[dst] = &Block{RowStart: lo, RowPtr: make([]int64, 1, hi-lo+1)}
+		out[dst] = &Block{
+			RowStart: lo,
+			RowPtr:   make([]int64, 1, hi-lo+1),
+			Feat:     make([]uint32, 0, counts[dst]),
+			Bin:      make([]uint16, 0, counts[dst]),
+		}
 	}
 	for i := lo; i < hi; i++ {
 		feats, vals := x.Row(i)

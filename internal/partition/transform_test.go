@@ -173,3 +173,22 @@ func TestVariantString(t *testing.T) {
 		t.Fatal("variant names wrong")
 	}
 }
+
+// TestTransformBlocksExactCapacity pins the peak-heap guard: the pair
+// arrays of every block a shard keeps — splitRows' own at W=4 (four blocks,
+// nothing merged), merged ones at W=8 — are allocated at exact capacity, so
+// the transformation leaves no append-growth garbage behind for the
+// trainer's first heap sample to see or miss.
+func TestTransformBlocksExactCapacity(t *testing.T) {
+	for _, w := range []int{4, 8} {
+		_, _, res := transformFixture(t, w, VariantBlockified)
+		for _, shard := range res.Shards {
+			for i, b := range shard.Data.Blocks {
+				if cap(b.Feat) != len(b.Feat) || cap(b.Bin) != len(b.Bin) {
+					t.Fatalf("W=%d worker %d block %d: Feat len %d cap %d, Bin len %d cap %d",
+						w, shard.Worker, i, len(b.Feat), cap(b.Feat), len(b.Bin), cap(b.Bin))
+				}
+			}
+		}
+	}
+}
