@@ -92,6 +92,31 @@ func parseBatchOverride(arg string) (name string, cfg serve.BatchConfig, err err
 	return name, cfg, nil
 }
 
+// Connection timeouts: a client may be slow, but not for ever, at any
+// point of a connection's life. They are constants, not flags: what they
+// defend (a goroutine and a buffer per stalled connection) does not
+// depend on the deployment, and the slowest honest request — a 32 MiB
+// body, the largest the predict endpoint reads, or 10000 rows against a
+// deep forest — fits them many times over.
+const (
+	readHeaderTimeout = 10 * time.Second  // request line and headers
+	readTimeout       = 30 * time.Second  // the whole request, body included
+	writeTimeout      = 60 * time.Second  // end of the headers to end of the response: admission wait, scoring, write
+	idleTimeout       = 120 * time.Second // a keep-alive connection between requests
+)
+
+// newHTTPServer is the http.Server veroserve listens with.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var models, batchOverrides modelFlags
 	var (
@@ -178,11 +203,7 @@ func main() {
 		logger.Printf("binned inference on: models without candidate splits fall back to float descent")
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	// On SIGINT/SIGTERM: flip /readyz to 503 first so load balancers stop
 	// routing, then stop accepting and drain the coalescing queues so
 	// every already-enqueued row is scored and answered.

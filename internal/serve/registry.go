@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -38,6 +39,9 @@ type handle struct {
 	// It is per-version (unlike metrics/inflight): rows it holds are scored
 	// by exactly this predictor, so hot-swaps never mix versions.
 	batcher *batcher
+	// respHead is every predict response of this version up to its scores:
+	// {"model":…,"version":…,"num_class":…,"scores":
+	respHead []byte
 }
 
 // Registry holds the served models. The zero value is not usable; build
@@ -154,10 +158,20 @@ func (r *Registry) compile(name, source string, model *gbdt.Model, prior *handle
 		h.inflight = make(chan struct{}, r.opts.MaxInFlight)
 		h.metrics = &modelMetrics{}
 	}
+	h.respHead = responseHead(name, h.version, pred.NumClass())
 	if cfg := r.opts.batchConfig(name); cfg.MaxRows > 1 {
 		h.batcher = newBatcher(pred, cfg, r.opts.clock, h.metrics)
 	}
 	return h, nil
+}
+
+// responseHead is a predict response up to its scores; only the scores
+// differ between the responses of one model version. encoding/json spells
+// the name, as it did when it wrote whole responses (HTML-safe escapes
+// included).
+func responseHead(name string, version, numClass int) []byte {
+	quoted, _ := json.Marshal(name) // a string always marshals
+	return fmt.Appendf(nil, `{"model":%s,"version":%d,"num_class":%d,"scores":`, quoted, version, numClass)
 }
 
 // publish installs mutate's result as the new model map. Callers must not

@@ -30,6 +30,11 @@
 //	{"model": "default", "version": 2, "num_class": 1,
 //	 "scores": [[0.83]], "probabilities": [[0.69]]}
 //
+// Predict bodies and responses do not go through encoding/json: codec.go
+// reads the body under a size cap, decodes it in one pass into pooled
+// rows and appends the response into the same buffer (docs/SERVING.md,
+// "The predict codec", has the limits and where it is stricter).
+//
 // Every request resolves its model handle exactly once, so a hot-swap
 // landing mid-request never mixes versions: the response is entirely the
 // version named in it. Concurrency is bounded per model: MaxInFlight caps
@@ -41,12 +46,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
 	"os"
-	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -362,6 +366,10 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	// The request's clock covers everything the server adds to it: the
+	// wait for admission, the body read, decode, scoring, and the response
+	// write.
+	start := time.Now()
 	// Resolve the handle once: everything below — admission, scoring,
 	// accounting, the response's (model, version) — is this one version,
 	// no matter what swaps land meanwhile.
@@ -382,12 +390,24 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	h.metrics.inFlight.Add(1)
 	defer h.metrics.inFlight.Add(-1)
-	start := time.Now()
 
-	req, feats, vals, status, err := decodePredictRequest(r.Body, s.opts.MaxBatchRows)
-	if err != nil {
-		h.metrics.observe(time.Since(start), 0, true)
+	// Everything the request decodes and the response it encodes live in
+	// sc until the handler returns; nothing below may keep a row, a margin
+	// view or the response bytes past that.
+	sc := scratchPool.Get().(*predictScratch)
+	defer sc.release()
+	fail := func(status int, err error) {
 		writeError(w, status, err.Error())
+		h.metrics.observe(time.Since(start), 0, true)
+	}
+	status, err := sc.readBody(w, r, bodyLimit(s.opts.MaxBatchRows))
+	if err != nil {
+		fail(status, err)
+		return
+	}
+	proba, status, err := sc.decode(sc.buf, s.opts.MaxBatchRows)
+	if err != nil {
+		fail(status, err)
 		return
 	}
 	// Single-row requests coalesce with concurrent ones into a shared
@@ -397,59 +417,30 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// request worth waiting for).
 	var margins []float64
 	batched := false
-	if h.batcher != nil && len(feats) == 1 {
-		margins, batched = h.batcher.enqueue(feats[0], vals[0])
+	if h.batcher != nil && len(sc.feats) == 1 {
+		margins, batched = h.batcher.enqueue(sc.feats[0], sc.vals[0])
 	}
 	if !batched {
-		margins = h.pred.PredictRows(feats, vals)
+		margins = h.pred.PredictRows(sc.feats, sc.vals)
+	}
+	var probs []float64
+	if proba {
+		probs = h.pred.Probabilities(margins)
 	}
 
-	k := h.pred.NumClass()
-	resp := PredictResponse{
-		Model:    h.name,
-		Version:  h.version,
-		NumClass: k,
-		Scores:   reshape(margins, k),
+	// The body is decoded, so its buffer takes the response. It is encoded
+	// whole before the status line goes out: a score JSON cannot carry is a
+	// 500, not a 200 cut short.
+	sc.buf, err = appendPredictResponse(sc.buf[:0], h.respHead, h.pred.NumClass(), margins, probs)
+	if err != nil {
+		fail(http.StatusInternalServerError, err)
+		return
 	}
-	if req.Proba {
-		resp.Probabilities = reshape(h.pred.Probabilities(margins), k)
-	}
-	h.metrics.observe(time.Since(start), len(feats), false)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// decodePredictRequest parses and validates a predict body, returning the
-// normalized sparse rows ready for the prediction engine. On error the
-// returned status is the HTTP code to answer with.
-func decodePredictRequest(body io.Reader, maxRows int) (*PredictRequest, [][]uint32, [][]float32, int, error) {
-	var req PredictRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, nil, http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
-	}
-	n := len(req.Rows) + len(req.Dense)
-	if n == 0 {
-		return nil, nil, nil, http.StatusBadRequest, fmt.Errorf("empty request: provide rows or dense")
-	}
-	if maxRows > 0 && n > maxRows {
-		return nil, nil, nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%d rows exceeds batch limit %d", n, maxRows)
-	}
-	feats := make([][]uint32, 0, n)
-	vals := make([][]float32, 0, n)
-	for i := range req.Rows {
-		feat, val, err := normalizeSparse(req.Rows[i])
-		if err != nil {
-			return nil, nil, nil, http.StatusBadRequest, fmt.Errorf("row %d: %w", i, err)
-		}
-		feats, vals = append(feats, feat), append(vals, val)
-	}
-	for _, dense := range req.Dense {
-		feat, val := sparsify(dense)
-		feats, vals = append(feats, feat), append(vals, val)
-	}
-	return &req, feats, vals, http.StatusOK, nil
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.buf) // a client that hung up is nobody's error
+	h.metrics.observe(time.Since(start), len(sc.feats), false)
 }
 
 // SwapRequest is the admin POST /v1/models/{name} body: the encoded-model
@@ -544,59 +535,6 @@ func (s *Server) handleAdminDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.opts.Logger.Printf("serve: deleted model %q (in-flight requests finish on their version)", name)
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
-}
-
-// normalizeSparse validates one sparse row and returns it sorted by
-// feature id, as the prediction engine requires.
-func normalizeSparse(row SparseRow) ([]uint32, []float32, error) {
-	if len(row.Indices) != len(row.Values) {
-		return nil, nil, fmt.Errorf("%d indices but %d values", len(row.Indices), len(row.Values))
-	}
-	feat := append([]uint32(nil), row.Indices...)
-	val := append([]float32(nil), row.Values...)
-	if !sort.SliceIsSorted(feat, func(i, j int) bool { return feat[i] < feat[j] }) {
-		order := make([]int, len(feat))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool { return feat[order[i]] < feat[order[j]] })
-		sf := make([]uint32, len(feat))
-		sv := make([]float32, len(val))
-		for i, o := range order {
-			sf[i] = feat[o]
-			sv[i] = val[o]
-		}
-		feat, val = sf, sv
-	}
-	for i := 1; i < len(feat); i++ {
-		if feat[i] == feat[i-1] {
-			return nil, nil, fmt.Errorf("duplicate feature index %d", feat[i])
-		}
-	}
-	return feat, val, nil
-}
-
-// sparsify converts a dense row to sorted sparse form, dropping zeros
-// (the storage convention of the training data).
-func sparsify(dense []float32) ([]uint32, []float32) {
-	var feat []uint32
-	var val []float32
-	for j, v := range dense {
-		if v != 0 {
-			feat = append(feat, uint32(j))
-			val = append(val, v)
-		}
-	}
-	return feat, val
-}
-
-// reshape splits a flat stride-k score vector into per-row slices.
-func reshape(flat []float64, k int) [][]float64 {
-	rows := make([][]float64, len(flat)/k)
-	for i := range rows {
-		rows[i] = flat[i*k : (i+1)*k]
-	}
-	return rows
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
