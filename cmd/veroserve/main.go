@@ -122,7 +122,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "prediction goroutines per batch (0 = GOMAXPROCS)")
-		blockRows   = flag.Int("block-rows", 0, "batch-scoring instance-block size (0 = default, 1 = per-row)")
+		blockRows   = flag.Int("block-rows", 0, "batch-scoring instance-block size, at most the compiled block size (0 = default)")
 		maxInflight = flag.Int("max-inflight", 64, "concurrent predict requests per model before queueing")
 		maxBatch    = flag.Int("max-batch", 10000, "maximum rows per predict request")
 		admin       = flag.Bool("admin", false, "enable model load/hot-swap/delete endpoints")

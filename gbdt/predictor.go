@@ -26,11 +26,13 @@ type PredictorOptions struct {
 	// Workers bounds the goroutines used per batch-prediction call
 	// (default GOMAXPROCS).
 	Workers int
-	// BlockRows is the instance-block size for batch scoring: batches are
-	// traversed in blocks of this many rows, tree-by-tree, so each tree's
-	// node arrays stay cache-hot across the block (bit-identical margins
-	// to the per-row walk). 0 selects tree.DefaultBlockRows; 1 disables
-	// blocking and scores row-at-a-time.
+	// BlockRows is the instance-block size PredictRows scores in: every
+	// batch, one row included, goes through the one blocked kernel, which
+	// descends each tree over a whole block of rows at a time
+	// (bit-identical margins to the pointer walk). It is clamped to the
+	// compiled block size, tree.DefaultBlockRows unless the forest routes
+	// on very many features; 0 selects that size. Predict over a dataset
+	// uses the compiled size unless Binned is set.
 	BlockRows int
 	// Binned selects bin-code descent: incoming values are quantized to
 	// uint8/uint16 bin indices against the model's candidate splits and
@@ -117,15 +119,12 @@ func (p *Predictor) PredictRowInto(feat []uint32, val []float32, out []float64) 
 
 // Predict returns raw scores for every instance of ds, row-major with
 // stride NumClass, scored in parallel by the predictor's worker pool
-// through the blocked batch kernel (see PredictorOptions.BlockRows).
+// through the blocked batch kernel.
 func (p *Predictor) Predict(ds *Dataset) []float64 {
 	if p.binned != nil {
 		return p.binned.PredictCSRBlocked(ds.X, p.workers, p.blockRows)
 	}
-	if p.blockRows == 1 {
-		return p.flat.PredictCSR(ds.X, p.workers)
-	}
-	return p.flat.PredictCSRBlocked(ds.X, p.workers, p.blockRows)
+	return p.flat.PredictCSR(ds.X, p.workers)
 }
 
 // predictRowsChunk is the number of rows one parallel work unit claims.
@@ -176,16 +175,10 @@ func (p *Predictor) PredictRows(feats [][]uint32, vals [][]float32) []float64 {
 	return out
 }
 
-// scoreChunk scores rows [lo, hi) on the calling goroutine, through the
-// blocked kernel unless BlockRows disabled it.
+// scoreChunk scores rows [lo, hi) on the calling goroutine through the
+// blocked kernel.
 func (p *Predictor) scoreChunk(feats [][]uint32, vals [][]float32, out []float64, lo, hi int) {
 	k := p.flat.NumClass()
-	if p.blockRows == 1 {
-		for i := lo; i < hi; i++ {
-			p.PredictRowInto(feats[i], vals[i], out[i*k:(i+1)*k])
-		}
-		return
-	}
 	if p.binned != nil {
 		p.binned.PredictBlock(feats[lo:hi], vals[lo:hi], out[lo*k:hi*k], p.blockRows)
 		return

@@ -68,8 +68,9 @@ type Options struct {
 	// Workers bounds the prediction goroutines per batch (default
 	// GOMAXPROCS, via gbdt.PredictorOptions).
 	Workers int
-	// BlockRows is the batch-scoring instance-block size (default
-	// tree.DefaultBlockRows; 1 disables blocking). See
+	// BlockRows is the batch-scoring instance-block size, clamped to the
+	// compiled block size (default tree.DefaultBlockRows). Every request,
+	// one row included, is scored by the one blocked kernel. See
 	// gbdt.PredictorOptions.BlockRows.
 	BlockRows int
 	// MaxInFlight bounds concurrently served predict requests per model

@@ -51,29 +51,24 @@ type BinnedForest struct {
 	e16 *binnedEngine[uint16]
 }
 
-// binnedEngine holds the width-specialized node image and scratch pools.
+// binnedEngine holds the width-specialized node thresholds and scratch
+// pool.
 type binnedEngine[C binCode] struct {
 	ff *FlatForest
-	// thresh[i] is node i's SplitBin (0 on leaves): code <= thresh routes
-	// left, mirroring value <= threshold.
+	// thresh[i] is node i's SplitBin: code <= thresh routes left,
+	// mirroring value <= threshold. Leaves hold the largest code, so a
+	// present cell keeps a row on its leaf.
 	thresh []C
 	// splits[g] holds the candidate splits of compact feature g, the
 	// quantization table for incoming values.
 	splits [][]float32
 
-	rowScratch   sync.Pool // *binScratch[C]
-	blockScratch sync.Pool // *binImage[C]
+	images sync.Pool // *binImage[C]
 }
 
-// binScratch is the single-row dense code image (numSplitFeat wide).
-type binScratch[C binCode] struct {
-	code    []C
-	present []bool
-	touched []int32
-}
-
-// binImage is the block-of-rows code image plus descent state, the binned
-// counterpart of blockImage.
+// binImage is the binned counterpart of keyImage: the block's codes in
+// the same feature-major layout, which cells are present, and the descent
+// state.
 type binImage[C binCode] struct {
 	code    []C
 	present []bool
@@ -144,15 +139,14 @@ func newBinnedEngine[C binCode](ff *FlatForest, compact [][]float32) *binnedEngi
 	e.thresh = make([]C, len(ff.splitBin))
 	for i, b := range ff.splitBin {
 		e.thresh[i] = C(b)
-	}
-	e.rowScratch.New = func() any {
-		return &binScratch[C]{
-			code:    make([]C, ff.numSplitFeat),
-			present: make([]bool, ff.numSplitFeat),
-			touched: make([]int32, 0, 64),
+		if ff.feature[i] < 0 {
+			e.thresh[i] = ^C(0)
 		}
 	}
-	e.blockScratch.New = func() any { return &binImage[C]{} }
+	e.images.New = func() any {
+		cells := max(ff.numSplitFeat, 1) * ff.stride
+		return &binImage[C]{code: make([]C, cells), present: make([]bool, cells), ids: make([]int32, ff.stride)}
+	}
 	return e
 }
 
@@ -185,75 +179,10 @@ func (e *binnedEngine[C]) binValue(g int32, v float32) C {
 	return C(lo)
 }
 
-// scatter quantizes a sparse row into the dense code image. Features no
-// split routes on are skipped.
-func (e *binnedEngine[C]) scatter(s *binScratch[C], feat []uint32, val []float32) {
-	remap := e.ff.remap
-	for j, f := range feat {
-		if int(f) >= len(remap) {
-			continue
-		}
-		g := remap[f]
-		if g < 0 {
-			continue
-		}
-		s.code[g] = e.binValue(g, val[j])
-		s.present[g] = true
-		s.touched = append(s.touched, g)
-	}
-}
-
-func (s *binScratch[C]) clear() {
-	for _, g := range s.touched {
-		s.present[g] = false
-	}
-	s.touched = s.touched[:0]
-}
-
-// predictRowInto walks every tree comparing bin codes, accumulating the
-// pre-scaled leaf weights (identical order and predicate to the float
-// walk).
-func (e *binnedEngine[C]) predictRowInto(feat []uint32, val []float32, out []float64) {
-	ff := e.ff
-	copy(out, ff.initScore)
-	s := e.rowScratch.Get().(*binScratch[C])
-	e.scatter(s, feat, val)
-	for _, root := range ff.roots {
-		id := root
-		for {
-			if ff.feature[id] < 0 {
-				w := ff.weights[ff.left[id] : ff.left[id]+int32(ff.numClass)]
-				for k := range w {
-					out[k] += w[k]
-				}
-				break
-			}
-			g := ff.blockFeat[id]
-			if s.present[g] {
-				if s.code[g] <= e.thresh[id] {
-					id = ff.left[id]
-				} else {
-					id = ff.right[id]
-				}
-			} else if ff.defaultLeft[id] {
-				id = ff.left[id]
-			} else {
-				id = ff.right[id]
-			}
-		}
-	}
-	s.clear()
-	e.rowScratch.Put(s)
-}
-
 // PredictRowInto computes the raw scores (margins) of one sparse row into
 // out, which must have length NumClass.
 func (bf *BinnedForest) PredictRowInto(feat []uint32, val []float32, out []float64) {
-	if bf.e8 != nil {
-		bf.e8.predictRowInto(feat, val, out)
-	} else {
-		bf.e16.predictRowInto(feat, val, out)
-	}
+	bf.PredictBlock([][]uint32{feat}, [][]float32{val}, out, 1)
 }
 
 // PredictRow returns the raw scores (margins) of one sparse row.
@@ -269,9 +198,9 @@ func (bf *BinnedForest) PredictRow(feat []uint32, val []float32) []float64 {
 // Margins are bit-identical to the float engine on every row.
 func (bf *BinnedForest) PredictBlock(feats [][]uint32, vals [][]float32, out []float64, block int) {
 	if bf.e8 != nil {
-		bf.e8.predictBlockRange(sliceRows{feats, vals}, 0, len(feats), out, block)
+		bf.e8.predict(feats, vals, out, block)
 	} else {
-		bf.e16.predictBlockRange(sliceRows{feats, vals}, 0, len(feats), out, block)
+		bf.e16.predict(feats, vals, out, block)
 	}
 }
 
@@ -286,153 +215,73 @@ func (bf *BinnedForest) PredictCSRBlocked(m *sparse.CSR, workers, block int) []f
 	}
 	block = bf.ff.blockSize(block)
 	chunk := ((batchRows + block - 1) / block) * block
-	fn := func(lo, hi int) {
-		if bf.e8 != nil {
-			bf.e8.predictBlockRange(m, lo, hi, out, block)
-		} else {
-			bf.e16.predictBlockRange(m, lo, hi, out, block)
-		}
-	}
-	parallelRowRanges(rows, chunk, workers, fn)
+	parallelRowRanges(rows, chunk, workers, func(lo, hi int) {
+		feats, vals := csrRows(m, lo, hi)
+		bf.PredictBlock(feats, vals, out[lo*bf.ff.numClass:hi*bf.ff.numClass], block)
+	})
 	return out
 }
 
-// ensure sizes the image for cells entries and rows ids, keeping capacity
-// across uses.
-func (s *binImage[C]) ensure(cells, rows int) {
-	if cap(s.code) < cells {
-		s.code = make([]C, cells)
-		s.present = make([]bool, cells)
-	}
-	s.code = s.code[:cells]
-	s.present = s.present[:cells]
-	if cap(s.ids) < rows {
-		s.ids = make([]int32, rows)
-	}
-	s.ids = s.ids[:rows]
-}
-
-func (s *binImage[C]) clear() {
-	for _, p := range s.touched {
-		s.present[p] = false
-	}
-	s.touched = s.touched[:0]
-}
-
-// predictBlockRange scores rows [lo, hi) into out with one code image,
-// block rows at a time — the binned mirror of the float
-// predictBlockRange, falling back to the per-row binned walk for tiny
-// batches.
-func (e *binnedEngine[C]) predictBlockRange(rows rowSource, lo, hi int, out []float64, block int) {
+// predict scores the rows (feats[i], vals[i]) into out with one code
+// image, block rows at a time — the binned mirror of FlatForest.PredictBlock.
+func (e *binnedEngine[C]) predict(feats [][]uint32, vals [][]float32, out []float64, block int) {
 	ff := e.ff
-	if hi-lo < blockedMinRows {
-		k := ff.numClass
-		for i := lo; i < hi; i++ {
-			feat, val := rows.Row(i)
-			e.predictRowInto(feat, val, out[i*k:(i+1)*k])
-		}
-		return
-	}
 	block = ff.blockSize(block)
-	s := e.blockScratch.Get().(*binImage[C])
-	s.ensure(block*ff.numSplitFeat, block)
-	f := ff.numSplitFeat
-	remap := ff.remap
-	for b0 := lo; b0 < hi; b0 += block {
-		b1 := b0 + block
-		if b1 > hi {
-			b1 = hi
-		}
+	s := e.images.Get().(*binImage[C])
+	k, stride, remap := ff.numClass, int32(ff.stride), ff.remap
+	for b0 := 0; b0 < len(feats); b0 += block {
+		b1 := min(b0+block, len(feats))
 		for i := b0; i < b1; i++ {
-			base := int32((i - b0) * f)
-			feat, val := rows.Row(i)
-			for j, ft := range feat {
-				if int(ft) >= len(remap) {
+			feat, val := feats[i], vals[i]
+			for j, f := range feat {
+				if int(f) >= len(remap) || remap[f] < 0 {
 					continue
 				}
-				g := remap[ft]
-				if g < 0 {
-					continue
-				}
-				s.code[base+g] = e.binValue(g, val[j])
-				s.present[base+g] = true
-				s.touched = append(s.touched, base+g)
+				g := remap[f]
+				p := g*stride + int32(i-b0)
+				s.code[p] = e.binValue(g, val[j])
+				s.present[p] = true
+				s.touched = append(s.touched, p)
 			}
-			copy(out[i*ff.numClass:(i+1)*ff.numClass], ff.initScore)
+			copy(out[i*k:(i+1)*k], ff.initScore)
 		}
-		if ff.numClass == 1 {
-			e.walkBlockScalar(s, out[b0:b1])
-		} else {
-			e.walkBlockVec(s, out[b0*ff.numClass:b1*ff.numClass], b1-b0)
+		ids := s.ids[:b1-b0]
+		for t, root := range ff.roots {
+			e.descend(s, ids, root, ff.depth[t])
+			ff.foldVec(ids, out[b0*k:b1*k])
 		}
-		s.clear()
+		for _, p := range s.touched {
+			s.present[p] = false
+		}
+		s.touched = s.touched[:0]
 	}
-	e.blockScratch.Put(s)
+	e.images.Put(s)
 }
 
-// descendBlock advances every row of the block through one tree in
-// lock-step levels, exactly like the float kernel but with an integer
-// compare: present ? code<=thresh : defaultLeft, leaves self-looping via
-// nav.
-func (e *binnedEngine[C]) descendBlock(s *binImage[C], rows int, root, steps int32) {
-	ff := e.ff
-	blockFeat, defaultLeft, nav := ff.blockFeat, ff.defaultLeft, ff.nav
-	thresh := e.thresh
-	code, present := s.code, s.present
-	f := ff.numSplitFeat
-	ids := s.ids[:rows]
+// descend takes every row of the block steps levels down one tree, like
+// FlatForest.walk but with an integer compare for present cells: present
+// ? code<=thresh : defaultLeft, where the node's range test on missingKey
+// is its default direction.
+//
+//go:noinline
+func (e *binnedEngine[C]) descend(s *binImage[C], ids []int32, root, steps int32) {
+	nodes, thresh := e.ff.nodes, e.thresh
 	for r := range ids {
 		ids[r] = root
 	}
-	for d := int32(0); d < steps; d++ {
-		base := 0
-		for r := range ids {
-			id := int(ids[r])
-			p := base + int(blockFeat[id])
-			l, rt := nav[2*id], nav[2*id+1]
-			routed := rt
-			if code[p] <= thresh[id] {
-				routed = l
+	for d := steps; d > 0; d-- {
+		for r, id := range ids {
+			n := &nodes[id]
+			p := int(n.off) + r
+			right := n.goesRight(missingKey)
+			if s.present[p] {
+				right = s.code[p] > thresh[id]
 			}
-			next := rt
-			if defaultLeft[id] {
-				next = l
-			}
-			if present[p] {
-				next = routed
+			next := n.left
+			if right {
+				next++
 			}
 			ids[r] = next
-			base += f
-		}
-	}
-}
-
-// walkBlockScalar is the numClass==1 fast path over the binned descent.
-func (e *binnedEngine[C]) walkBlockScalar(s *binImage[C], out []float64) {
-	ff := e.ff
-	left, weights := ff.left, ff.weights
-	for t, root := range ff.roots {
-		e.descendBlock(s, len(out), root, ff.treeSteps[t])
-		for r := range out {
-			out[r] += weights[left[s.ids[r]]]
-		}
-	}
-}
-
-// walkBlockVec is the multiclass path: identical descent, vector
-// accumulation per leaf.
-func (e *binnedEngine[C]) walkBlockVec(s *binImage[C], out []float64, rows int) {
-	ff := e.ff
-	left, weights := ff.left, ff.weights
-	k := ff.numClass
-	for t, root := range ff.roots {
-		e.descendBlock(s, rows, root, ff.treeSteps[t])
-		for r := 0; r < rows; r++ {
-			w := weights[left[s.ids[r]] : left[s.ids[r]]+int32(k)]
-			orow := out[r*k : r*k+k]
-			for c := range w {
-				orow[c] += w[c]
-			}
 		}
 	}
 }

@@ -185,7 +185,7 @@ func TestBinnedCSRBlockedMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := randomCSR(t, rng, 500, 30, 0.4)
-	want := ff.PredictCSRBlocked(m, 4, 64)
+	want := ff.PredictCSR(m, 4)
 	got := bf.PredictCSRBlocked(m, 4, 64)
 	for i := range want {
 		if got[i] != want[i] {

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -161,10 +163,69 @@ func TestFlatScratchDimSkipsUnroutedFeatures(t *testing.T) {
 	}
 }
 
-// TestPredictBlockMatchesPerRow is the blocked-kernel property test:
-// across random forests, random sparse batches, block sizes and worker
-// counts, the tree-major blocked traversal must reproduce the per-row
-// walk bit-exactly.
+// specialFloats are the values the routing keys must order exactly like
+// the float predicate: signed zeros, infinities, subnormals, the extremes
+// and NaNs with assorted payloads.
+var specialFloats = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32,
+	math.Float32frombits(0x7FC00000), math.Float32frombits(0xFFC00000), math.Float32frombits(0x7F800001),
+	math.Float32frombits(0xFFBFFFFF), 1, -1,
+}
+
+// withSpecialValues rewrites about a third of the forest's thresholds and
+// of m's stored values to specialFloats.
+func withSpecialValues(rng *rand.Rand, f *Forest, m *sparse.CSR) {
+	for _, tr := range f.Trees {
+		for i := range tr.Nodes {
+			if !tr.Nodes[i].IsLeaf() && rng.Intn(3) == 0 {
+				tr.Nodes[i].SplitValue = specialFloats[rng.Intn(len(specialFloats))]
+			}
+		}
+	}
+	for i := range m.Val {
+		if rng.Intn(3) == 0 {
+			m.Val[i] = specialFloats[rng.Intn(len(specialFloats))]
+		}
+	}
+}
+
+// preorder renumbers every tree depth-first, so an interior node's
+// children are not adjacent whenever its left child has children, and
+// returns the forest as DecodeForest reads it back.
+func preorder(t testing.TB, f *Forest) *Forest {
+	t.Helper()
+	for ti, tr := range f.Trees {
+		nodes := make([]Node, 0, len(tr.Nodes))
+		var visit func(id int32) int32
+		visit = func(id int32) int32 {
+			at := int32(len(nodes))
+			nodes = append(nodes, tr.Nodes[id])
+			if !tr.Nodes[id].IsLeaf() {
+				l := visit(tr.Nodes[id].Left)
+				nodes[at].Right = visit(tr.Nodes[id].Right)
+				nodes[at].Left = l
+			}
+			return at
+		}
+		visit(0)
+		f.Trees[ti] = &Tree{Nodes: nodes, NumClass: tr.NumClass}
+	}
+	data, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DecodeForest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestPredictBlockMatchesPerRow is the kernel's property test: across
+// random forests, batch sizes around the block size, block sizes, worker
+// counts and value edge cases, every entry point must reproduce the
+// pointer walk (Forest.PredictRow) bit-exactly.
 func TestPredictBlockMatchesPerRow(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -173,44 +234,127 @@ func TestPredictBlockMatchesPerRow(t *testing.T) {
 		trees    int
 		layers   int
 		d        int
+		special  bool // NaN / ±Inf / −0 thresholds and values
+		decoded  bool // siblings not adjacent in the source layout
 	}{
-		{"binary_dense", 1, 0.9, 12, 6, 50},
-		{"binary_sparse", 1, 0.05, 30, 5, 300},
-		{"multiclass", 4, 0.3, 12, 6, 50},
-		{"deep_narrow", 1, 0.7, 3, 9, 8},
+		{"binary_dense", 1, 0.9, 12, 6, 50, false, false},
+		{"binary_sparse", 1, 0.05, 30, 5, 300, false, false},
+		{"multiclass", 5, 0.3, 12, 6, 50, false, false},
+		{"deep_narrow", 1, 0.7, 3, 9, 8, false, false},
+		{"special_values", 1, 0.6, 12, 6, 20, true, false},
+		{"special_values_multiclass", 5, 0.6, 8, 5, 20, true, false},
+		{"preorder_decoded", 5, 0.4, 10, 6, 30, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for trial := int64(0); trial < 4; trial++ {
+			for trial := int64(0); trial < 3; trial++ {
 				rng := rand.New(rand.NewSource(100 + trial))
 				f := randomForest(t, rng, tc.trees, tc.layers, tc.d, tc.numClass)
-				m := randomCSR(t, rng, 150, tc.d, tc.density)
+				m := randomCSR(t, rng, 512, tc.d, tc.density)
+				if tc.special {
+					withSpecialValues(rng, f, m)
+				}
+				if tc.decoded {
+					f = preorder(t, f)
+				}
 				ff := Compile(f)
-				want := ff.PredictCSR(m, 1)
-
+				if err := ff.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				k := tc.numClass
 				feats := make([][]uint32, m.Rows())
 				vals := make([][]float32, m.Rows())
+				want := make([]float64, 0, m.Rows()*k)
 				for i := range feats {
 					feats[i], vals[i] = m.Row(i)
+					want = append(want, f.PredictRow(feats[i], vals[i])...)
 				}
-				for _, block := range []int{1, 3, DefaultBlockRows, 1000} {
-					got := make([]float64, len(want))
-					ff.PredictBlock(feats, vals, got, block)
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("trial %d block %d: score[%d] = %v, want %v (bit-exact)",
-								trial, block, i, got[i], want[i])
-						}
-					}
-					for _, workers := range []int{1, 4} {
-						csr := ff.PredictCSRBlocked(m, workers, block)
-						for i := range csr {
-							if csr[i] != want[i] {
-								t.Fatalf("trial %d block %d workers %d: CSR score[%d] = %v, want %v",
-									trial, block, workers, i, csr[i], want[i])
-							}
+				// check compares got with the pointer walk's scores from row
+				// `from` on.
+				check := func(what string, got []float64, from int) {
+					t.Helper()
+					for i, w := range want[from*k:][:len(got)] {
+						if math.Float64bits(got[i]) != math.Float64bits(w) {
+							t.Fatalf("trial %d %s: score[%d] = %v, pointer walk %v (bit-exact)",
+								trial, what, from*k+i, got[i], w)
 						}
 					}
 				}
+				for _, n := range []int{1, 15, 16, 17, 63, 64, 65, 512} {
+					for _, block := range []int{0, 1, 3, 1000} {
+						got := make([]float64, n*k)
+						ff.PredictBlock(feats[:n], vals[:n], got, block)
+						check(fmt.Sprintf("PredictBlock n=%d block=%d", n, block), got, 0)
+					}
+				}
+				for _, workers := range []int{1, 4} {
+					check(fmt.Sprintf("PredictCSR workers=%d", workers), ff.PredictCSR(m, workers), 0)
+				}
+				for i := 0; i < m.Rows(); i += 7 {
+					check("PredictRow", ff.PredictRow(feats[i], vals[i]), i)
+				}
+			}
+		})
+	}
+}
+
+// FuzzRouteKey holds the node range test to the float routing predicate
+// `present ? v <= thr : defaultLeft` for every value and threshold bit
+// pattern.
+func FuzzRouteKey(f *testing.F) {
+	for _, v := range specialFloats {
+		for _, thr := range specialFloats {
+			f.Add(math.Float32bits(v), math.Float32bits(thr), true, v == thr)
+		}
+		f.Add(math.Float32bits(v), math.Float32bits(v), false, true)
+		f.Add(math.Float32bits(v), math.Float32bits(v), false, false)
+	}
+	f.Fuzz(func(t *testing.T, vBits, thrBits uint32, present, defaultLeft bool) {
+		v, thr := math.Float32frombits(vBits), math.Float32frombits(thrBits)
+		n := interiorNode(0, thr, defaultLeft, 0)
+		key := uint32(missingKey)
+		left := defaultLeft
+		if present {
+			key, left = routeKey(v), v <= thr
+		}
+		if n.goesRight(key) == left {
+			t.Fatalf("v=%v (%#08x) thr=%v (%#08x) present=%v defaultLeft=%v: range test sends it the wrong way (key %#08x, node %+v)",
+				v, vBits, thr, thrBits, present, defaultLeft, key, n)
+		}
+	})
+}
+
+// TestFlatValidateRejectsCorruptImage corrupts one field of a valid
+// compiled forest at a time.
+func TestFlatValidateRejectsCorruptImage(t *testing.T) {
+	firstLeaf := func(ff *FlatForest) int {
+		for i, n := range ff.nodes {
+			if n.width == 0 {
+				return i
+			}
+		}
+		t.Fatal("no leaf")
+		return -1
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ff *FlatForest)
+	}{
+		{"interior_right_child_past_tree", func(ff *FlatForest) { ff.nodes[0].left = ff.roots[1] - 1 }},
+		{"interior_child_backwards", func(ff *FlatForest) { ff.nodes[0].left = 0 }},
+		{"column_outside_image", func(ff *FlatForest) { ff.nodes[0].off = int32(ff.numSplitFeat * ff.stride) }},
+		{"negative_column", func(ff *FlatForest) { ff.nodes[0].off = -1 }},
+		{"leaf_not_self_looping", func(ff *FlatForest) { ff.nodes[firstLeaf(ff)].left++ }},
+		{"leaf_weights_out_of_range", func(ff *FlatForest) { ff.nodes[firstLeaf(ff)].lo = uint32(len(ff.weights)) }},
+		{"missing_depths", func(ff *FlatForest) { ff.depth = ff.depth[:1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ff := Compile(randomForest(t, rand.New(rand.NewSource(3)), 4, 4, 10, 2))
+			if err := ff.Validate(); err != nil {
+				t.Fatalf("valid forest rejected: %v", err)
+			}
+			tc.corrupt(ff)
+			if err := ff.Validate(); err == nil {
+				t.Fatal("corrupt image accepted")
 			}
 		})
 	}
@@ -236,7 +380,7 @@ func TestPredictBlockEdgeCases(t *testing.T) {
 				}
 			}
 		}
-		if res := ff.PredictCSRBlocked(sparse.NewCSRBuilder(4).Build(), 4, 0); len(res) != 0 {
+		if res := ff.PredictCSR(sparse.NewCSRBuilder(4).Build(), 4); len(res) != 0 {
 			t.Fatalf("empty matrix produced %d scores", len(res))
 		}
 	})

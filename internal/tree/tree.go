@@ -266,14 +266,17 @@ func DecodeForest(data []byte) (*Forest, error) {
 }
 
 // Validate checks the structural invariants prediction relies on: every
-// tree is non-empty, interior child links point forward and in range, and
-// every leaf carries NumClass weights.
+// tree is non-empty, interior child links point forward and in range,
+// every non-root node has exactly one parent (so a tree is a tree, and
+// compiling it is linear in its nodes), and every leaf carries NumClass
+// weights.
 func (f *Forest) Validate() error {
 	for ti, t := range f.Trees {
 		n := int32(len(t.Nodes))
 		if n == 0 {
 			return fmt.Errorf("tree: forest tree %d has no nodes", ti)
 		}
+		hasParent := make([]bool, n)
 		for i := int32(0); i < n; i++ {
 			nd := &t.Nodes[i]
 			if nd.IsLeaf() {
@@ -286,6 +289,17 @@ func (f *Forest) Validate() error {
 			if nd.Left <= i || nd.Left >= n || nd.Right <= i || nd.Right >= n {
 				return fmt.Errorf("tree: forest tree %d node %d has child links (%d,%d) outside (%d,%d)",
 					ti, i, nd.Left, nd.Right, i, n)
+			}
+			for _, c := range [2]int32{nd.Left, nd.Right} {
+				if hasParent[c] {
+					return fmt.Errorf("tree: forest tree %d node %d has a second parent %d", ti, c, i)
+				}
+				hasParent[c] = true
+			}
+		}
+		for i := int32(1); i < n; i++ {
+			if !hasParent[i] {
+				return fmt.Errorf("tree: forest tree %d node %d has no parent", ti, i)
 			}
 		}
 	}

@@ -1,8 +1,11 @@
 package tree
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"vero/internal/sparse"
 )
@@ -162,6 +165,33 @@ func TestDecodeForestRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeForest([]byte(`{"num_class":0}`)); err == nil {
 		t.Fatal("DecodeForest accepted num_class 0")
+	}
+}
+
+// TestDecodeForestRejectsSharedChildren pins the one-parent rule: a chain
+// of interior nodes whose two links both point at the next node has
+// forward, in-range links, but 2^n root-to-leaf paths. It, and a tree
+// with an unreachable node, must be refused at decode, and quickly.
+func TestDecodeForestRejectsSharedChildren(t *testing.T) {
+	const n = 40
+	var b strings.Builder
+	b.WriteString(`{"num_class":1,"learning_rate":1,"init_score":[0],"trees":[{"num_class":1,"nodes":[`)
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&b, `{"feature":0,"left":%d,"right":%d},`, i+1, i+1)
+	}
+	b.WriteString(`{"feature":-1,"left":-1,"right":-1,"weights":[1]}]}]}`)
+	start := time.Now()
+	if _, err := DecodeForest([]byte(b.String())); err == nil || !strings.Contains(err.Error(), "second parent") {
+		t.Fatalf("shared-child chain: err = %v, want a second-parent error", err)
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Fatalf("rejecting a %d-node chain took %v", n, d)
+	}
+	orphan := `{"num_class":1,"learning_rate":1,"init_score":[0],"trees":[{"num_class":1,"nodes":[` +
+		`{"feature":0,"left":1,"right":3},{"feature":-1,"left":-1,"right":-1,"weights":[1]},` +
+		`{"feature":-1,"left":-1,"right":-1,"weights":[1]},{"feature":-1,"left":-1,"right":-1,"weights":[1]}]}]}`
+	if _, err := DecodeForest([]byte(orphan)); err == nil || !strings.Contains(err.Error(), "no parent") {
+		t.Fatalf("unreachable node: err = %v, want a no-parent error", err)
 	}
 }
 
