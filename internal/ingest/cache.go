@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,18 +80,8 @@ func Cached(dir, source string, opts Options) (*datasets.Dataset, CacheStatus, e
 	if err != nil {
 		return nil, "", err
 	}
-	opts, err = opts.withDefaults()
+	ds, err := coldCache(dir, path, source, opts)
 	if err != nil {
-		return nil, "", err
-	}
-	ds, err := IngestFile(source, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	if mkErr := os.MkdirAll(dir, 0o755); mkErr != nil {
-		return nil, "", fmt.Errorf("ingest: cache dir: %w", mkErr)
-	}
-	if err := WriteCacheFile(path, ds, ds.Prebin); err != nil {
 		return nil, "", err
 	}
 	return ds, CacheCold, nil
@@ -110,21 +101,35 @@ func EnsureCache(dir, source string, opts Options) (string, CacheStatus, error) 
 	if fresh(path, source) {
 		return path, CacheWarm, nil
 	}
-	opts, err = opts.withDefaults()
-	if err != nil {
-		return "", "", err
-	}
-	ds, err := IngestFile(source, opts)
-	if err != nil {
-		return "", "", err
-	}
-	if mkErr := os.MkdirAll(dir, 0o755); mkErr != nil {
-		return "", "", fmt.Errorf("ingest: cache dir: %w", mkErr)
-	}
-	if err := WriteCacheFile(path, ds, ds.Prebin); err != nil {
+	if _, err := coldCache(dir, path, source, opts); err != nil {
 		return "", "", err
 	}
 	return path, CacheCold, nil
+}
+
+// coldCache parses source and writes its .vbin image to path under dir,
+// returning the dataset with its Prebin attached. The matrix is
+// transposed once, for both the sketch and the image.
+func coldCache(dir, path, source string, opts Options) (*datasets.Dataset, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(source)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: %w", err)
+	}
+	defer f.Close()
+	ds, err := ReadDataset(f, opts)
+	if err != nil {
+		return nil, err
+	}
+	csc := ds.X.ToCSC()
+	ds.Prebin = columnPass(csc, opts)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("ingest: cache dir: %w", err)
+	}
+	return ds, writeFileAtomic(path, func(w io.Writer) error { return writeImage(w, ds, csc, ds.Prebin, opts.Workers) })
 }
 
 // fresh reports whether the cache at path exists and is at least as new

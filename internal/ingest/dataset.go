@@ -4,72 +4,56 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
 
 	"vero/internal/datasets"
 	"vero/internal/sketch"
 	"vero/internal/sparse"
 )
 
-// collector accumulates ordered blocks into CSR arrays, optionally feeding
-// per-feature quantile sketches as rows arrive.
+// collector keeps parsed blocks in file order and concatenates them
+// once, at exact size, when the scan is done.
 type collector struct {
-	labels []float32
-	rowPtr []int64
-	feat   []uint32
-	val    []float32
-	cols   int
-
-	sketchEps float64
-	sketches  []*sketch.GK // nil when the pass does not sketch
+	blocks    []*Block
+	rows, nnz int
+	cols      int
 }
 
-func newCollector(sketchEps float64) *collector {
-	c := &collector{rowPtr: make([]int64, 1, 1024), sketchEps: sketchEps}
-	if sketchEps > 0 {
-		c.sketches = make([]*sketch.GK, 0)
-	}
-	return c
-}
-
-// add appends one block. Blocks arrive in file order (ScanBlocks
-// guarantees it), so sketch insertion order equals global row order —
-// exactly the order sketch.Canonical uses.
 func (c *collector) add(b *Block) error {
-	if b.Cols > c.cols {
-		c.cols = b.Cols
-	}
-	base := int64(len(c.feat))
-	c.feat = append(c.feat, b.Feat...)
-	c.val = append(c.val, b.Val...)
-	for i := 1; i < len(b.RowPtr); i++ {
-		c.rowPtr = append(c.rowPtr, base+b.RowPtr[i])
-	}
-	c.labels = append(c.labels, b.Labels...)
-	if c.sketches != nil {
-		for len(c.sketches) < c.cols {
-			c.sketches = append(c.sketches, nil)
-		}
-		for k, f := range b.Feat {
-			if c.sketches[f] == nil {
-				c.sketches[f] = sketch.New(c.sketchEps)
-			}
-			c.sketches[f].Add(float64(b.Val[k]))
-		}
-	}
+	c.blocks = append(c.blocks, b)
+	c.rows += b.NumRows()
+	c.nnz += len(b.Feat)
+	c.cols = max(c.cols, b.Cols)
 	return nil
 }
 
-// dataset finalizes the accumulated matrix into a Dataset named name.
+// dataset concatenates the collected blocks into a Dataset named name.
 func (c *collector) dataset(name string, numClass int) (*datasets.Dataset, error) {
 	cols := c.cols
-	if len(c.labels) == 0 {
+	if c.rows == 0 {
 		cols = 0
 	} else if cols == 0 {
 		// Rows but no stored entries: the reference parser derives cols as
 		// maxFeat+1 with maxFeat starting at zero, so feature 0 exists.
 		cols = 1
 	}
-	x, err := sparse.NewCSR(len(c.labels), cols, c.rowPtr, c.feat, c.val)
+	// Grow leaves an empty matrix's arrays nil, as the reference parser does.
+	labels, feat, val := slices.Grow([]float32(nil), c.rows), slices.Grow([]uint32(nil), c.nnz), slices.Grow([]float32(nil), c.nnz)
+	rowPtr := make([]int64, 1, c.rows+1)
+	for i, b := range c.blocks {
+		base := int64(len(feat))
+		for _, p := range b.RowPtr[1:] {
+			rowPtr = append(rowPtr, base+p)
+		}
+		feat = append(feat, b.Feat...)
+		val = append(val, b.Val...)
+		labels = append(labels, b.Labels...)
+		c.blocks[i] = nil
+	}
+	x, err := sparse.NewCSR(c.rows, cols, rowPtr, feat, val)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: assemble: %w", err)
 	}
@@ -80,27 +64,55 @@ func (c *collector) dataset(name string, numClass int) (*datasets.Dataset, error
 	case numClass > 2:
 		task = datasets.TaskMulti
 	}
-	return &datasets.Dataset{Name: name, X: x, Labels: c.labels, NumClass: numClass, Task: task}, nil
+	return &datasets.Dataset{Name: name, X: x, Labels: labels, NumClass: numClass, Task: task}, nil
 }
 
-// prebin derives the candidate splits and per-feature counts from the
-// collector's streamed sketches. cols is the finalized dataset width,
-// which can exceed the sketched width (a dataset with rows but no stored
-// entries still has one feature).
-func (c *collector) prebin(q, cols int) *datasets.Prebin {
-	pb := &datasets.Prebin{
-		SketchEps: c.sketchEps,
-		Q:         q,
-		Splits:    make([][]float32, cols),
-		FeatCount: make([]int64, cols),
-	}
-	for f, sk := range c.sketches {
-		if sk == nil || sk.Count() == 0 {
-			continue
+// eachColumn runs fn once for every column of colPtr on up to workers
+// goroutines, dealt in contiguous runs of about equal nnz (sketching and
+// binning a column cost time linear in its entries), and returns when all
+// have finished. What fn writes per column cannot depend on the dealing.
+func eachColumn(colPtr []int64, workers int, fn func(f int)) {
+	cols := len(colPtr) - 1
+	workers = min(workers, cols)
+	var wg sync.WaitGroup
+	lo := 0
+	for w := 1; w <= workers; w++ {
+		hi := cols
+		if w < workers {
+			target := colPtr[cols] * int64(w) / int64(workers)
+			hi = max(lo, sort.Search(cols, func(f int) bool { return colPtr[f] >= target }))
 		}
-		pb.Splits[f] = sk.CandidateSplits(q)
-		pb.FeatCount[f] = sk.Count()
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for f := lo; f < hi; f++ {
+				fn(f)
+			}
+		}(lo, hi)
+		lo = hi
 	}
+	wg.Wait()
+}
+
+// columnPass derives the prebin of a transposed matrix: per feature, GK
+// over the column, then its candidate splits and count. A column of a CSC
+// keeps global row order, which is sketch.Canonical's insertion order, and
+// a sketch depends on no other feature, so the columns are sketched in
+// parallel and the prebin equals the serial pass's bit for bit.
+func columnPass(csc *sparse.CSC, opts Options) *datasets.Prebin {
+	pb := &datasets.Prebin{
+		SketchEps: opts.SketchEps,
+		Q:         opts.Q,
+		Splits:    make([][]float32, csc.Cols()),
+		FeatCount: make([]int64, csc.Cols()),
+	}
+	eachColumn(csc.ColPtr, opts.Workers, func(f int) {
+		_, vals := csc.Col(f)
+		if sk := sketch.Column(vals, opts.SketchEps); sk != nil && sk.Count() > 0 {
+			pb.Splits[f] = sk.CandidateSplits(opts.Q)
+			pb.FeatCount[f] = sk.Count()
+		}
+	})
 	return pb
 }
 
@@ -113,15 +125,15 @@ func ReadDataset(r io.Reader, opts Options) (*datasets.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newCollector(0)
+	c := &collector{}
 	if err := ScanBlocks(r, opts, c.add); err != nil {
 		return nil, err
 	}
 	return c.dataset(string(opts.Format), opts.NumClass)
 }
 
-// Ingest parses the input and simultaneously feeds per-feature quantile
-// sketches, returning a dataset with a Prebin attached: candidate splits
+// Ingest parses the input and derives per-feature quantile sketches from
+// it, returning a dataset with a Prebin attached: candidate splits
 // identical to what the trainer's canonical sketch pass would derive with
 // the same (SketchEps, Q). Training the result skips the sketch phase.
 func Ingest(r io.Reader, opts Options) (*datasets.Dataset, error) {
@@ -129,15 +141,11 @@ func Ingest(r io.Reader, opts Options) (*datasets.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newCollector(opts.SketchEps)
-	if err := ScanBlocks(r, opts, c.add); err != nil {
-		return nil, err
-	}
-	ds, err := c.dataset(string(opts.Format), opts.NumClass)
+	ds, err := ReadDataset(r, opts)
 	if err != nil {
 		return nil, err
 	}
-	ds.Prebin = c.prebin(opts.Q, ds.NumFeatures())
+	ds.Prebin = columnPass(ds.X.ToCSC(), opts)
 	return ds, nil
 }
 
@@ -152,23 +160,9 @@ func IngestFile(path string, opts Options) (*datasets.Dataset, error) {
 }
 
 // Prebinned derives a Prebin for an already-materialized dataset by the
-// same canonical pass ingestion streams: one sketch per feature, values
+// same canonical pass ingestion runs: one sketch per feature, values
 // inserted in global row order. It is how datasets that never passed
 // through a file (synthetic generators) get cached.
 func Prebinned(ds *datasets.Dataset, sketchEps float64, q int) *datasets.Prebin {
-	sks := sketch.Canonical(ds.X, sketchEps)
-	pb := &datasets.Prebin{
-		SketchEps: sketchEps,
-		Q:         q,
-		Splits:    make([][]float32, ds.NumFeatures()),
-		FeatCount: make([]int64, ds.NumFeatures()),
-	}
-	for f, sk := range sks {
-		if sk == nil || sk.Count() == 0 {
-			continue
-		}
-		pb.Splits[f] = sk.CandidateSplits(q)
-		pb.FeatCount[f] = sk.Count()
-	}
-	return pb
+	return columnPass(ds.X.ToCSC(), Options{SketchEps: sketchEps, Q: q, Workers: runtime.GOMAXPROCS(0)})
 }

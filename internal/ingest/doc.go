@@ -1,6 +1,6 @@
 // Package ingest is the dataset ingestion pipeline: chunked, parallel
-// parsing of LibSVM and CSV sources, a streaming quantile-sketch pass that
-// derives histogram bin boundaries while the data is read, and a
+// parsing of LibSVM and CSV sources, a column pass that derives histogram
+// bin boundaries from one transposition of the parsed matrix, and a
 // versioned, columnar binned binary cache (.vbin) that lets warm runs skip
 // parsing and binning entirely.
 //
@@ -11,15 +11,19 @@
 // consumer sees blocks in file order. Everything downstream is a consumer
 // of that one block iterator:
 //
-//   - ReadDataset accumulates blocks into an in-memory Dataset — the same
-//     matrix the single-threaded reference parser (datasets.ReadLibSVM)
-//     produces, bit for bit.
-//   - Ingest additionally feeds every value into per-feature
-//     Greenwald–Khanna sketches (internal/sketch) as blocks arrive. Because
-//     blocks are re-sequenced into row order first, the streaming pass
-//     reproduces sketch.Canonical exactly, and the resulting candidate
-//     splits are attached to the Dataset as a datasets.Prebin the trainer
-//     adopts instead of re-sketching.
+//   - ReadDataset collects the blocks and concatenates them once, at exact
+//     size, into an in-memory Dataset — the same matrix the
+//     single-threaded reference parser (datasets.ReadLibSVM) produces, bit
+//     for bit.
+//   - Ingest then transposes the matrix once and sketches every feature's
+//     column with Greenwald–Khanna (internal/sketch), the columns dealt to
+//     Options.Workers goroutines. A feature's sketch depends only on the
+//     order of its own values, and a column keeps global row order, so the
+//     parallel pass reproduces sketch.Canonical exactly; the resulting
+//     candidate splits are attached to the Dataset as a datasets.Prebin the
+//     trainer adopts instead of re-sketching.
+//   - A cold Cached or EnsureCache reuses that transposition for the image:
+//     the columns are binned in parallel straight into its bins section.
 //
 // Chunking bounds the parser's scratch memory, not the final matrix: the
 // trainer needs the whole (binned) dataset resident, so ingestion still

@@ -122,21 +122,15 @@ type Block struct {
 	Cols int
 
 	// firstLine is the 1-based input line of the block's first physical
-	// line; width is the CSV field count (0 for LibSVM), both kept for
-	// cross-block error reporting.
+	// line (blank and comment lines before its first row only make a
+	// reported line earlier); width is the CSV field count (0 for LibSVM),
+	// both kept for cross-block error reporting.
 	firstLine int
 	width     int
 }
 
 // NumRows returns the number of parsed rows in the block.
 func (b *Block) NumRows() int { return len(b.Labels) }
-
-// Row returns the feature indices and values of block-local row i. The
-// slices alias block storage.
-func (b *Block) Row(i int) (feat []uint32, val []float32) {
-	lo, hi := b.RowPtr[i], b.RowPtr[i+1]
-	return b.Feat[lo:hi], b.Val[lo:hi]
-}
 
 // rawChunk is an unparsed run of complete input lines.
 type rawChunk struct {
@@ -155,7 +149,8 @@ type blockResult struct {
 // invokes fn for each block in file order. Parsing runs on Options.Workers
 // goroutines; fn runs on the calling goroutine, strictly sequentially, and
 // a non-nil error from it stops the scan. The first error in file order
-// wins, so results are deterministic regardless of scheduling.
+// wins, so results are deterministic regardless of scheduling. Every
+// goroutine the scan starts has exited when it returns.
 func ScanBlocks(r io.Reader, opts Options, fn func(*Block) error) error {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -171,13 +166,17 @@ func ScanBlocks(r io.Reader, opts Options, fn func(*Block) error) error {
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	defer halt()
 
 	var readErr error
+	produced := make(chan struct{})
 	go func() {
+		defer close(produced)
 		defer close(chunkCh)
 		readErr = produceChunks(r, opts.ChunkRows, chunkCh, stop)
 	}()
+	// On an early stop the reader may still be inside a Read; it notices
+	// the stop at its next send.
+	defer func() { halt(); <-produced }()
 
 	var wg sync.WaitGroup
 	wg.Add(opts.Workers)
@@ -230,7 +229,7 @@ func ScanBlocks(r io.Reader, opts Options, fn func(*Block) error) error {
 				if width == 0 {
 					width = b.width
 				} else if b.width != width {
-					emitErr = fmt.Errorf("ingest: line %d: row has %d fields, want %d", b.firstDataLine(), b.width, width)
+					emitErr = fmt.Errorf("ingest: line %d: row has %d fields, want %d", b.firstLine, b.width, width)
 					halt()
 					break
 				}
@@ -251,11 +250,6 @@ func ScanBlocks(r io.Reader, opts Options, fn func(*Block) error) error {
 	}
 	return readErr
 }
-
-// firstDataLine approximates the block's first row's line number for
-// cross-block error reports; blank and comment lines before it only make
-// the reported line earlier, never wrong by direction.
-func (b *Block) firstDataLine() int { return b.firstLine }
 
 // produceChunks slices the input into runs of up to chunkRows complete
 // lines. Line boundaries never split a chunk mid-row, so a row cannot

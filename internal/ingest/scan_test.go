@@ -116,9 +116,6 @@ func TestStreamedPrebinMatchesCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The file round-trip may drop float precision? No: WriteLibSVM uses %g
-	// which round-trips float32 exactly, so sketching the parsed matrix
-	// equals sketching the generated one.
 	want := Prebinned(ref, 0.01, 20)
 	if !reflect.DeepEqual(ing.Prebin.Splits, want.Splits) {
 		t.Fatal("streamed splits differ from canonical pass")

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"vero/internal/datasets"
 	"vero/internal/failpoint"
@@ -76,65 +77,59 @@ func WriteCache(w io.Writer, ds *datasets.Dataset, pb *datasets.Prebin) error {
 	if len(pb.Splits) != ds.NumFeatures() || len(pb.FeatCount) != ds.NumFeatures() {
 		return fmt.Errorf("ingest: prebin covers %d features, dataset has %d", len(pb.Splits), ds.NumFeatures())
 	}
-	binner := &sparse.Binner{Splits: pb.Splits}
-	binned, err := binner.BinCSR(ds.X)
-	if err != nil {
-		return fmt.Errorf("ingest: bin: %w", err)
-	}
-	csc := binned.ToCSC()
+	return writeImage(w, ds, ds.X.ToCSC(), pb, runtime.GOMAXPROCS(0))
+}
 
-	rows, cols, nnz := ds.NumInstances(), ds.NumFeatures(), csc.NNZ()
-	splitsTotal := 0
-	maxBins := 0
+// writeImage writes the .vbin image of ds from its transposition csc. The
+// columns are binned on workers goroutines straight into the bins
+// section, the instance section is csc's own instance column, and the
+// sections are checksummed and written where they lie: no payload buffer
+// is assembled.
+func writeImage(w io.Writer, ds *datasets.Dataset, csc *sparse.CSC, pb *datasets.Prebin, workers int) error {
+	rows, cols, nnz := ds.NumInstances(), len(pb.Splits), csc.NNZ()
+	splitsTotal, binWidth := 0, 1
 	for _, s := range pb.Splits {
 		splitsTotal += len(s)
-		if len(s) > maxBins {
-			maxBins = len(s)
+		if len(s) > 1<<8 {
+			binWidth = 2
 		}
 	}
-	binWidth := 1
-	if maxBins > 1<<8 {
-		binWidth = 2
+	tail := make([]byte, binWidth*nnz+4*rows) // bins section, then labels section
+	eachColumn(csc.ColPtr, workers, func(f int) {
+		binner := sparse.Binner{Splits: pb.Splits[f : f+1]}
+		lo, hi := csc.ColPtr[f], csc.ColPtr[f+1]
+		for k, v := range csc.Val[lo:hi] {
+			if b := binner.BinValue(0, v); binWidth == 1 {
+				tail[lo+int64(k)] = byte(b)
+			} else {
+				binary.LittleEndian.PutUint16(tail[2*(lo+int64(k)):], b)
+			}
+		}
+	})
+	for i, y := range ds.Labels {
+		binary.LittleEndian.PutUint32(tail[binWidth*nnz+4*i:], math.Float32bits(y))
 	}
-
-	payload := make([]byte, 4*cols+4*splitsTotal+8*cols+8*(cols+1)+4*nnz+binWidth*nnz+4*rows)
-	off := 0
+	head := make([]byte, 0, 4*cols+4*splitsTotal+8*cols+8*(cols+1))
 	for _, s := range pb.Splits {
-		binary.LittleEndian.PutUint32(payload[off:], uint32(len(s)))
-		off += 4
+		head = binary.LittleEndian.AppendUint32(head, uint32(len(s)))
 	}
 	for _, s := range pb.Splits {
 		for _, v := range s {
-			binary.LittleEndian.PutUint32(payload[off:], math.Float32bits(v))
-			off += 4
+			head = binary.LittleEndian.AppendUint32(head, math.Float32bits(v))
 		}
 	}
 	for _, c := range pb.FeatCount {
-		binary.LittleEndian.PutUint64(payload[off:], uint64(c))
-		off += 8
+		head = binary.LittleEndian.AppendUint64(head, uint64(c))
 	}
 	for _, p := range csc.ColPtr {
-		binary.LittleEndian.PutUint64(payload[off:], uint64(p))
-		off += 8
+		head = binary.LittleEndian.AppendUint64(head, uint64(p))
 	}
-	for _, i := range csc.Inst {
-		binary.LittleEndian.PutUint32(payload[off:], i)
-		off += 4
-	}
-	if binWidth == 1 {
-		for _, b := range csc.Bin {
-			payload[off] = byte(b)
-			off++
+	inst := u32ByteView(csc.Inst)
+	if !hostLittleEndian {
+		inst = make([]byte, 0, 4*nnz)
+		for _, i := range csc.Inst {
+			inst = binary.LittleEndian.AppendUint32(inst, i)
 		}
-	} else {
-		for _, b := range csc.Bin {
-			binary.LittleEndian.PutUint16(payload[off:], b)
-			off += 2
-		}
-	}
-	for _, y := range ds.Labels {
-		binary.LittleEndian.PutUint32(payload[off:], math.Float32bits(y))
-		off += 4
 	}
 
 	header := make([]byte, vbinHeaderSize)
@@ -147,12 +142,11 @@ func WriteCache(w io.Writer, ds *datasets.Dataset, pb *datasets.Prebin) error {
 	binary.LittleEndian.PutUint32(header[36:], uint32(pb.Q))
 	binary.LittleEndian.PutUint64(header[40:], math.Float64bits(pb.SketchEps))
 	binary.LittleEndian.PutUint32(header[48:], uint32(binWidth))
-	binary.LittleEndian.PutUint32(header[52:], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("ingest: cache write: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("ingest: cache write: %w", err)
+	binary.LittleEndian.PutUint32(header[52:], crc32.Update(crc32.Update(crc32.Checksum(head, crcTable), crcTable, inst), crcTable, tail))
+	for _, sec := range [][]byte{header, head, inst, tail} {
+		if _, err := w.Write(sec); err != nil {
+			return fmt.Errorf("ingest: cache write: %w", err)
+		}
 	}
 	return nil
 }
@@ -160,12 +154,17 @@ func WriteCache(w io.Writer, ds *datasets.Dataset, pb *datasets.Prebin) error {
 // WriteCacheFile writes the cache atomically: a temp file in the target
 // directory, then a rename, so concurrent readers never see a torn image.
 func WriteCacheFile(path string, ds *datasets.Dataset, pb *datasets.Prebin) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return WriteCache(w, ds, pb) })
+}
+
+// writeFileAtomic writes path through a temp file and a rename.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("ingest: cache write: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := WriteCache(tmp, ds, pb); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -8,16 +8,26 @@ import "vero/internal/sparse"
 // identical for every quadrant and worker count — which is what lets the
 // reproduction verify that all four data-management policies grow
 // bit-identical trees. Features with no stored values get a nil sketch.
+// A CSC column keeps global row order, so each column is sketched alone.
 func Canonical(x *sparse.CSR, eps float64) []*GK {
+	c := x.ToCSC()
 	sks := make([]*GK, x.Cols())
-	for i := 0; i < x.Rows(); i++ {
-		feats, vals := x.Row(i)
-		for k, f := range feats {
-			if sks[f] == nil {
-				sks[f] = New(eps)
-			}
-			sks[f].Add(float64(vals[k]))
-		}
+	for f := range sks {
+		_, vals := c.Col(f)
+		sks[f] = Column(vals, eps)
 	}
 	return sks
+}
+
+// Column sketches one feature from its values in insertion order. An
+// empty column has no sketch (nil); a column of NaNs has an empty one.
+func Column(vals []float32, eps float64) *GK {
+	if len(vals) == 0 {
+		return nil
+	}
+	s := New(eps)
+	for _, v := range vals {
+		s.Add(float64(v))
+	}
+	return s
 }

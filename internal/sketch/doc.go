@@ -15,9 +15,13 @@
 //     global row order, making candidate splits independent of how the
 //     matrix is partitioned — the property every cross-quadrant
 //     bit-identity guarantee in this repository rests on.
-//   - internal/ingest feeds the same sketches incrementally while
-//     streaming row blocks off disk, so one pass over the source derives
-//     the bin boundaries stored in a .vbin cache. Because blocks are
-//     re-sequenced into row order before insertion, the streaming pass
-//     reproduces Canonical's splits exactly.
+//   - internal/ingest sketches the columns of the parsed matrix in
+//     parallel to derive the bin boundaries stored in a .vbin cache. A
+//     summary depends only on the order of its own feature's values, and
+//     a transposed column keeps global row order, so each column can be
+//     sketched on its own (Column, which Canonical shares) and the
+//     parallel pass reproduces Canonical's splits exactly.
+//
+// Flushing the insert buffer merges into a spare tuple slice that swaps
+// with the live one, so a warm Add allocates nothing.
 package sketch

@@ -20,6 +20,7 @@ type GK struct {
 	eps    float64
 	n      int64
 	tuples []tuple
+	spare  []tuple   // the previous tuple slice, reused by the next flush
 	buf    []float64 // pending unsorted inserts, folded in lazily
 	bufCap int
 	mergeE float64 // accumulated error from merges, in units of eps
@@ -34,7 +35,7 @@ func New(eps float64) *GK {
 	if cap < 16 {
 		cap = 16
 	}
-	return &GK{eps: eps, bufCap: cap, mergeE: 1}
+	return &GK{eps: eps, buf: make([]float64, 0, cap), bufCap: cap, mergeE: 1}
 }
 
 // Eps returns the nominal error bound the sketch was created with.
@@ -59,14 +60,20 @@ func (s *GK) Add(v float64) {
 	}
 }
 
-// flush folds buffered values into the tuple list and compresses.
+// flush folds buffered values into the tuple list and compresses. The
+// merge writes into the spare slice and the old tuple slice becomes the
+// next spare, so once both have grown to the summary's size a flush —
+// and with it Add — allocates nothing.
 func (s *GK) flush() {
 	if len(s.buf) == 0 {
 		return
 	}
 	sort.Float64s(s.buf)
 	// Merge the sorted buffer into the sorted tuple list in one pass.
-	out := make([]tuple, 0, len(s.tuples)+len(s.buf))
+	out := s.spare[:0]
+	if need := len(s.tuples) + len(s.buf); cap(out) < need {
+		out = make([]tuple, 0, 2*need)
+	}
 	ti := 0
 	for _, v := range s.buf {
 		for ti < len(s.tuples) && s.tuples[ti].v < v {
@@ -86,7 +93,7 @@ func (s *GK) flush() {
 		out = append(out, tuple{v: v, g: 1, delta: delta})
 	}
 	out = append(out, s.tuples[ti:]...)
-	s.tuples = out
+	s.spare, s.tuples = s.tuples, out
 	s.buf = s.buf[:0]
 	s.compress()
 }

@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -240,5 +242,192 @@ func BenchmarkAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Add(rng.Float64())
+	}
+}
+
+// refGK is the GK summary as it was before flush reused its tuple slice:
+// flush and compress below are kept verbatim as the reference the
+// double-buffered flush must reproduce tuple for tuple.
+type refGK struct {
+	eps    float64
+	n      int64
+	tuples []tuple
+	buf    []float64
+	bufCap int
+}
+
+func newRef(eps float64) *refGK { return &refGK{eps: eps, bufCap: New(eps).bufCap} }
+
+func (s *refGK) Add(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
+	s.buf = append(s.buf, v)
+	if len(s.buf) >= s.bufCap {
+		s.flush()
+	}
+}
+
+func (s *refGK) flush() {
+	if len(s.buf) == 0 {
+		return
+	}
+	sort.Float64s(s.buf)
+	// Merge the sorted buffer into the sorted tuple list in one pass.
+	out := make([]tuple, 0, len(s.tuples)+len(s.buf))
+	ti := 0
+	for _, v := range s.buf {
+		for ti < len(s.tuples) && s.tuples[ti].v < v {
+			out = append(out, s.tuples[ti])
+			ti++
+		}
+		s.n++
+		var delta int64
+		if len(out) == 0 || ti >= len(s.tuples) {
+			// A new minimum, or a value inserted past the current end of
+			// the summary: at insertion time it is a running maximum, so
+			// its rank is known exactly (delta = 0).
+			delta = 0
+		} else {
+			delta = int64(2 * s.eps * float64(s.n))
+		}
+		out = append(out, tuple{v: v, g: 1, delta: delta})
+	}
+	out = append(out, s.tuples[ti:]...)
+	s.tuples = out
+	s.buf = s.buf[:0]
+	s.compress()
+}
+
+func (s *refGK) compress() {
+	if len(s.tuples) < 3 {
+		return
+	}
+	threshold := int64(2 * s.eps * float64(s.n))
+	out := s.tuples[:0]
+	out = append(out, s.tuples[0])
+	for i := 1; i < len(s.tuples); i++ {
+		t := s.tuples[i]
+		last := &out[len(out)-1]
+		// Never merge away the global min/max tuples (first and last).
+		if len(out) > 1 && i < len(s.tuples)-1 && last.g+t.g+t.delta <= threshold {
+			t.g += last.g
+			out[len(out)-1] = t
+		} else {
+			out = append(out, t)
+		}
+	}
+	s.tuples = out
+}
+
+// sameSummary compares two summaries tuple for tuple, values by bits so
+// that -0 and +0 are told apart.
+func sameSummary(t *testing.T, at int, got *GK, want *refGK) {
+	t.Helper()
+	if got.n != want.n || len(got.buf) != len(want.buf) || len(got.tuples) != len(want.tuples) {
+		t.Fatalf("after %d adds: n %d/%d, buffered %d/%d, tuples %d/%d (got/want)",
+			at, got.n, want.n, len(got.buf), len(want.buf), len(got.tuples), len(want.tuples))
+	}
+	for i, w := range want.tuples {
+		g := got.tuples[i]
+		if math.Float64bits(g.v) != math.Float64bits(w.v) || g.g != w.g || g.delta != w.delta {
+			t.Fatalf("after %d adds: tuple %d is %+v, want %+v", at, i, g, w)
+		}
+	}
+}
+
+// checkAgainstReference streams xs through both summaries and compares
+// them after every flush, then after the final one.
+func checkAgainstReference(t *testing.T, eps float64, xs []float64) {
+	t.Helper()
+	got, want := New(eps), newRef(eps)
+	for i, v := range xs {
+		got.Add(v)
+		want.Add(v)
+		if len(want.buf) == 0 || len(got.buf) == 0 {
+			sameSummary(t, i+1, got, want)
+		}
+	}
+	got.flush()
+	want.flush()
+	sameSummary(t, len(xs), got, want)
+}
+
+// TestFlushMatchesReference holds the double-buffered flush to the
+// allocating one over the streams that stress its order: signed zeros,
+// NaN, heavy duplicates, sorted, reversed and random order, at lengths
+// around multiples of the buffer capacity.
+func TestFlushMatchesReference(t *testing.T) {
+	const eps = 0.01
+	bufCap := New(eps).bufCap
+	rng := rand.New(rand.NewSource(11))
+	streams := map[string]func(i int) float64{
+		"random":     func(int) float64 { return rng.NormFloat64() },
+		"sorted":     func(i int) float64 { return float64(i) },
+		"reversed":   func(i int) float64 { return float64(-i) },
+		"duplicates": func(int) float64 { return float64(rng.Intn(3)) },
+		"zeros":      func(i int) float64 { return math.Copysign(0, float64(rng.Intn(2)*2-1)) },
+		"nan":        func(i int) float64 { return []float64{math.NaN(), 1, -0.0, 0, 2}[rng.Intn(5)] },
+	}
+	for name, gen := range streams {
+		for _, k := range []int{0, 1, 2, 7, 40} {
+			for _, d := range []int{-1, 0, 1} {
+				n := k*bufCap + d
+				if n < 0 {
+					continue
+				}
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = gen(i)
+				}
+				t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) { checkAgainstReference(t, eps, xs) })
+			}
+		}
+	}
+}
+
+// FuzzFlushMatchesReference decodes bytes into a stream over a small
+// alphabet (signed zeros, NaN, infinities, a few repeated values, and raw
+// bit patterns) and holds the double-buffered flush to the reference.
+func FuzzFlushMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(0))
+	f.Add(bytes.Repeat([]byte{1, 0}, 300), uint8(3))
+	f.Add(bytes.Repeat([]byte{9, 200, 17, 3}, 200), uint8(200))
+	f.Fuzz(func(t *testing.T, data []byte, epsByte uint8) {
+		eps := 0.001 + float64(epsByte)/256*0.2
+		alphabet := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1, -1, 2.5}
+		var xs []float64
+		for i := 0; i < len(data); i++ {
+			b := data[i]
+			if int(b) < len(alphabet) {
+				xs = append(xs, alphabet[b])
+				continue
+			}
+			if i+2 < len(data) {
+				xs = append(xs, float64(math.Float32frombits(uint32(b)<<24|uint32(data[i+1])<<16|uint32(data[i+2])<<8)))
+				i += 2
+				continue
+			}
+			xs = append(xs, float64(b))
+		}
+		checkAgainstReference(t, eps, xs)
+	})
+}
+
+// TestWarmAddAllocatesNothing: once the tuple slice and its spare have
+// grown to the summary's size, Add allocates nothing, flushes included.
+// Each measured run adds one buffer's worth, so it contains one flush.
+func TestWarmAddAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	s := New(0.01)
+	for i := 0; i < 200000; i++ {
+		s.Add(rng.NormFloat64())
+	}
+	if a := testing.AllocsPerRun(2000, func() {
+		for i := 0; i < s.bufCap; i++ {
+			s.Add(rng.NormFloat64())
+		}
+	}); a != 0 {
+		t.Fatalf("warm Add allocates %v times per flush", a)
 	}
 }

@@ -86,22 +86,23 @@ func (b *Binner) MaxNumBins() int {
 	return m
 }
 
-// BinValue maps one raw value of feature f to its bin index by binary
-// search over the candidate splits.
+// BinValue maps one raw value of feature f to its bin index, the first
+// split >= v, by a binary search that halves with a mask rather than an
+// unpredictable branch. Values above all splits clamp to the last bin,
+// matching how histogram-based GBDT treats out-of-range values.
 func (b *Binner) BinValue(f int, v float32) uint16 {
 	s := b.Splits[f]
-	lo, hi := 0, len(s)-1
-	// Find the first split >= v; values above all splits clamp to the last
-	// bin, matching how histogram-based GBDT treats out-of-range values.
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+	base, n := 0, len(s)
+	for n > 1 {
+		half := n / 2
+		var lt int
+		if s[base+half-1] < v {
+			lt = 1
 		}
+		base += half & -lt
+		n -= half
 	}
-	return uint16(lo)
+	return uint16(base)
 }
 
 // BinCSR quantizes a raw CSR into a BinnedCSR.
@@ -117,21 +118,6 @@ func (b *Binner) BinCSR(m *CSR) (*BinnedCSR, error) {
 		}
 	}
 	return &BinnedCSR{rows: m.Rows(), cols: m.Cols(), RowPtr: m.RowPtr, Feat: m.Feat, Bin: bins}, nil
-}
-
-// BinCSC quantizes a raw CSC into a BinnedCSC.
-func (b *Binner) BinCSC(m *CSC) (*BinnedCSC, error) {
-	if len(b.Splits) != m.Cols() {
-		return nil, fmt.Errorf("sparse: binner has %d features, matrix has %d", len(b.Splits), m.Cols())
-	}
-	bins := make([]uint16, m.NNZ())
-	for j := 0; j < m.Cols(); j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		for k := lo; k < hi; k++ {
-			bins[k] = b.BinValue(j, m.Val[k])
-		}
-	}
-	return &BinnedCSC{rows: m.Rows(), cols: m.Cols(), ColPtr: m.ColPtr, Inst: m.Inst, Bin: bins}, nil
 }
 
 // ToCSC transposes a BinnedCSR into BinnedCSC form, O(nnz).
@@ -157,25 +143,4 @@ func (m *BinnedCSR) ToCSC() *BinnedCSC {
 		}
 	}
 	return &BinnedCSC{rows: m.rows, cols: m.cols, ColPtr: colPtr, Inst: inst, Bin: bin}
-}
-
-// NewBinnedCSR assembles a BinnedCSR from raw parts with validation. It is
-// used by the transformation pipeline when decoding blockified column
-// groups back into row storage.
-func NewBinnedCSR(rows, cols int, rowPtr []int64, feat []uint32, bin []uint16) (*BinnedCSR, error) {
-	if len(rowPtr) != rows+1 {
-		return nil, fmt.Errorf("sparse: rowPtr has %d entries, want %d", len(rowPtr), rows+1)
-	}
-	if len(feat) != len(bin) {
-		return nil, fmt.Errorf("sparse: %d feature indices but %d bins", len(feat), len(bin))
-	}
-	if rowPtr[0] != 0 || rowPtr[rows] != int64(len(feat)) {
-		return nil, fmt.Errorf("sparse: rowPtr endpoints [%d,%d], want [0,%d]", rowPtr[0], rowPtr[rows], len(feat))
-	}
-	for _, f := range feat {
-		if int(f) >= cols {
-			return nil, fmt.Errorf("sparse: feature index %d out of range (cols=%d)", f, cols)
-		}
-	}
-	return &BinnedCSR{rows: rows, cols: cols, RowPtr: rowPtr, Feat: feat, Bin: bin}, nil
 }

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -61,6 +63,43 @@ func TestBinValueMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestBinValueMatchesBranchySearch holds the masked search to the plain
+// lower-bound search over every split count up to 40, at split values,
+// between them, beyond both ends, at signed zeros, infinities and NaN.
+func TestBinValueMatchesBranchySearch(t *testing.T) {
+	ref := func(s []float32, v float32) uint16 {
+		lo, hi := 0, len(s)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if s[mid] < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return uint16(lo)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for n := 0; n <= 40; n++ {
+		splits := make([]float32, n)
+		v := float32(-float64(n) / 2)
+		for i := range splits {
+			splits[i] = v
+			v += float32(rng.Intn(3)) + 0.5
+		}
+		probes := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1))}
+		for _, s := range splits {
+			probes = append(probes, s, s-0.25, s+0.25, math.Nextafter32(s, float32(math.Inf(1))))
+		}
+		b := &Binner{Splits: [][]float32{splits}}
+		for _, x := range probes {
+			if got, want := b.BinValue(0, x), ref(splits, x); got != want {
+				t.Fatalf("%d splits: BinValue(%v) = %d, want %d", n, x, got, want)
+			}
+		}
+	}
+}
+
 func TestNumBins(t *testing.T) {
 	b := testBinner()
 	if b.NumBins(0) != 3 || b.NumBins(1) != 4 {
@@ -79,7 +118,7 @@ func TestBinCSRAndCSCAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := b.BinCSC(m.ToCSC())
+	bc, err := binCSC(b, m.ToCSC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,22 +144,23 @@ func TestBinCSRDimensionMismatch(t *testing.T) {
 	if _, err := b.BinCSR(m); err == nil {
 		t.Fatal("BinCSR accepted dimension mismatch")
 	}
-	if _, err := b.BinCSC(m.ToCSC()); err == nil {
-		t.Fatal("BinCSC accepted dimension mismatch")
+	if _, err := binCSC(b, m.ToCSC()); err == nil {
+		t.Fatal("binCSC accepted dimension mismatch")
 	}
 }
 
-func TestNewBinnedCSRValidation(t *testing.T) {
-	if _, err := NewBinnedCSR(1, 2, []int64{0, 1}, []uint32{0}, []uint16{0}); err != nil {
-		t.Errorf("rejected valid binned CSR: %v", err)
+// binCSC quantizes a raw CSC column by column: BinCSR + ToCSC in the
+// other order.
+func binCSC(b *Binner, m *CSC) (*BinnedCSC, error) {
+	if len(b.Splits) != m.Cols() {
+		return nil, fmt.Errorf("sparse: binner has %d features, matrix has %d", len(b.Splits), m.Cols())
 	}
-	if _, err := NewBinnedCSR(1, 2, []int64{0}, []uint32{0}, []uint16{0}); err == nil {
-		t.Error("accepted short rowPtr")
+	bins := make([]uint16, m.NNZ())
+	for j := 0; j < m.Cols(); j++ {
+		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
+		for k := lo; k < hi; k++ {
+			bins[k] = b.BinValue(j, m.Val[k])
+		}
 	}
-	if _, err := NewBinnedCSR(1, 2, []int64{0, 1}, []uint32{5}, []uint16{0}); err == nil {
-		t.Error("accepted out-of-range feature")
-	}
-	if _, err := NewBinnedCSR(1, 2, []int64{0, 2}, []uint32{0, 1}, []uint16{0}); err == nil {
-		t.Error("accepted feat/bin length mismatch")
-	}
+	return &BinnedCSC{rows: m.Rows(), cols: m.Cols(), ColPtr: m.ColPtr, Inst: m.Inst, Bin: bins}, nil
 }

@@ -175,32 +175,6 @@ func (m *CSR) ToCSC() *CSC {
 	return &CSC{rows: m.rows, cols: m.cols, ColPtr: colPtr, Inst: inst, Val: val}
 }
 
-// ToCSR transposes a CSC back into CSR form, O(nnz). Rows come out sorted
-// by feature index because columns are visited in order.
-func (m *CSC) ToCSR() *CSR {
-	rowPtr := make([]int64, m.rows+1)
-	for _, i := range m.Inst {
-		rowPtr[i+1]++
-	}
-	for i := 0; i < m.rows; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	feat := make([]uint32, m.NNZ())
-	val := make([]float32, m.NNZ())
-	next := make([]int64, m.rows)
-	copy(next, rowPtr[:m.rows])
-	for j := 0; j < m.cols; j++ {
-		insts, vals := m.Col(j)
-		for k, i := range insts {
-			p := next[i]
-			feat[p] = uint32(j)
-			val[p] = vals[k]
-			next[i] = p + 1
-		}
-	}
-	return &CSR{rows: m.rows, cols: m.cols, RowPtr: rowPtr, Feat: feat, Val: val}
-}
-
 // SliceRows returns the submatrix of rows [lo, hi) as a new CSR. Feature
 // indices are preserved. This is the horizontal-partitioning primitive.
 func (m *CSR) SliceRows(lo, hi int) *CSR {
