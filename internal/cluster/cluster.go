@@ -45,9 +45,9 @@ func TenGigabit() NetworkModel {
 }
 
 // Cluster is a cluster of W workers. By default every worker is simulated
-// in-process and communication is only accounted (tr == nil); with
-// WithTransport the cluster becomes one rank of a real W-process
-// deployment and collectives additionally move payloads over the wire.
+// in-process and communication is only accounted; with WithTransport the
+// cluster becomes one rank of a real W-process deployment and collectives
+// additionally move payloads over the wire.
 type Cluster struct {
 	w          int
 	net        NetworkModel
@@ -69,7 +69,7 @@ func New(w int, net NetworkModel, opts ...Option) *Cluster {
 	if w <= 0 {
 		panic(fmt.Sprintf("cluster: worker count %d", w))
 	}
-	c := &Cluster{w: w, net: net, stats: newStats(w)}
+	c := &Cluster{w: w, net: net, stats: newStats(w), tr: simulation{w}}
 	for _, o := range opts {
 		o(c)
 	}
@@ -84,9 +84,6 @@ func (c *Cluster) Net() NetworkModel { return c.net }
 
 // Stats returns the live statistics collector.
 func (c *Cluster) Stats() *Stats { return c.stats }
-
-// ResetStats discards all accumulated statistics.
-func (c *Cluster) ResetStats() { c.stats = newStats(c.w) }
 
 // Parallel runs fn(worker) for every worker and records, under the given
 // phase, the maximum per-worker busy time — the makespan of the phase. It

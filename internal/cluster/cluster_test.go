@@ -54,12 +54,22 @@ func TestParallelRecordsMakespan(t *testing.T) {
 	}
 }
 
+// hostedSum reduces the locals into a fresh buffer with SumHosted: the
+// in-place contribution every reduction takes.
+func hostedSum(c *Cluster, locals [][]float64) []float64 {
+	sum := make([]float64, len(locals[0]))
+	c.SumHosted(locals, sum)
+	return sum
+}
+
 func TestAllReduceSum(t *testing.T) {
 	c := New(4, Gigabit())
 	locals := [][]float64{
 		{1, 2}, {10, 20}, {100, 200}, {1000, 2000},
 	}
-	sum := c.AllReduceSum("agg", locals)
+	sum := []float64{9, 9} // must be overwritten, not accumulated
+	c.SumHosted(locals, sum)
+	c.AllReduce("agg", sum)
 	if sum[0] != 1111 || sum[1] != 2222 {
 		t.Fatalf("sum = %v", sum)
 	}
@@ -82,17 +92,36 @@ func TestAllReduceMismatchedArity(t *testing.T) {
 			t.Fatal("mismatched locals did not panic")
 		}
 	}()
-	c.AllReduceSum("x", [][]float64{{1}})
+	c.SumHosted([][]float64{{1}}, make([]float64, 1))
+}
+
+// TestSumHostedRejectsMisuse pins SumHosted's remaining checks: every
+// hosted worker present, shared lengths, and no aliasing of dst.
+func TestSumHostedRejectsMisuse(t *testing.T) {
+	a, b := []float64{1, 2}, []float64{3, 4}
+	cases := map[string]func(c *Cluster){
+		"absent hosted worker": func(c *Cluster) { c.SumHosted([][]float64{a, nil}, make([]float64, 2)) },
+		"length mismatch":      func(c *Cluster) { c.SumHosted([][]float64{a, b}, make([]float64, 3)) },
+		"aliased dst":          func(c *Cluster) { c.SumHosted([][]float64{a, b}, b) },
+	}
+	for name, f := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f(New(2, Gigabit()))
+		}()
+	}
 }
 
 func TestReduceScatterSum(t *testing.T) {
 	c := New(2, Gigabit())
-	sum, shard := c.ReduceScatterSum("agg", [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}})
+	sum := hostedSum(c, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}})
+	c.ReduceScatter("agg", nil, sum)
 	if sum[0] != 6 || sum[3] != 12 {
 		t.Fatalf("sum = %v", sum)
-	}
-	if shard[0] != [2]int{0, 2} || shard[1] != [2]int{2, 4} {
-		t.Fatalf("shards = %v", shard)
 	}
 	p := c.Stats().Phase("agg")
 	// Reduce-scatter moves (W-1)/W of the array per worker: 2 workers,
@@ -102,27 +131,31 @@ func TestReduceScatterSum(t *testing.T) {
 	}
 	// Reduce-scatter must be cheaper than all-reduce of the same payload.
 	c2 := New(2, Gigabit())
-	c2.AllReduceSum("agg", [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}})
+	c2.AllReduce("agg", hostedSum(c2, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}))
 	if p.CommSeconds >= c2.Stats().Phase("agg").CommSeconds {
 		t.Fatal("reduce-scatter not cheaper than all-reduce")
 	}
 }
 
+// TestShardUnevenLength checks the default segment layout of the scatter
+// collectives on a length no worker count divides: EvenBounds covers
+// every entry exactly once, in order.
 func TestShardUnevenLength(t *testing.T) {
-	c := New(3, Gigabit())
-	_, shard := c.ReduceScatterSum("x", [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}})
-	covered := 0
-	for _, s := range shard {
-		covered += s[1] - s[0]
+	bounds := EvenBounds(5, 3)
+	if len(bounds) != 4 || bounds[0] != 0 || bounds[3] != 5 {
+		t.Fatalf("bounds = %v, want 4 edges from 0 to 5", bounds)
 	}
-	if covered != 5 {
-		t.Fatalf("shards cover %d entries, want 5: %v", covered, shard)
+	for s := 0; s < 3; s++ {
+		if bounds[s] > bounds[s+1] {
+			t.Fatalf("bounds %v not ascending", bounds)
+		}
 	}
 }
 
 func TestGatherSum(t *testing.T) {
 	c := New(4, Gigabit())
-	sum := c.GatherSum("agg", [][]float64{{1}, {2}, {3}, {4}})
+	sum := hostedSum(c, [][]float64{{1}, {2}, {3}, {4}})
+	c.ShardedGather("agg", 1, nil, sum)
 	if sum[0] != 10 {
 		t.Fatalf("sum = %v", sum)
 	}
@@ -133,17 +166,10 @@ func TestGatherSum(t *testing.T) {
 }
 
 func TestShardedGatherFasterThanSingle(t *testing.T) {
-	mk := func() [][]float64 {
-		ls := make([][]float64, 4)
-		for i := range ls {
-			ls[i] = make([]float64, 1000)
-		}
-		return ls
-	}
 	c1 := New(4, Gigabit())
-	c1.GatherSum("agg", mk())
+	c1.ShardedGather("agg", 1, nil, make([]float64, 1000))
 	c2 := New(4, Gigabit())
-	c2.ShardedGatherSum("agg", mk(), 4)
+	c2.ShardedGather("agg", 4, nil, make([]float64, 1000))
 	t1 := c1.Stats().Phase("agg").CommSeconds
 	t2 := c2.Stats().Phase("agg").CommSeconds
 	if t2 >= t1 {
@@ -152,6 +178,27 @@ func TestShardedGatherFasterThanSingle(t *testing.T) {
 	// Byte volume is identical — sharding only parallelizes it.
 	if c1.Stats().Phase("agg").Bytes[OpGather] != c2.Stats().Phase("agg").Bytes[OpGather] {
 		t.Fatal("sharding changed total bytes")
+	}
+}
+
+// TestReductionChargesBuffersAsOnePayload: a reduction over several
+// buffers is one collective of their combined size — the same bytes and
+// seconds as one buffer of that length, not one latency term per buffer.
+func TestReductionChargesBuffersAsOnePayload(t *testing.T) {
+	ops := map[string]func(c *Cluster, bufs ...[]float64){
+		"all-reduce":     func(c *Cluster, bufs ...[]float64) { c.AllReduce("p", bufs...) },
+		"reduce-scatter": func(c *Cluster, bufs ...[]float64) { c.ReduceScatter("p", nil, bufs...) },
+		"sharded-gather": func(c *Cluster, bufs ...[]float64) { c.ShardedGather("p", 2, nil, bufs...) },
+	}
+	for name, op := range ops {
+		split, whole := New(3, Gigabit()), New(3, Gigabit())
+		op(split, make([]float64, 5), make([]float64, 7))
+		op(whole, make([]float64, 12))
+		ps, pw := split.Stats().Phase("p"), whole.Stats().Phase("p")
+		if ps.TotalBytes() != pw.TotalBytes() || ps.CommSeconds != pw.CommSeconds {
+			t.Errorf("%s: two buffers charged %d bytes/%vs, one buffer %d bytes/%vs",
+				name, ps.TotalBytes(), ps.CommSeconds, pw.TotalBytes(), pw.CommSeconds)
+		}
 	}
 }
 
@@ -164,9 +211,15 @@ func TestBroadcastCost(t *testing.T) {
 	}
 }
 
+// TestAllGatherSmallCost: an all-gather of small fixed records (the
+// per-worker best splits) charges every record to every other worker.
 func TestAllGatherSmallCost(t *testing.T) {
 	c := New(4, Gigabit())
-	c.AllGatherSmall("split", 100)
+	recs := make([][]byte, 4)
+	for w := range recs {
+		recs[w] = make([]byte, 100)
+	}
+	c.AllGatherFixed("split", recs)
 	p := c.Stats().Phase("split")
 	if p.Bytes[OpAllGather] != 4*3*100 {
 		t.Fatalf("bytes = %d, want 1200", p.Bytes[OpAllGather])
@@ -191,8 +244,8 @@ func TestCommScalesWithBandwidth(t *testing.T) {
 	big := make([]float64, 1<<16)
 	slow := New(2, NetworkModel{LatencySec: 0, BandwidthBytesPerSec: 1e6})
 	fast := New(2, NetworkModel{LatencySec: 0, BandwidthBytesPerSec: 1e8})
-	slow.AllReduceSum("x", [][]float64{big, big})
-	fast.AllReduceSum("x", [][]float64{big, big})
+	slow.AllReduce("x", big)
+	fast.AllReduce("x", big)
 	ratio := slow.Stats().Phase("x").CommSeconds / fast.Stats().Phase("x").CommSeconds
 	if math.Abs(ratio-100) > 1e-6 {
 		t.Fatalf("time ratio = %v, want 100x", ratio)
@@ -221,7 +274,7 @@ func TestMemGauge(t *testing.T) {
 func TestTotalsAndString(t *testing.T) {
 	c := New(2, Gigabit())
 	c.Parallel("build", func(int) {})
-	c.AllReduceSum("agg", [][]float64{{1}, {2}})
+	c.AllReduce("agg", hostedSum(c, [][]float64{{1}, {2}}))
 	comp, comm, bytes := c.Stats().Totals()
 	if comp < 0 || comm <= 0 || bytes <= 0 {
 		t.Fatalf("Totals = %v %v %v", comp, comm, bytes)
@@ -232,10 +285,6 @@ func TestTotalsAndString(t *testing.T) {
 	names := c.Stats().PhaseNames()
 	if len(names) != 2 || names[0] != "agg" || names[1] != "build" {
 		t.Fatalf("PhaseNames = %v", names)
-	}
-	c.ResetStats()
-	if _, _, b := c.Stats().Totals(); b != 0 {
-		t.Fatal("ResetStats kept bytes")
 	}
 }
 
@@ -267,7 +316,6 @@ func (r rankOnly) Workers() int                               { return r.w }
 func (r rankOnly) Rank() int                                  { return r.rank }
 func (rankOnly) AllReduce(string, []float64) error            { return nil }
 func (rankOnly) ReduceScatter(string, []float64, []int) error { return nil }
-func (rankOnly) Gather(string, []float64, int) error          { return nil }
 func (rankOnly) AllGather(string, [][]byte) error             { return nil }
 func (rankOnly) Broadcast(string, []byte, int) error          { return nil }
 func (rankOnly) Shadow(string, [][]int64) error               { return nil }
@@ -317,6 +365,34 @@ func TestReplicatedRunsOncePerProcess(t *testing.T) {
 		}
 		if sum.Seconds() != phase {
 			t.Fatalf("%s: worker busy time %v, phase %.6fs: want the same single pass", m.name, sum, phase)
+		}
+	}
+}
+
+// TestCollectivesAllocateNothing pins the simulation's steady state: once
+// a phase exists, no data collective allocates — neither the charge nor
+// the skipped wire operation — so per-node reductions cost no garbage.
+func TestCollectivesAllocateNothing(t *testing.T) {
+	c := New(4, Gigabit())
+	grad, hess := make([]float64, 64), make([]float64, 64)
+	locals := [][]float64{make([]float64, 64), make([]float64, 64), make([]float64, 64), make([]float64, 64)}
+	bounds := EvenBounds(64, 4)
+	recs := [][]byte{make([]byte, 24), make([]byte, 24), make([]byte, 24), make([]byte, 24)}
+	buf := make([]byte, 17)
+	ops := map[string]func(){
+		"SumHosted":               func() { c.SumHosted(locals, grad) },
+		"AllReduce":               func() { c.AllReduce("p", grad, hess) },
+		"ReduceScatter":           func() { c.ReduceScatter("p", bounds, grad, hess) },
+		"ReduceScatter/even":      func() { c.ReduceScatter("p", nil, grad, hess) },
+		"ShardedGather":           func() { c.ShardedGather("p", 4, bounds, grad, hess) },
+		"ShardedGather/one-shard": func() { c.ShardedGather("p", 1, nil, grad) },
+		"AllGatherFixed":          func() { c.AllGatherFixed("p", recs) },
+		"Broadcast":               func() { c.Broadcast("p", 1000) },
+		"BroadcastBytes":          func() { c.BroadcastBytes("p", buf, 0) },
+	}
+	for name, op := range ops {
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
 		}
 	}
 }

@@ -1,34 +1,42 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
-// Collective primitives. Each reduces/moves data that in a real deployment
-// crosses the network; the byte volume and simulated wall time are always
-// recorded under the caller's phase label against the alpha-beta model.
-// On the simulated backend (the default) the data movement happens in
-// memory; with a real transport attached (WithTransport) the same
-// collectives move their payloads over the wire — in the same rank-ordered
-// reduction order, so trained models are bit-identical — and the phase
-// additionally records measured bytes and wall-clock.
+// Collective primitives: one entry point per communication shape. Each
+// has one body — account the alpha-beta charge under the caller's phase,
+// then, on a distributed cluster (WithTransport), move the payload over
+// the wire in the simulation's rank-ordered reduction order, so trained
+// models are bit-identical, and record the measured bytes and wall-clock.
+// On the simulation (the default) every worker lives in one process, the
+// data is already in place, and only the charge is recorded.
 //
-// Cost model (W workers, n bytes of payload per worker, alpha latency,
-// beta seconds/byte — Thakur et al., cited as [36] by the paper):
+// Cost model (W workers, n payload bytes per worker, alpha seconds per
+// latency step, beta seconds per byte — Thakur et al., cited as [36] by
+// the paper). A charge records its total bytes and models
+// steps*alpha + serial*beta seconds, serial being the bytes on the
+// critical path:
 //
-//	all-reduce (ring):      2(W-1) steps, 2(W-1)*n total bytes
-//	reduce-scatter (ring):  (W-1) steps, (W-1)*n total bytes
-//	gather (to one root):   root receives (W-1) * n bytes serially
-//	broadcast (binomial):   ceil(log2 W) steps, (W-1)*n total bytes
-//	all-gather (small):     every worker receives (W-1) * n bytes
-//	all-to-all (shuffle):   bounded by the busiest worker's send+recv bytes
+//	entry point                 kind            total bytes       steps       serial bytes
+//	AllReduce                   all-reduce      2(W-1)n           2(W-1)      2(W-1)n/W
+//	ReduceScatter               reduce-scatter  (W-1)n            W-1         (W-1)n/W
+//	ShardedGather (S shards)    gather          (W-1)n            W-1         (W-1)n/S
+//	AllGatherFixed (b/worker)   all-gather      W(W-1)b           ceil(lg W)  (W-1)b
+//	Broadcast, BroadcastBytes   broadcast       (W-1)b            ceil(lg W)  ceil(lg W)b
+//	PointToPoint                point-to-point  b                 1           b
+//	Shuffle (matrix s)          shuffle         sum s[i][j], i≠j  W-1         max_i out_i+in_i
+//	ChargeComm                  caller's        bytes             caller's    bytes
 //
 // The charged totals are exact: they equal the bytes a direct-exchange
 // implementation of the collective puts on the wire, which is what the
 // TCP backend's measured-vs-accounted equality check relies on.
 //
-// Locals convention: every data collective takes a locals slice of length
-// W. On the simulation all entries are non-nil (every worker is hosted
-// in-process); on a distributed cluster exactly the hosted workers'
-// entries are non-nil — ParallelLocal produces this shape naturally.
+// Reductions work in place (MPI_IN_PLACE): a buffer holds this process's
+// contribution on entry — the hosted workers' sum, see SumHosted — and
+// the reduced values on return, and a call's buffers are charged as one
+// payload.
 
 const float64Size = 8
 
@@ -43,192 +51,72 @@ func EvenBounds(n, parts int) []int {
 	return bounds
 }
 
-// AllReduceSum element-wise sums the per-worker arrays and returns the
-// global array. Every worker ends up holding the result (ring all-reduce).
-// The minimal data transferred per worker is the size of its local
-// histogram — the paper's lower bound in Section 3.1.3.
-func (c *Cluster) AllReduceSum(phase string, locals [][]float64) []float64 {
-	sum := make([]float64, c.localLen(locals))
-	c.AllReduceSumInto(phase, locals, sum)
-	return sum
-}
-
-// AllReduceSumInto is AllReduceSum reducing into a caller-owned dst (same
-// length as the locals, overwritten; must not alias any local) — for
-// callers that recycle result buffers instead of taking a fresh
-// allocation per reduction.
-func (c *Cluster) AllReduceSumInto(phase string, locals [][]float64, dst []float64) {
-	c.sumLocalInto(locals, dst)
-	c.ChargeAllReduce(phase, int64(len(dst))*float64Size)
-	if c.tr != nil {
-		c.transportOp(phase, func() error { return c.tr.AllReduce(phase, dst) })
-	}
-}
-
-// ChargeAllReduce records the cost of ring all-reducing a payload of n
-// bytes per worker without moving data (for callers that reduce in place).
-func (c *Cluster) ChargeAllReduce(phase string, n int64) {
-	total := 2 * int64(c.w-1) * n
-	c.stats.addComm(phase, OpAllReduce, total,
-		c.simTime(2*(c.w-1), float64(n)/float64(c.w)*2*float64(c.w-1)))
-}
-
-// AllReduceMerged all-reduces buffers that already hold the hosted
-// workers' merged contribution in place: charge-only on the simulation
-// (where the buffers are already the global sum), a real all-reduce on a
-// distributed cluster. It serves reductions whose simulation merges
-// incrementally into shared accumulators instead of materializing
-// per-worker arrays (QD1's shared histogram accumulators). The buffers
-// are charged as one payload — one collective of their combined size.
-func (c *Cluster) AllReduceMerged(phase string, bufs ...[]float64) {
-	c.ChargeAllReduce(phase, mergedBytes(bufs))
-	if c.tr != nil {
-		for _, buf := range bufs {
-			buf := buf
-			c.transportOp(phase, func() error { return c.tr.AllReduce(phase, buf) })
-		}
-	}
-}
-
-// ReduceScatterSum element-wise sums the per-worker arrays; worker i ends
-// up owning the i-th contiguous shard of the result. The full summed
-// array and the shard ranges are returned (LightGBM's aggregation,
-// Section 4.1). Only the reduce-scatter bytes are charged; exchanging the
-// subsequent per-shard best splits is a separate all-gather.
-func (c *Cluster) ReduceScatterSum(phase string, locals [][]float64) (sum []float64, shard [][2]int) {
-	sum = make([]float64, c.localLen(locals))
-	per := (len(sum) + c.w - 1) / c.w
-	bounds := make([]int, c.w+1)
-	shard = make([][2]int, c.w)
-	for w := 0; w < c.w; w++ {
-		lo := min(w*per, len(sum))
-		hi := min(lo+per, len(sum))
-		shard[w] = [2]int{lo, hi}
-		bounds[w], bounds[w+1] = lo, hi
-	}
-	c.ReduceScatterSumInto(phase, locals, sum, bounds)
-	return sum, shard
-}
-
-// ReduceScatterSumInto is ReduceScatterSum reducing into a caller-owned
-// dst (overwritten). bounds assigns dst's contiguous segments to their
-// owning workers (segment s, [bounds[s], bounds[s+1]), belongs to worker
-// s); nil means an even element split. On the simulation the whole dst is
-// the global sum; on a distributed cluster only this rank's segment is —
-// callers must read each segment at its owner, which is where the
-// aggregation methods place the follow-up work anyway.
-func (c *Cluster) ReduceScatterSumInto(phase string, locals [][]float64, dst []float64, bounds []int) {
-	c.sumLocalInto(locals, dst)
-	c.ChargeReduceScatter(phase, int64(len(dst))*float64Size)
-	if c.tr != nil {
-		if bounds == nil {
-			bounds = EvenBounds(len(dst), c.w)
-		}
-		c.transportOp(phase, func() error { return c.tr.ReduceScatter(phase, dst, bounds) })
-	}
-}
-
-// ChargeReduceScatter records the cost of ring reduce-scattering n bytes
-// per worker without moving data.
-func (c *Cluster) ChargeReduceScatter(phase string, n int64) {
-	total := int64(c.w-1) * n
-	c.stats.addComm(phase, OpReduceScatter, total,
-		c.simTime(c.w-1, float64(n)/float64(c.w)*float64(c.w-1)))
-}
-
-// ReduceScatterMerged is AllReduceMerged's reduce-scatter counterpart:
-// the buffers hold the hosted workers' merged contribution; after the
-// call each bounds segment is globally reduced at its owner (everywhere
-// on the simulation). nil bounds means an even element split, applied to
-// each buffer separately; all buffers share one charge.
-func (c *Cluster) ReduceScatterMerged(phase string, bounds []int, bufs ...[]float64) {
-	c.ChargeReduceScatter(phase, mergedBytes(bufs))
-	if c.tr != nil {
-		for _, buf := range bufs {
-			b := bounds
-			if b == nil {
-				b = EvenBounds(len(buf), c.w)
+// AllReduce completes a global element-wise sum of every buffer: each
+// holds the global sum on return, at every rank (ring all-reduce). The
+// minimal data transferred per worker is the size of its local histogram
+// — the paper's lower bound in Section 3.1.3.
+func (c *Cluster) AllReduce(phase string, bufs ...[]float64) {
+	n := payloadBytes(bufs)
+	c.collective(phase, OpAllReduce, 2*int64(c.w-1)*n,
+		c.simTime(2*(c.w-1), float64(n)/float64(c.w)*2*float64(c.w-1)), func() error {
+			for _, buf := range bufs {
+				if err := c.tr.AllReduce(phase, buf); err != nil {
+					return err
+				}
 			}
-			buf := buf
-			c.transportOp(phase, func() error { return c.tr.ReduceScatter(phase, buf, b) })
-		}
-	}
+			return nil
+		})
 }
 
-// GatherSum element-wise sums the per-worker arrays at a single root —
-// worker 0 (DimBoost's parameter-server aggregation collapses to this
-// when the PS has one shard; use ShardedGatherSum for multiple shards).
-// On a distributed cluster the result is defined at the root only.
-func (c *Cluster) GatherSum(phase string, locals [][]float64) []float64 {
-	sum := make([]float64, c.localLen(locals))
-	c.sumLocalInto(locals, sum)
-	n := int64(len(sum)) * float64Size
-	total := int64(c.w-1) * n
-	c.stats.addComm(phase, OpGather, total, c.simTime(c.w-1, float64(total)))
-	if c.tr != nil {
-		c.transportOp(phase, func() error { return c.tr.Gather(phase, sum, 0) })
-	}
-	return sum
+// ReduceScatter reduces every buffer segment-wise: segment s of bounds,
+// [bounds[s], bounds[s+1]), is globally reduced at its owner, worker s
+// (LightGBM's aggregation, Section 4.1); nil bounds means EvenBounds over
+// the W workers, applied to each buffer. On the simulation every segment
+// is reduced; on a distributed cluster the rest of a rank's buffer keeps
+// its local contribution, so callers read each segment at its owner.
+func (c *Cluster) ReduceScatter(phase string, bounds []int, bufs ...[]float64) {
+	n := payloadBytes(bufs)
+	c.collective(phase, OpReduceScatter, int64(c.w-1)*n,
+		c.simTime(c.w-1, float64(n)/float64(c.w)*float64(c.w-1)), func() error {
+			return c.scatter(phase, c.w, bounds, bufs)
+		})
 }
 
-// ShardedGatherSum models a parameter-server with `shards` servers
-// co-located on the workers: each worker pushes the shard-sized fraction
-// of its local array to each shard owner, so the per-link volume divides
-// by the shard count and shards receive in parallel.
-func (c *Cluster) ShardedGatherSum(phase string, locals [][]float64, shards int) []float64 {
-	sum := make([]float64, c.localLen(locals))
-	c.ShardedGatherSumInto(phase, locals, sum, shards, nil)
-	return sum
-}
-
-// ShardedGatherSumInto is ShardedGatherSum reducing into a caller-owned
-// dst (overwritten). bounds assigns dst's segments to the shard servers
-// (segment s belongs to worker s, s < shards); nil means an even element
-// split over the shards. On a distributed cluster only each server's
-// segment is globally reduced, at that server.
-func (c *Cluster) ShardedGatherSumInto(phase string, locals [][]float64, dst []float64, shards int, bounds []int) {
+// ShardedGather models a parameter server with `shards` servers
+// co-located on workers 0..shards-1 (DimBoost, Section 4.1): each worker
+// pushes the shard-sized fraction of its buffers to each server, so the
+// per-link volume divides by the shard count and the servers receive in
+// parallel. Segment s of bounds (nil: EvenBounds over the shards) is
+// reduced at server s, as in ReduceScatter. One shard is a plain gather
+// at worker 0.
+func (c *Cluster) ShardedGather(phase string, shards int, bounds []int, bufs ...[]float64) {
 	if shards <= 0 || shards > c.w {
 		panic(fmt.Sprintf("cluster: shard count %d for %d workers", shards, c.w))
 	}
-	c.sumLocalInto(locals, dst)
-	c.ChargeShardedGather(phase, int64(len(dst))*float64Size, shards)
-	if c.tr != nil {
-		if bounds == nil {
-			bounds = EvenBounds(len(dst), shards)
+	total := int64(c.w-1) * payloadBytes(bufs) // every byte still leaves its worker once
+	c.collective(phase, OpGather, total, c.simTime(c.w-1, float64(total)/float64(shards)), func() error {
+		return c.scatter(phase, shards, bounds, bufs)
+	})
+}
+
+// scatter is the wire operation of ReduceScatter and ShardedGather: every
+// buffer's segments reduced at their owners, nil bounds meaning an even
+// split of each buffer over parts owners.
+func (c *Cluster) scatter(phase string, parts int, bounds []int, bufs [][]float64) error {
+	for _, buf := range bufs {
+		b := bounds
+		if b == nil {
+			b = EvenBounds(len(buf), parts)
 		}
-		c.transportOp(phase, func() error { return c.tr.ReduceScatter(phase, dst, bounds) })
-	}
-}
-
-// ChargeShardedGather records the cost of a sharded gather of n bytes per
-// worker without moving data.
-func (c *Cluster) ChargeShardedGather(phase string, n int64, shards int) {
-	total := int64(c.w-1) * n // every byte still leaves its worker once
-	perShard := float64(total) / float64(shards)
-	c.stats.addComm(phase, OpGather, total, c.simTime(c.w-1, perShard))
-}
-
-// ShardedGatherMerged is the merged-contribution form of
-// ShardedGatherSumInto (see AllReduceMerged).
-func (c *Cluster) ShardedGatherMerged(phase string, shards int, bounds []int, bufs ...[]float64) {
-	if shards <= 0 || shards > c.w {
-		panic(fmt.Sprintf("cluster: shard count %d for %d workers", shards, c.w))
-	}
-	c.ChargeShardedGather(phase, mergedBytes(bufs), shards)
-	if c.tr != nil {
-		for _, buf := range bufs {
-			b := bounds
-			if b == nil {
-				b = EvenBounds(len(buf), shards)
-			}
-			buf := buf
-			c.transportOp(phase, func() error { return c.tr.ReduceScatter(phase, buf, b) })
+		if err := c.tr.ReduceScatter(phase, buf, b); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// mergedBytes is the combined byte size of a merged collective's buffers.
-func mergedBytes(bufs [][]float64) int64 {
+// payloadBytes is the combined byte size of a reduction's buffers.
+func payloadBytes(bufs [][]float64) int64 {
 	var n int64
 	for _, b := range bufs {
 		n += int64(len(b)) * float64Size
@@ -239,9 +127,9 @@ func mergedBytes(bufs [][]float64) int64 {
 // AllGatherFixed exchanges one fixed-size opaque record per worker:
 // recs[w] is worker w's serialized contribution (the per-worker best
 // splits of Section 2.2.1). All entries must be non-nil with one shared
-// length. On the simulation the records are already in place and only the
-// all-gather cost is charged; on a distributed cluster every non-hosted
-// entry is overwritten with that rank's record.
+// length. On the simulation the records are already in place; on a
+// distributed cluster every non-hosted entry is overwritten with that
+// rank's record.
 func (c *Cluster) AllGatherFixed(phase string, recs [][]byte) {
 	if len(recs) != c.w {
 		panic(fmt.Sprintf("cluster: %d records for %d workers", len(recs), c.w))
@@ -252,16 +140,10 @@ func (c *Cluster) AllGatherFixed(phase string, recs [][]byte) {
 			panic(fmt.Sprintf("cluster: record %d has %d bytes, record 0 has %d", w, len(r), b))
 		}
 	}
-	c.chargeAllGather(phase, int64(b))
-	if c.tr != nil {
-		c.transportOp(phase, func() error { return c.tr.AllGather(phase, recs) })
-	}
-}
-
-// chargeAllGather records the all-gather cost without moving data.
-func (c *Cluster) chargeAllGather(phase string, b int64) {
-	total := int64(c.w) * int64(c.w-1) * b
-	c.stats.addComm(phase, OpAllGather, total, c.simTime(ceilLog2(c.w), float64(c.w-1)*float64(b)))
+	c.collective(phase, OpAllGather, int64(c.w)*int64(c.w-1)*int64(b),
+		c.simTime(ceilLog2(c.w), float64(c.w-1)*float64(b)), func() error {
+			return c.tr.AllGather(phase, recs)
+		})
 }
 
 // Broadcast charges a binomial-tree broadcast of b payload bytes from one
@@ -271,58 +153,40 @@ func (c *Cluster) chargeAllGather(phase string, b int64) {
 // charge is realized as shadow traffic of exactly the charged volume
 // (rank 0 to every peer), keeping measured equal to accounted.
 func (c *Cluster) Broadcast(phase string, b int64) {
-	steps := ceilLog2(c.w)
-	total := int64(c.w-1) * b
-	c.stats.addComm(phase, OpBroadcast, total, c.simTime(steps, float64(steps)*float64(b)))
-	c.shadow(phase, func(send [][]int64) {
-		for j := 1; j < c.w; j++ {
-			send[0][j] = b
-		}
+	c.broadcast(phase, b, func() error {
+		return c.shadow(phase, func(send [][]int64) {
+			for j := 1; j < c.w; j++ {
+				send[0][j] = b
+			}
+		})
 	})
 }
 
 // BroadcastBytes is the data-carrying form of Broadcast: buf moves from
 // the root worker to every other worker, charged exactly like Broadcast.
-// On the simulation the payload is already in place (one process hosts
-// every worker) and only the cost is charged; on a distributed cluster
-// the root's bytes overwrite every peer's buf. len(buf) must be identical
-// at every rank. It carries decisions only one rank can make — the
-// early-stopping verdict, instance-placement bitmaps of sharded vertical
-// training — so every rank proceeds from identical bytes.
+// On the simulation the payload is already in place; on a distributed
+// cluster the root's bytes overwrite every peer's buf. len(buf) must be
+// identical at every rank. It carries decisions only one rank can make —
+// the early-stopping verdict, instance-placement bitmaps of sharded
+// vertical training — so every rank proceeds from identical bytes.
 func (c *Cluster) BroadcastBytes(phase string, buf []byte, root int) {
-	steps := ceilLog2(c.w)
-	b := int64(len(buf))
-	total := int64(c.w-1) * b
-	c.stats.addComm(phase, OpBroadcast, total, c.simTime(steps, float64(steps)*float64(b)))
-	if c.tr != nil && c.w > 1 {
-		c.transportOp(phase, func() error { return c.tr.Broadcast(phase, buf, root) })
-	}
+	c.broadcast(phase, int64(len(buf)), func() error {
+		return c.tr.Broadcast(phase, buf, root)
+	})
 }
 
-// AllGatherSmall charges an all-gather where every worker contributes b
-// bytes and receives everyone else's contribution (exchanging local best
-// splits in vertical partitioning, Section 2.2.1). Shadow traffic on a
-// distributed cluster; AllGatherFixed is the data-carrying form.
-func (c *Cluster) AllGatherSmall(phase string, b int64) {
-	c.chargeAllGather(phase, b)
-	c.shadow(phase, func(send [][]int64) {
-		for i := 0; i < c.w; i++ {
-			for j := 0; j < c.w; j++ {
-				if i != j {
-					send[i][j] = b
-				}
-			}
-		}
-	})
+// broadcast is the one charge of both broadcast forms.
+func (c *Cluster) broadcast(phase string, b int64, wire func() error) {
+	steps := ceilLog2(c.w)
+	c.collective(phase, OpBroadcast, int64(c.w-1)*b, c.simTime(steps, float64(steps)*float64(b)), wire)
 }
 
 // PointToPoint charges a single b-byte message between two workers (or
 // worker and master). Shadow traffic (rank 0 to rank 1) on a distributed
 // cluster.
 func (c *Cluster) PointToPoint(phase string, b int64) {
-	c.stats.addComm(phase, OpPointToPoint, b, c.simTime(1, float64(b)))
-	c.shadow(phase, func(send [][]int64) {
-		send[0][1] = b
+	c.collective(phase, OpPointToPoint, b, c.simTime(1, float64(b)), func() error {
+		return c.shadow(phase, func(send [][]int64) { send[0][1] = b })
 	})
 }
 
@@ -351,106 +215,69 @@ func (c *Cluster) Shuffle(phase string, sendBytes [][]int64) {
 			busiest = v
 		}
 	}
-	c.stats.addComm(phase, OpShuffle, total, c.simTime(c.w-1, busiest))
-	c.shadow(phase, func(send [][]int64) {
-		for i := 0; i < c.w; i++ {
-			for j := 0; j < c.w; j++ {
-				if i != j {
-					send[i][j] = sendBytes[i][j]
-				}
-			}
-		}
+	c.collective(phase, OpShuffle, total, c.simTime(c.w-1, busiest), func() error {
+		return c.tr.Shadow(phase, sendBytes) // the transport ignores the diagonal
 	})
 }
 
-// ChargeComm records a raw communication volume with an explicit simulated
-// duration; used by components that model costs themselves. The volume is
+// ChargeComm records a raw communication volume of kind over the given
+// number of latency steps; used by components that size a transfer
+// themselves (the sketch exchange, QD3's raw repartition). The volume is
 // realized as shadow traffic spread evenly over all ordered worker pairs
 // (remainder bytes to the lexicographically first pairs) on a distributed
 // cluster. Callers must therefore invoke it with identical arguments at
 // every rank — true for all in-tree callers, whose volumes derive from
 // replicated state.
-func (c *Cluster) ChargeComm(phase string, kind OpKind, bytes int64, seconds float64) {
-	c.stats.addComm(phase, kind, bytes, seconds)
-	c.shadow(phase, func(send [][]int64) {
-		pairs := int64(c.w) * int64(c.w-1)
-		base, rem := bytes/pairs, bytes%pairs
-		for i := 0; i < c.w; i++ {
-			for j := 0; j < c.w; j++ {
-				if i == j {
-					continue
-				}
-				send[i][j] = base
-				if rem > 0 {
-					send[i][j]++
-					rem--
+func (c *Cluster) ChargeComm(phase string, kind OpKind, bytes int64, steps int) {
+	c.collective(phase, kind, bytes, c.simTime(steps, float64(bytes)), func() error {
+		return c.shadow(phase, func(send [][]int64) {
+			pairs := int64(c.w) * int64(c.w-1)
+			base, rem := bytes/pairs, bytes%pairs
+			for i := 0; i < c.w; i++ {
+				for j := 0; j < c.w; j++ {
+					if i == j {
+						continue
+					}
+					send[i][j] = base
+					if rem > 0 {
+						send[i][j]++
+						rem--
+					}
 				}
 			}
-		}
+		})
 	})
 }
 
-// shadow realizes a charge-only collective as real wire traffic: fill
-// populates the send matrix (send[i][j] = bytes from rank i to rank j),
-// which must come out identical at every rank. No-op on the simulation
-// and on single-worker deployments.
-func (c *Cluster) shadow(phase string, fill func(send [][]int64)) {
-	if c.tr == nil || c.w == 1 {
+// collective is the one body of every collective: charge bytes and
+// seconds of kind to phase, then — on a distributed cluster of more than
+// one worker — run the wire operation, attributing its payload bytes and
+// wall-clock to the phase's measured record. The simulation stops after
+// the charge, so its measured record stays zero. A wire failure latches
+// into the transport's sticky error (surfaced by Err) and the collective
+// falls back to the local contribution, so the caller reaches a
+// consistency boundary without blocking.
+func (c *Cluster) collective(phase string, kind OpKind, bytes int64, seconds float64, wire func() error) {
+	c.stats.addComm(phase, kind, bytes, seconds)
+	if !c.Distributed() || c.w == 1 {
 		return
 	}
+	before := c.tr.PayloadBytesSent()
+	start := time.Now()
+	_ = wire() // sticky in the transport; surfaced via Err()
+	c.stats.addMeasured(phase, c.tr.PayloadBytesSent()-before, time.Since(start).Seconds())
+}
+
+// shadow is the wire operation of a charge-only collective: synthetic
+// traffic shaped by fill, which populates the send matrix (send[i][j] =
+// bytes from rank i to rank j) and must come out identical at every rank.
+func (c *Cluster) shadow(phase string, fill func(send [][]int64)) error {
 	send := make([][]int64, c.w)
 	for i := range send {
 		send[i] = make([]int64, c.w)
 	}
 	fill(send)
-	c.transportOp(phase, func() error { return c.tr.Shadow(phase, send) })
-}
-
-// localLen returns the shared length of the hosted locals.
-func (c *Cluster) localLen(locals [][]float64) int {
-	if len(locals) != c.w {
-		panic(fmt.Sprintf("cluster: %d locals for %d workers", len(locals), c.w))
-	}
-	for _, l := range locals {
-		if l != nil {
-			return len(l)
-		}
-	}
-	panic("cluster: no hosted locals")
-}
-
-// sumLocalInto element-wise sums the hosted workers' arrays into dst,
-// overwriting it. Exactly the hosted workers' entries must be non-nil
-// (all of them on the simulation), all sharing dst's length, and dst must
-// not alias any local: it is cleared before the sum, so an aliased
-// worker's contribution would silently vanish. The reduction adds workers
-// in index order — the deterministic order every collective exposes, and
-// the order a transport must reproduce on the wire.
-func (c *Cluster) sumLocalInto(locals [][]float64, dst []float64) {
-	if len(locals) != c.w {
-		panic(fmt.Sprintf("cluster: %d locals for %d workers", len(locals), c.w))
-	}
-	n := len(dst)
-	for w, l := range locals {
-		if hosted := c.HostsWorker(w); hosted != (l != nil) {
-			panic(fmt.Sprintf("cluster: worker %d hosted=%v but local present=%v", w, hosted, l != nil))
-		}
-		if l == nil {
-			continue
-		}
-		if len(l) != n {
-			panic(fmt.Sprintf("cluster: worker %d array has %d entries, dst has %d", w, len(l), n))
-		}
-		if n > 0 && &l[0] == &dst[0] {
-			panic(fmt.Sprintf("cluster: dst aliases worker %d's array", w))
-		}
-	}
-	clear(dst)
-	for _, l := range locals {
-		for i, v := range l {
-			dst[i] += v
-		}
-	}
+	return c.tr.Shadow(phase, send)
 }
 
 func ceilLog2(x int) int {

@@ -72,7 +72,7 @@ type Config struct {
 // read side is only ever touched by one goroutine at a time (each
 // operation runs one receiver per peer).
 type peerConn struct {
-	c   *cluster.CountingConn
+	c   net.Conn
 	wmu sync.Mutex
 }
 
@@ -86,6 +86,7 @@ type Transport struct {
 	ln         net.Listener
 	conns      []*peerConn // indexed by peer rank; nil at self
 	payload    atomic.Int64
+	wire       atomic.Int64
 
 	mu     sync.Mutex
 	err    error
@@ -276,7 +277,7 @@ func (t *Transport) handshakeAccept(conn net.Conn, hash uint32, deadline time.Ti
 	if t.conns[rank] != nil {
 		return fmt.Errorf("tcptransport: rank %d: duplicate connection from rank %d", t.rank, rank)
 	}
-	t.conns[rank] = &peerConn{c: &cluster.CountingConn{Conn: conn}}
+	t.conns[rank] = &peerConn{c: conn}
 	return nil
 }
 
@@ -297,7 +298,7 @@ func (t *Transport) dialPeer(i int, addr string, hash uint32, deadline time.Time
 				conn.Close()
 				return fmt.Errorf("tcptransport: rank %d: handshake with rank %d at %s: %w", t.rank, i, addr, herr)
 			}
-			t.conns[i] = &peerConn{c: &cluster.CountingConn{Conn: conn}}
+			t.conns[i] = &peerConn{c: conn}
 			return nil
 		}
 		if !time.Now().Add(backoff).Before(deadline) {
@@ -319,17 +320,9 @@ func (t *Transport) Rank() int { return t.rank }
 // PayloadBytesSent implements cluster.Transport.
 func (t *Transport) PayloadBytesSent() int64 { return t.payload.Load() }
 
-// WireBytes implements cluster.Transport: everything this rank wrote,
-// including frame headers, checksums and handshakes.
-func (t *Transport) WireBytes() int64 {
-	var total int64
-	for _, pc := range t.conns {
-		if pc != nil {
-			total += pc.c.Written()
-		}
-	}
-	return total
-}
+// WireBytes implements cluster.Transport: every collective frame this rank
+// wrote, including frame headers and checksums.
+func (t *Transport) WireBytes() int64 { return t.wire.Load() }
 
 // Err implements cluster.Transport.
 func (t *Transport) Err() error {
@@ -404,8 +397,9 @@ func (t *Transport) send(j int, o op, pc, seq uint32, phase string, payload []by
 		&frame{Op: o, Rank: uint16(t.rank), PhaseCRC: pc, Seq: seq, Payload: payload})
 	conn.wmu.Lock()
 	conn.c.SetWriteDeadline(time.Now().Add(t.opTimeout))
-	_, err := conn.c.Write(buf)
+	n, err := conn.c.Write(buf)
 	conn.wmu.Unlock()
+	t.wire.Add(int64(n))
 	if err != nil {
 		return wrap(err)
 	}
@@ -459,7 +453,7 @@ func (t *Transport) runAll(fns []func() error) error {
 }
 
 // AllReduce implements cluster.Transport: a direct-exchange
-// reduce-scatter (every rank owns one even segment, receives W-1
+// reduce-scatter over even segments (every rank owns one, receives W-1
 // contributions for it and reduces them in rank order) followed by an
 // all-gather of the reduced segments. Per-rank wire volume is
 // (n - seg) + (W-1)*seg payload bytes, summing to the charged 2(W-1)n
@@ -474,36 +468,11 @@ func (t *Transport) AllReduce(phase string, buf []float64) error {
 	}
 	pc := phaseCRC(phase)
 	bounds := cluster.EvenBounds(len(buf), t.w)
-	seg := func(r int) []float64 { return buf[bounds[r]:bounds[r+1]] }
-	mine := seg(t.rank)
-
-	contribs := make([][]byte, t.w)
-	var fns []func() error
-	for j := 0; j < t.w; j++ {
-		if j == t.rank {
-			continue
-		}
-		fns = append(fns,
-			func() error { return t.send(j, opContrib, pc, seq, phase, floatBytes(seg(j))) },
-			func() error {
-				p, err := t.recv(j, opContrib, pc, seq, phase)
-				if err != nil {
-					return err
-				}
-				if len(p) != 8*len(mine) {
-					return fmt.Errorf("tcptransport: rank %d: phase %q: rank %d contributed %d bytes to a %d-element segment", t.rank, phase, j, len(p), len(mine))
-				}
-				contribs[j] = p
-				return nil
-			})
-	}
-	if err := t.runAll(fns); err != nil {
+	if err := t.scatter(seq, pc, phase, buf, bounds); err != nil {
 		return err
 	}
-	reduceRankOrder(mine, contribs, t.rank)
-
-	out := floatBytes(mine)
-	fns = fns[:0]
+	out := floatBytes(buf[bounds[t.rank]:bounds[t.rank+1]])
+	var fns []func() error
 	for j := 0; j < t.w; j++ {
 		if j == t.rank {
 			continue
@@ -515,7 +484,7 @@ func (t *Transport) AllReduce(phase string, buf []float64) error {
 				if err != nil {
 					return err
 				}
-				dst := seg(j)
+				dst := buf[bounds[j]:bounds[j+1]]
 				if len(p) != 8*len(dst) {
 					return fmt.Errorf("tcptransport: rank %d: phase %q: rank %d sent a %d-byte segment, want %d", t.rank, phase, j, len(p), 8*len(dst))
 				}
@@ -529,7 +498,7 @@ func (t *Transport) AllReduce(phase string, buf []float64) error {
 // ReduceScatter implements cluster.Transport by direct exchange: each
 // rank sends every segment it does not own to the segment's owner, which
 // reduces the W contributions in rank order. Total payload equals the
-// charged (W-1)n for any bounds.
+// charged (W-1)n for any bounds; bounds [0, n] is a gather at rank 0.
 func (t *Transport) ReduceScatter(phase string, buf []float64, bounds []int) error {
 	if t.w == 1 {
 		return nil
@@ -538,12 +507,18 @@ func (t *Transport) ReduceScatter(phase string, buf []float64, bounds []int) err
 	if err != nil {
 		return err
 	}
-	pc := phaseCRC(phase)
 	segs := len(bounds) - 1
 	if segs > t.w || bounds[segs] != len(buf) || bounds[0] != 0 {
 		return t.fail(fmt.Errorf("tcptransport: rank %d: phase %q: bounds %v do not partition %d elements over %d workers", t.rank, phase, bounds, len(buf), t.w))
 	}
+	return t.scatter(seq, phaseCRC(phase), phase, buf, bounds)
+}
 
+// scatter is the exchange both reductions start with: every segment of
+// bounds this rank does not own goes to its owner, and this rank's own
+// segment, if any, is reduced in rank order from the peers' contributions.
+func (t *Transport) scatter(seq, pc uint32, phase string, buf []float64, bounds []int) error {
+	segs := len(bounds) - 1
 	var fns []func() error
 	for s := 0; s < segs; s++ {
 		if s == t.rank {
@@ -584,50 +559,9 @@ func (t *Transport) ReduceScatter(phase string, buf []float64, bounds []int) err
 	return nil
 }
 
-// Gather implements cluster.Transport: every rank sends its whole buffer
-// to the root, which reduces in rank order. (W-1)n payload bytes total.
-func (t *Transport) Gather(phase string, buf []float64, root int) error {
-	if t.w == 1 {
-		return nil
-	}
-	seq, err := t.startOp()
-	if err != nil {
-		return err
-	}
-	pc := phaseCRC(phase)
-	if t.rank != root {
-		if err := t.send(root, opContrib, pc, seq, phase, floatBytes(buf)); err != nil {
-			return t.fail(err)
-		}
-		return nil
-	}
-	contribs := make([][]byte, t.w)
-	var fns []func() error
-	for j := 0; j < t.w; j++ {
-		if j == t.rank {
-			continue
-		}
-		fns = append(fns, func() error {
-			p, err := t.recv(j, opContrib, pc, seq, phase)
-			if err != nil {
-				return err
-			}
-			if len(p) != 8*len(buf) {
-				return fmt.Errorf("tcptransport: rank %d: phase %q: rank %d contributed %d bytes to a %d-element gather", t.rank, phase, j, len(p), len(buf))
-			}
-			contribs[j] = p
-			return nil
-		})
-	}
-	if err := t.runAll(fns); err != nil {
-		return err
-	}
-	reduceRankOrder(buf, contribs, t.rank)
-	return nil
-}
-
 // AllGather implements cluster.Transport: every rank sends its record to
-// every peer. W(W-1)b payload bytes total, matching AllGatherSmall.
+// every peer. W(W-1)b payload bytes total, matching the charge of
+// Cluster.AllGatherFixed.
 func (t *Transport) AllGather(phase string, recs [][]byte) error {
 	if t.w == 1 {
 		return nil
@@ -756,8 +690,8 @@ func (t *Transport) Shadow(phase string, send [][]int64) error {
 }
 
 // reduceRankOrder reduces the owner's local segment and the peers'
-// contributions in rank order starting from zero — bit-identical to the
-// simulation's sumLocalInto. mine holds the local contribution on entry
+// contributions in rank order starting from zero — bit-identical to
+// cluster.Cluster.SumHosted. mine holds the local contribution on entry
 // and the reduced segment on return; contribs[j] is rank j's serialized
 // contribution (nil at rank `self`).
 func reduceRankOrder(mine []float64, contribs [][]byte, self int) {

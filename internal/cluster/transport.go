@@ -6,10 +6,10 @@ import (
 )
 
 // Transport moves collective payloads between the processes of a
-// distributed cluster. The simulated backend needs no transport at all —
-// every worker lives in one process and reductions happen in memory — so
-// a nil transport selects the simulation. A real backend (such as
-// tcptransport) carries each rank's contributions over the network.
+// distributed cluster. A real backend (such as tcptransport) carries each
+// rank's contributions over the network. The default simulated backend
+// has a private one that moves nothing: every worker lives in one
+// process, so each collective's data is already in place.
 //
 // Every method is called with identical arguments, in identical order, at
 // every rank: the training loop is SPMD and each process replays the same
@@ -18,9 +18,9 @@ import (
 //
 // Reduction order contract: any method that sums contributions MUST
 // accumulate them in rank order 0..W-1 starting from zero — the exact
-// order of the simulation's sumAlignedInto — so that models trained over a
-// real transport are bit-identical to simulated runs (floating-point
-// addition does not associate).
+// order of Cluster.SumHosted — so that models trained over a real
+// transport are bit-identical to simulated runs (floating-point addition
+// does not associate).
 type Transport interface {
 	// Workers returns the deployment size W.
 	Workers() int
@@ -37,9 +37,6 @@ type Transport interface {
 	// contribution. len(bounds)-1 may be less than W, leaving high ranks
 	// owning nothing. bounds must be identical at every rank.
 	ReduceScatter(phase string, buf []float64, bounds []int) error
-	// Gather reduces buf at the root rank only; other ranks keep their
-	// local contribution.
-	Gather(phase string, buf []float64, root int) error
 	// AllGather exchanges fixed-size opaque records: recs[Rank()] is this
 	// rank's contribution, and every other entry is overwritten with the
 	// corresponding rank's record. All entries must share one length.
@@ -50,9 +47,9 @@ type Transport interface {
 	Broadcast(phase string, buf []byte, root int) error
 	// Shadow moves synthetic traffic shaped like a charged collective:
 	// send[i][j] payload bytes from rank i to rank j (diagonal ignored).
-	// It exists so that charge-only collectives of the simulation
-	// (Broadcast, Shuffle, ChargeComm...) put real, measurable bytes on
-	// the wire in exactly the volume the alpha-beta model accounts.
+	// It exists so that charge-only collectives (Broadcast, PointToPoint,
+	// Shuffle, ChargeComm) put real, measurable bytes on the wire in
+	// exactly the volume the alpha-beta model accounts.
 	Shadow(phase string, send [][]int64) error
 
 	// PayloadBytesSent returns the cumulative collective payload bytes
@@ -70,12 +67,30 @@ type Transport interface {
 	Close() error
 }
 
+// simulation is the transport of the default backend: one process hosts
+// every worker, so nothing crosses a wire. Collectives stop at their
+// charge on it (see collective), so its data methods are never reached
+// and its measured record stays zero.
+type simulation struct{ w int }
+
+func (s simulation) Workers() int                               { return s.w }
+func (simulation) Rank() int                                    { return 0 }
+func (simulation) AllReduce(string, []float64) error            { return nil }
+func (simulation) ReduceScatter(string, []float64, []int) error { return nil }
+func (simulation) AllGather(string, [][]byte) error             { return nil }
+func (simulation) Broadcast(string, []byte, int) error          { return nil }
+func (simulation) Shadow(string, [][]int64) error               { return nil }
+func (simulation) PayloadBytesSent() int64                      { return 0 }
+func (simulation) WireBytes() int64                             { return 0 }
+func (simulation) Err() error                                   { return nil }
+func (simulation) Close() error                                 { return nil }
+
 // WithTransport attaches a real transport to the cluster: collectives move
 // payloads through it (in simulation-identical reduction order) while
 // still charging the alpha-beta model, and Stats additionally records
 // measured bytes and wall-clock per phase. The cluster then represents
-// one rank of a W-process deployment; see ParallelLocal, Replicated and
-// HostsWorker for the work-placement seams.
+// one rank of a W-process deployment; see ParallelLocal, Replicated,
+// HostsWorker and SumHosted for the work-placement seams.
 func WithTransport(tr Transport) Option {
 	return func(c *Cluster) {
 		if tr.Workers() != c.w {
@@ -86,39 +101,56 @@ func WithTransport(tr Transport) Option {
 }
 
 // Distributed reports whether a real transport is attached.
-func (c *Cluster) Distributed() bool { return c.tr != nil }
+func (c *Cluster) Distributed() bool {
+	_, sim := c.tr.(simulation)
+	return !sim
+}
 
 // Rank returns this process's rank: 0 on the simulated backend, which
 // hosts every worker in-process.
-func (c *Cluster) Rank() int {
-	if c.tr == nil {
-		return 0
-	}
-	return c.tr.Rank()
-}
+func (c *Cluster) Rank() int { return c.tr.Rank() }
 
 // HostsWorker reports whether logical worker w runs in this process. The
 // simulation hosts all workers; a distributed cluster hosts exactly its
 // rank (one logical worker per process — partial sums over several local
 // workers would change the floating-point reduction order).
 func (c *Cluster) HostsWorker(w int) bool {
-	if c.tr == nil {
-		return true
-	}
-	return w == c.tr.Rank()
+	return !c.Distributed() || w == c.Rank()
 }
 
-// LocalWorkers returns the logical workers hosted by this process, in
-// ascending order.
-func (c *Cluster) LocalWorkers() []int {
-	if c.tr == nil {
-		ws := make([]int, c.w)
-		for i := range ws {
-			ws[i] = i
-		}
-		return ws
+// SumHosted element-wise sums the hosted workers' arrays into dst,
+// overwriting it: the contribution a reduction's in-place buffer holds on
+// entry. Exactly the hosted workers' entries of locals must be non-nil
+// (all of them on the simulation — ParallelLocal produces this shape),
+// all sharing dst's length, and dst must not alias any local: it is
+// cleared before the sum, so an aliased worker's contribution would
+// silently vanish. Workers are added in index order, the order every
+// transport reproduces on the wire.
+func (c *Cluster) SumHosted(locals [][]float64, dst []float64) {
+	if len(locals) != c.w {
+		panic(fmt.Sprintf("cluster: %d locals for %d workers", len(locals), c.w))
 	}
-	return []int{c.tr.Rank()}
+	n := len(dst)
+	for w, l := range locals {
+		if hosted := c.HostsWorker(w); hosted != (l != nil) {
+			panic(fmt.Sprintf("cluster: worker %d hosted=%v but local present=%v", w, hosted, l != nil))
+		}
+		if l == nil {
+			continue
+		}
+		if len(l) != n {
+			panic(fmt.Sprintf("cluster: worker %d array has %d entries, dst has %d", w, len(l), n))
+		}
+		if n > 0 && &l[0] == &dst[0] {
+			panic(fmt.Sprintf("cluster: dst aliases worker %d's array", w))
+		}
+	}
+	clear(dst)
+	for _, l := range locals {
+		for i, v := range l {
+			dst[i] += v
+		}
+	}
 }
 
 // Replicated runs fn once for a replicated step: work every worker of a
@@ -148,11 +180,11 @@ func (c *Cluster) Replicated(phase string, fn func()) {
 // per worker) must keep using Parallel; a step whose result is the same at
 // every worker runs through Replicated.
 func (c *Cluster) ParallelLocal(phase string, fn func(worker int)) {
-	if c.tr == nil {
+	if !c.Distributed() {
 		c.Parallel(phase, fn)
 		return
 	}
-	r := c.tr.Rank()
+	r := c.Rank()
 	start := time.Now()
 	fn(r)
 	e := time.Since(start)
@@ -164,44 +196,16 @@ func (c *Cluster) ParallelLocal(phase string, fn func(worker int)) {
 // a transport failure, collectives degrade to their local contributions
 // without blocking; callers poll Err at a consistency boundary (the
 // trainer does so per tree) and abort with the rank-attributed cause.
-func (c *Cluster) Err() error {
-	if c.tr == nil {
-		return nil
-	}
-	return c.tr.Err()
-}
+func (c *Cluster) Err() error { return c.tr.Err() }
 
 // Close releases the transport (no-op on the simulation).
-func (c *Cluster) Close() error {
-	if c.tr == nil {
-		return nil
-	}
-	return c.tr.Close()
-}
+func (c *Cluster) Close() error { return c.tr.Close() }
 
 // WireBytes returns the raw bytes this rank wrote to the network,
 // including frame headers and checksums (zero on the simulation). The
 // per-phase measured bytes count payloads only, so this is the end-to-end
 // framing overhead check.
-func (c *Cluster) WireBytes() int64 {
-	if c.tr == nil {
-		return 0
-	}
-	return c.tr.WireBytes()
-}
-
-// transportOp runs one wire operation, attributing its payload bytes and
-// wall-clock to the phase's measured record. Transport failures latch into
-// the transport's sticky error (surfaced by Err); the collective then
-// falls back to its local contribution so the caller can reach a
-// consistency boundary without blocking.
-func (c *Cluster) transportOp(phase string, fn func() error) {
-	before := c.tr.PayloadBytesSent()
-	start := time.Now()
-	err := fn()
-	c.stats.addMeasured(phase, c.tr.PayloadBytesSent()-before, time.Since(start).Seconds())
-	_ = err // sticky in the transport; surfaced via Err()
-}
+func (c *Cluster) WireBytes() int64 { return c.tr.WireBytes() }
 
 // SyncMeasured merges the per-rank measured communication records across
 // the deployment: measured bytes count what each rank sent, so the
@@ -211,7 +215,7 @@ func (c *Cluster) transportOp(phase string, fn func() error) {
 // (already global) accounted bytes — the measured-vs-predicted table.
 // No-op on the simulation.
 func (c *Cluster) SyncMeasured() error {
-	if c.tr == nil {
+	if !c.Distributed() {
 		return nil
 	}
 	names, bytes, secs := c.stats.measuredSnapshot()
@@ -220,7 +224,7 @@ func (c *Cluster) SyncMeasured() error {
 	for i := range recs {
 		recs[i] = make([]byte, len(rec))
 	}
-	copy(recs[c.tr.Rank()], rec)
+	copy(recs[c.Rank()], rec)
 	// The sync itself is bookkeeping, not part of any training phase: call
 	// the transport directly so its bytes land in no phase record.
 	if err := c.tr.AllGather("cluster.syncstats", recs); err != nil {

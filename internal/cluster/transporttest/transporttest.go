@@ -1,7 +1,7 @@
 // Package transporttest is the conformance suite every cluster.Transport
 // backend must pass. It drives the full collective surface — all-reduce,
-// reduce-scatter (even and custom bounds), sharded gather, root gather,
-// fixed-record all-gather, the merged-contribution variants and every
+// reduce-scatter (even, ceil-sized and ragged bounds), sharded gather,
+// one-shard gather, fixed-record all-gather, broadcast and every
 // charge-only (shadow-realized) collective — across several deployment
 // sizes and aligned, ragged, tiny and empty payloads, and checks three
 // invariants:
@@ -127,6 +127,14 @@ func rankOrderSum(w, n int) []float64 {
 	return acc
 }
 
+// hostedSum is one handle's contribution to an n-element reduction: the
+// sum of its hosted workers' vectors.
+func hostedSum(c *cluster.Cluster, w, n int) []float64 {
+	sum := make([]float64, n)
+	c.SumHosted(hostedLocals(c, w, n), sum)
+	return sum
+}
+
 // hostedLocals builds the locals slice for one handle: rank v's vector at
 // every hosted index, nil elsewhere.
 func hostedLocals(c *cluster.Cluster, w, n int) [][]float64 {
@@ -190,46 +198,51 @@ func runScript(t *testing.T, c *cluster.Cluster, w int) {
 	for _, n := range payloadLens(w) {
 		global := rankOrderSum(w, n)
 
-		got := c.AllReduceSum("conf.allreduce", hostedLocals(c, w, n))
+		got := hostedSum(c, w, n)
+		c.AllReduce("conf.allreduce", got)
 		checkRegion(t, c, "all-reduce", got, global, 0, n)
 
-		dst := make([]float64, n)
-		c.AllReduceSumInto("conf.allreduce.into", hostedLocals(c, w, n), dst)
+		dst := hostedSum(c, w, n)
+		c.AllReduce("conf.allreduce.into", dst)
 		checkRegion(t, c, "all-reduce-into", dst, global, 0, n)
 
-		sum, shard := c.ReduceScatterSum("conf.rs", hostedLocals(c, w, n))
+		sum := hostedSum(c, w, n)
+		per := (n + w - 1) / w // ceil-sized segments: high ranks may own none
 		bounds := make([]int, w+1)
 		for v := 0; v < w; v++ {
-			bounds[v], bounds[v+1] = shard[v][0], shard[v][1]
+			bounds[v], bounds[v+1] = min(v*per, n), min((v+1)*per, n)
 		}
+		c.ReduceScatter("conf.rs", bounds, sum)
 		checkOwned(t, c, "reduce-scatter", sum, bounds, w, n)
 
 		if n >= 2 {
 			ragged := []int{0, 1, n} // two deliberately unequal segments
-			dst = make([]float64, n)
-			c.ReduceScatterSumInto("conf.rs.bounds", hostedLocals(c, w, n), dst, ragged)
+			dst = hostedSum(c, w, n)
+			c.ReduceScatter("conf.rs.bounds", ragged, dst)
 			checkOwned(t, c, "reduce-scatter-bounds", dst, ragged, w, n)
 		}
 
-		got = c.ShardedGatherSum("conf.sg", hostedLocals(c, w, n), shards)
+		got = hostedSum(c, w, n)
+		c.ShardedGather("conf.sg", shards, nil, got)
 		checkOwned(t, c, "sharded-gather", got, cluster.EvenBounds(n, shards), w, n)
 
-		got = c.GatherSum("conf.gather", hostedLocals(c, w, n))
+		got = hostedSum(c, w, n)
+		c.ShardedGather("conf.gather", 1, nil, got)
 		rootBounds := []int{0, n} // one segment, owned by rank 0
 		checkOwned(t, c, "gather", got, rootBounds, w, n)
 
 		// Merged-contribution variants: the buffer enters holding the
 		// hosted workers' merged contribution.
 		buf := append([]float64(nil), localContribution(c, w, n)...)
-		c.AllReduceMerged("conf.merged.ar", buf)
+		c.AllReduce("conf.merged.ar", buf)
 		checkRegion(t, c, "all-reduce-merged", buf, global, 0, n)
 
 		buf = append([]float64(nil), localContribution(c, w, n)...)
-		c.ReduceScatterMerged("conf.merged.rs", nil, buf)
+		c.ReduceScatter("conf.merged.rs", nil, buf)
 		checkOwned(t, c, "reduce-scatter-merged", buf, cluster.EvenBounds(n, w), w, n)
 
 		buf = append([]float64(nil), localContribution(c, w, n)...)
-		c.ShardedGatherMerged("conf.merged.sg", shards, nil, buf)
+		c.ShardedGather("conf.merged.sg", shards, nil, buf)
 		checkOwned(t, c, "sharded-gather-merged", buf, cluster.EvenBounds(n, shards), w, n)
 
 		// Fixed-record all-gather, including zero-length records.
@@ -277,7 +290,11 @@ func runScript(t *testing.T, c *cluster.Cluster, w int) {
 		// Charge-only collectives, realized as shadow traffic on a real
 		// transport in exactly the charged volume.
 		c.Broadcast("conf.bcast", 1000)
-		c.AllGatherSmall("conf.smallag", 64)
+		smallRecs := make([][]byte, w)
+		for v := range smallRecs {
+			smallRecs[v] = make([]byte, 64)
+		}
+		c.AllGatherFixed("conf.smallag", smallRecs)
 		c.PointToPoint("conf.p2p", 128)
 		matrix := make([][]int64, w)
 		for i := range matrix {
@@ -289,7 +306,7 @@ func runScript(t *testing.T, c *cluster.Cluster, w int) {
 			}
 		}
 		c.Shuffle("conf.shuffle", matrix)
-		c.ChargeComm("conf.charge", cluster.OpShuffle, 997, 1e-3)
+		c.ChargeComm("conf.charge", cluster.OpShuffle, 997, 1)
 	}
 	if err := c.Err(); err != nil {
 		t.Errorf("rank %d: transport error after script: %v", c.Rank(), err)

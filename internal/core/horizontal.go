@@ -62,7 +62,7 @@ func (e *horizontalEngine) prepare() error {
 		return t.binner.BinCSR(t.ds.X.SliceRows(t.ranges[w][0], t.ranges[w][1]))
 	}
 	// ParallelLocal: on a distributed cluster each rank builds only its
-	// hosted worker's structures — the aggregation path (sumLocalInto)
+	// hosted worker's structures — the aggregation path (SumHosted)
 	// requires the locals' shape to match the hosting.
 	if t.cfg.Quadrant == QD2 {
 		e.rows = make([]rowStore, t.w)
@@ -221,7 +221,9 @@ func (e *horizontalEngine) rootTotals() ([]float64, []float64) {
 		}
 		locals[w] = acc
 	})
-	sum := t.cl.AllReduceSum(phaseGrad, locals)
+	sum := make([]float64, 2*t.c)
+	t.cl.SumHosted(locals, sum)
+	t.cl.AllReduce(phaseGrad, sum)
 	return sum[:t.c], sum[t.c:]
 }
 
@@ -286,7 +288,7 @@ func (e *horizontalEngine) buildHistograms(toBuild []*nodeInfo) {
 			})
 		}
 		// A distributed rank hosts one worker; its predecessor's channel is
-		// never closed locally (the AllReduce below replaces the chain).
+		// never closed locally (the reduction below replaces the chain).
 		if w > 0 && t.cl.HostsWorker(w-1) {
 			<-merged[w-1]
 		}
@@ -298,7 +300,7 @@ func (e *horizontalEngine) buildHistograms(toBuild []*nodeInfo) {
 	})
 	mem := t.cl.Stats().Mem("histogram")
 	for i, nd := range toBuild {
-		e.aggregateMerged(acc[i])
+		e.reduce(acc[i].Grad, acc[i].Hess)
 		e.agg[nd.id] = acc[i]
 		for w := 0; w < t.w; w++ {
 			mem.Add(w, e.layout.SizeBytes())
@@ -335,24 +337,23 @@ func (e *horizontalEngine) buildRowStore(nodes []*nodeInfo) {
 	}
 }
 
-// aggregateMerged runs the configured aggregation collective over a
-// histogram that already holds the hosted workers' merged contribution
-// (QD1's shared accumulators). On the simulation the accumulator is
-// already the global sum, so this only charges; on a distributed cluster
-// the two sides travel as one charged payload and the accumulator comes
-// back reduced — fully for all-reduce, per owned feature shard for the
-// scatter variants. The transport adds rank contributions in rank order
-// from a zeroed base, the exact order the simulation's merge chain uses,
-// so the sums are bit-identical.
-func (e *horizontalEngine) aggregateMerged(h *histogram.Hist) {
+// reduce runs the configured aggregation collective over histogram sides
+// that hold this process's merged contribution — QD1's shared
+// accumulators, or a histogram SumHosted filled — charged as one payload.
+// On the simulation the sides already are the global sum, so this only
+// charges; on a distributed cluster they come back reduced: fully for
+// all-reduce, per owned feature shard for the scatter variants. The
+// transport adds rank contributions in rank order from a zeroed base, the
+// exact order of the simulation's merge, so the sums are bit-identical.
+func (e *horizontalEngine) reduce(sides ...[]float64) {
 	t := e.t
 	switch t.cfg.Aggregation {
 	case AggReduceScatter:
-		t.cl.ReduceScatterMerged(phaseHist, e.featureBounds(), h.Grad, h.Hess)
+		t.cl.ReduceScatter(phaseHist, e.featureBounds(), sides...)
 	case AggParameterServer:
-		t.cl.ShardedGatherMerged(phaseHist, t.w, e.featureBounds(), h.Grad, h.Hess)
+		t.cl.ShardedGather(phaseHist, t.w, e.featureBounds(), sides...)
 	default: // AggAllReduce
-		t.cl.AllReduceMerged(phaseHist, h.Grad, h.Hess)
+		t.cl.AllReduce(phaseHist, sides...)
 	}
 }
 
@@ -386,18 +387,12 @@ func (e *horizontalEngine) aggregate(node int32, locals []*histogram.Hist) {
 	// Reduce straight into a pooled histogram: every histogram the trainer
 	// releases was drawn from the pool (keeping the free list bounded by
 	// the live set), and the steady state allocates nothing per node.
+	// The sides are reduced one at a time, each its own charge.
 	agg := t.pool.Get(e.layout)
-	switch t.cfg.Aggregation {
-	case AggReduceScatter:
-		t.cl.ReduceScatterSumInto(phaseHist, gl, agg.Grad, e.featureBounds())
-		t.cl.ReduceScatterSumInto(phaseHist, hl, agg.Hess, e.featureBounds())
-	case AggParameterServer:
-		t.cl.ShardedGatherSumInto(phaseHist, gl, agg.Grad, t.w, e.featureBounds())
-		t.cl.ShardedGatherSumInto(phaseHist, hl, agg.Hess, t.w, e.featureBounds())
-	default: // AggAllReduce
-		t.cl.AllReduceSumInto(phaseHist, gl, agg.Grad)
-		t.cl.AllReduceSumInto(phaseHist, hl, agg.Hess)
-	}
+	t.cl.SumHosted(gl, agg.Grad)
+	e.reduce(agg.Grad)
+	t.cl.SumHosted(hl, agg.Hess)
+	e.reduce(agg.Hess)
 	e.agg[node] = agg
 	mem := t.cl.Stats().Mem("histogram")
 	for w := 0; w < t.w; w++ {
@@ -565,7 +560,9 @@ func (e *horizontalEngine) childStats(nodes []*nodeInfo) {
 			locals[w] = acc
 		})
 	}
-	sum := t.cl.AllReduceSum(phaseNode, locals)
+	sum := make([]float64, stride*len(nodes))
+	t.cl.SumHosted(locals, sum)
+	t.cl.AllReduce(phaseNode, sum)
 	for i, nd := range nodes {
 		o := i * stride
 		nd.totalG = append([]float64(nil), sum[o:o+t.c]...)

@@ -130,7 +130,7 @@ func (t *trainer) distributedSketch() ([]int64, error) {
 			}
 		}
 	}
-	t.cl.ChargeComm("prep.sketch", cluster.OpAllReduce, sketchBytes, t.commSeconds(sketchBytes, t.w-1))
+	t.cl.ChargeComm("prep.sketch", cluster.OpAllReduce, sketchBytes, t.w-1)
 
 	global := sketch.Canonical(t.ds.X, t.cfg.SketchEps)
 	t.binner = &sparse.Binner{Splits: make([][]float32, t.d)}
@@ -148,13 +148,6 @@ func (t *trainer) distributedSketch() ([]int64, error) {
 	}
 	t.cl.Broadcast("prep.sketch", splitBytes)
 	return featCount, nil
-}
-
-// commSeconds converts a byte volume into simulated seconds under the
-// cluster's network model with the given number of latency steps.
-func (t *trainer) commSeconds(bytes int64, steps int) float64 {
-	net := t.cl.Net()
-	return float64(steps)*net.LatencySec + float64(bytes)/net.BandwidthBytesPerSec
 }
 
 func binnedCSRBytes(m *sparse.BinnedCSR) int64 {

@@ -121,7 +121,7 @@ func (e *verticalEngine) prepare() error {
 		// Vertical repartition of the raw data, shipped as uncompressed
 		// key-value pairs (QD3 predates Vero's compact transformation).
 		shuffleBytes := globalNNZ * 12 * int64(t.w-1) / int64(t.w)
-		t.cl.ChargeComm("prep.repartition", cluster.OpShuffle, shuffleBytes, t.commSeconds(shuffleBytes, t.w-1))
+		t.cl.ChargeComm("prep.repartition", cluster.OpShuffle, shuffleBytes, t.w-1)
 		// Labels are broadcast so every worker can compute gradients.
 		t.cl.Broadcast("prep.labels", int64(t.n)*4)
 		return nil

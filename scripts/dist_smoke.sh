@@ -2,11 +2,13 @@
 # Distributed training smoke test: train the same `.vbin` cache image
 # twice through a real `veroctl` — once on the single-process simulation,
 # once as three OS processes meshed over loopback TCP — and require the
-# two model files to be byte-identical. Also asserts the distributed run
-# reports its measured payload equal to the alpha-beta model's accounted
-# volume, and that an armed `cluster.tcp.write` failpoint aborts training
-# at a tree boundary instead of hanging or writing a model. Run from the
-# repo root; used by CI and reproducible locally with
+# two model files to be byte-identical, for `-system vero` (QD4) and for
+# `-system lightgbm` (QD2, histogram reduce-scatter). Also asserts each
+# distributed run reports its measured payload equal to the alpha-beta
+# model's accounted volume, that an armed `cluster.tcp.write` failpoint
+# aborts training at a tree boundary instead of hanging or writing a
+# model, and that a deployment killed mid-run resumes from checkpoints.
+# Run from the repo root; used by CI and reproducible locally with
 # `bash scripts/dist_smoke.sh`.
 set -euo pipefail
 
@@ -25,31 +27,39 @@ echo "== generate a .vbin cache image"
 "$DIR/datagen" -n 20000 -d 300 -c 2 -density 0.3 -informative 0.3 \
   -format vbin -out "$DIR/train.vbin"
 
-echo "== single-process simulated reference run (3 workers)"
-"$DIR/veroctl" train "${TRAIN_ARGS[@]}" -workers 3 -model "$DIR/sim.json" >"$DIR/sim.log" \
-  || fail "simulated run failed" "$DIR/sim.log"
+# three_ranks SYSTEM trains SYSTEM on the simulation with 3 workers and
+# as a 3-rank loopback deployment, and requires byte-identical models and
+# measured payload equal to the accounted volume.
+three_ranks() {
+  local sys="$1" args=("${TRAIN_ARGS[@]}" -system "$1") # the last -system wins
+  echo "== $sys: single-process simulated reference run (3 workers)"
+  "$DIR/veroctl" train "${args[@]}" -workers 3 -model "$DIR/sim-$sys.json" >"$DIR/sim-$sys.log" \
+    || fail "simulated run failed" "$DIR/sim-$sys.log"
 
-BASE=$(( (RANDOM % 20000) + 20000 ))
-PEERS="127.0.0.1:$BASE,127.0.0.1:$((BASE+1)),127.0.0.1:$((BASE+2))"
+  local base=$(( (RANDOM % 20000) + 20000 ))
+  local peers="127.0.0.1:$base,127.0.0.1:$((base+1)),127.0.0.1:$((base+2))"
+  echo "== $sys: 3-rank loopback deployment on $peers"
+  "$DIR/veroctl" train "${args[@]}" -workers "$peers" -rank 1 \
+    -model "$DIR/rank1-$sys.json" >"$DIR/rank1-$sys.log" 2>&1 & local pid1=$!
+  "$DIR/veroctl" train "${args[@]}" -workers "$peers" -rank 2 \
+    -model "$DIR/rank2-$sys.json" >"$DIR/rank2-$sys.log" 2>&1 & local pid2=$!
+  "$DIR/veroctl" train "${args[@]}" -workers "$peers" -rank 0 \
+    -model "$DIR/dist-$sys.json" >"$DIR/dist-$sys.log" 2>&1 \
+    || fail "rank 0 failed" "$DIR/dist-$sys.log" "$DIR/rank1-$sys.log" "$DIR/rank2-$sys.log"
+  wait "$pid1" || fail "rank 1 failed" "$DIR/rank1-$sys.log"
+  wait "$pid2" || fail "rank 2 failed" "$DIR/rank2-$sys.log"
 
-echo "== 3-rank loopback deployment on $PEERS"
-"$DIR/veroctl" train "${TRAIN_ARGS[@]}" -workers "$PEERS" -rank 1 \
-  -model "$DIR/rank1.json" >"$DIR/rank1.log" 2>&1 & PID1=$!
-"$DIR/veroctl" train "${TRAIN_ARGS[@]}" -workers "$PEERS" -rank 2 \
-  -model "$DIR/rank2.json" >"$DIR/rank2.log" 2>&1 & PID2=$!
-"$DIR/veroctl" train "${TRAIN_ARGS[@]}" -workers "$PEERS" -rank 0 \
-  -model "$DIR/dist.json" >"$DIR/dist.log" 2>&1 \
-  || fail "rank 0 failed" "$DIR/dist.log" "$DIR/rank1.log" "$DIR/rank2.log"
-wait "$PID1" || fail "rank 1 failed" "$DIR/rank1.log"
-wait "$PID2" || fail "rank 2 failed" "$DIR/rank2.log"
+  cmp -s "$DIR/sim-$sys.json" "$DIR/dist-$sys.json" \
+    || fail "socket-trained model differs from the simulation" "$DIR/sim-$sys.log" "$DIR/dist-$sys.log"
+  grep -q "bytes agree" "$DIR/dist-$sys.log" \
+    || fail "measured payload does not match the accounted volume" "$DIR/dist-$sys.log"
+  # Only the coordinating rank persists the model.
+  [ -f "$DIR/rank1-$sys.json" ] && fail "rank 1 wrote a model file" "$DIR/rank1-$sys.log"
+  echo "   models byte-identical; $(grep 'measured:' "$DIR/dist-$sys.log")"
+}
 
-cmp -s "$DIR/sim.json" "$DIR/dist.json" \
-  || fail "socket-trained model differs from the simulation" "$DIR/sim.log" "$DIR/dist.log"
-grep -q "bytes agree" "$DIR/dist.log" \
-  || fail "measured payload does not match the accounted volume" "$DIR/dist.log"
-# Only the coordinating rank persists the model.
-[ -f "$DIR/rank1.json" ] && fail "rank 1 wrote a model file" "$DIR/rank1.log"
-echo "   models byte-identical; $(grep 'measured:' "$DIR/dist.log")"
+three_ranks vero
+three_ranks lightgbm
 
 echo "== injected transport write failure aborts at a tree boundary"
 BASE=$(( (RANDOM % 20000) + 20000 ))
