@@ -80,7 +80,7 @@ func Cached(dir, source string, opts Options) (*datasets.Dataset, CacheStatus, e
 	if err != nil {
 		return nil, "", err
 	}
-	ds, err := coldCache(dir, path, source, opts)
+	ds, err := coldCache(dir, path, source, opts, true)
 	if err != nil {
 		return nil, "", err
 	}
@@ -101,16 +101,18 @@ func EnsureCache(dir, source string, opts Options) (string, CacheStatus, error) 
 	if fresh(path, source) {
 		return path, CacheWarm, nil
 	}
-	if _, err := coldCache(dir, path, source, opts); err != nil {
+	if _, err := coldCache(dir, path, source, opts, false); err != nil {
 		return "", "", err
 	}
 	return path, CacheCold, nil
 }
 
-// coldCache parses source and writes its .vbin image to path under dir,
-// returning the dataset with its Prebin attached. The matrix is
-// transposed once, for both the sketch and the image.
-func coldCache(dir, path, source string, opts Options) (*datasets.Dataset, error) {
+// coldCache parses source and writes its .vbin image to path under dir.
+// The parsed rows are transposed once, in parallel, for both the column
+// pass and the image. With keep set it returns the dataset, its Prebin
+// attached, and the transposition reads the concatenated matrix; without,
+// it transposes the parsed blocks directly and returns nil.
+func coldCache(dir, path, source string, opts Options, keep bool) (*datasets.Dataset, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -120,16 +122,29 @@ func coldCache(dir, path, source string, opts Options) (*datasets.Dataset, error
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	defer f.Close()
-	ds, err := ReadDataset(f, opts)
+	c, err := scan(f, opts)
 	if err != nil {
 		return nil, err
 	}
-	csc := ds.X.ToCSC()
-	ds.Prebin = columnPass(csc, opts)
+	var ds *datasets.Dataset
+	var cols *columns
+	var labels []float32
+	if keep {
+		if ds, err = c.dataset(string(opts.Format), opts.NumClass, opts.Workers); err != nil {
+			return nil, err
+		}
+		cols, labels = transposeCSR(ds.X, opts.Workers), ds.Labels
+	} else {
+		cols, labels = transpose(c.runs(), c.numCols(), opts.Workers), c.labels()
+	}
+	pb := columnPass(cols, opts)
+	if ds != nil {
+		ds.Prebin = pb
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: cache dir: %w", err)
 	}
-	return ds, writeFileAtomic(path, func(w io.Writer) error { return writeImage(w, ds, csc, ds.Prebin, opts.Workers) })
+	return ds, writeFileAtomic(path, func(w io.Writer) error { return writeImage(w, labels, opts.NumClass, cols, pb, opts.Workers) })
 }
 
 // fresh reports whether the cache at path exists and is at least as new

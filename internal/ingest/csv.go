@@ -1,8 +1,8 @@
 package ingest
 
 import (
+	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -22,7 +22,7 @@ import (
 
 // parseCSVChunk parses one chunk of CSV lines into a Block.
 func parseCSVChunk(c rawChunk, opts Options) (*Block, error) {
-	b := &Block{firstLine: c.firstLine, RowPtr: make([]int64, 1, 64)}
+	b := newBlock(c, bytes.Count(c.data, []byte{','}))
 	s := string(c.data)
 	line := c.firstLine - 1
 	var fields []string
@@ -43,7 +43,7 @@ func parseCSVChunk(c rawChunk, opts Options) (*Block, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
 		}
-		label, err := strconv.ParseFloat(fields[0], 32)
+		label, err := parseValue32(fields[0])
 		if err != nil {
 			if line == 1 {
 				// A non-numeric label field on the file's first line is a
@@ -65,7 +65,7 @@ func parseCSVChunk(c rawChunk, opts Options) (*Block, error) {
 			if f == "" {
 				continue // missing value
 			}
-			v, err := strconv.ParseFloat(f, 32)
+			v, err := parseValue32(f)
 			if err != nil {
 				return nil, fmt.Errorf("ingest: line %d: bad value %q for feature %d: %w", line, f, j, err)
 			}

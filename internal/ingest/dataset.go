@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -14,8 +13,7 @@ import (
 	"vero/internal/sparse"
 )
 
-// collector keeps parsed blocks in file order and concatenates them
-// once, at exact size, when the scan is done.
+// collector keeps parsed blocks in file order until the scan is done.
 type collector struct {
 	blocks    []*Block
 	rows, nnz int
@@ -30,30 +28,65 @@ func (c *collector) add(b *Block) error {
 	return nil
 }
 
-// dataset concatenates the collected blocks into a Dataset named name.
-func (c *collector) dataset(name string, numClass int) (*datasets.Dataset, error) {
-	cols := c.cols
+// scan parses the input into a collector.
+func scan(r io.Reader, opts Options) (*collector, error) {
+	c := &collector{}
+	if err := ScanBlocks(r, opts, c.add); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// numCols is the dataset's column count. With rows but no stored entries
+// it is 1: the reference parser derives cols as maxFeat+1 with maxFeat
+// starting at zero, so feature 0 exists.
+func (c *collector) numCols() int {
 	if c.rows == 0 {
-		cols = 0
-	} else if cols == 0 {
-		// Rows but no stored entries: the reference parser derives cols as
-		// maxFeat+1 with maxFeat starting at zero, so feature 0 exists.
-		cols = 1
+		return 0
 	}
-	// Grow leaves an empty matrix's arrays nil, as the reference parser does.
-	labels, feat, val := slices.Grow([]float32(nil), c.rows), slices.Grow([]uint32(nil), c.nnz), slices.Grow([]float32(nil), c.nnz)
-	rowPtr := make([]int64, 1, c.rows+1)
+	return max(c.cols, 1)
+}
+
+// runs returns the collected blocks as row runs, in file order.
+func (c *collector) runs() []rowRun {
+	runs := make([]rowRun, len(c.blocks))
 	for i, b := range c.blocks {
-		base := int64(len(feat))
-		for _, p := range b.RowPtr[1:] {
-			rowPtr = append(rowPtr, base+p)
-		}
-		feat = append(feat, b.Feat...)
-		val = append(val, b.Val...)
-		labels = append(labels, b.Labels...)
-		c.blocks[i] = nil
+		runs[i] = rowRun{start: b.Start, rowPtr: b.RowPtr, feat: b.Feat, val: b.Val}
 	}
-	x, err := sparse.NewCSR(c.rows, cols, rowPtr, feat, val)
+	return runs
+}
+
+// labels concatenates the collected blocks' labels.
+func (c *collector) labels() []float32 {
+	labels := make([]float32, c.rows)
+	for _, b := range c.blocks {
+		copy(labels[b.Start:], b.Labels)
+	}
+	return labels
+}
+
+// dataset concatenates the collected blocks into a Dataset named name and
+// releases them. Every block is copied to its prefix-sum offsets, the
+// blocks dealt to workers goroutines.
+func (c *collector) dataset(name string, numClass, workers int) (*datasets.Dataset, error) {
+	// An empty matrix's arrays stay nil, as the reference parser's do.
+	labels, feat, val := makeOrNil[float32](c.rows), makeOrNil[uint32](c.nnz), makeOrNil[float32](c.nnz)
+	rowPtr := make([]int64, c.rows+1)
+	base := make([]int64, len(c.blocks))
+	for i := 1; i < len(c.blocks); i++ {
+		base[i] = base[i-1] + int64(len(c.blocks[i-1].Feat))
+	}
+	parallel(len(c.blocks), workers, func(i int) {
+		b, at := c.blocks[i], base[i]
+		copy(feat[at:], b.Feat)
+		copy(val[at:], b.Val)
+		copy(labels[b.Start:], b.Labels)
+		for k, p := range b.RowPtr[1:] {
+			rowPtr[b.Start+1+k] = at + p
+		}
+	})
+	c.blocks = nil
+	x, err := sparse.NewCSR(c.rows, c.numCols(), rowPtr, feat, val)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: assemble: %w", err)
 	}
@@ -65,6 +98,14 @@ func (c *collector) dataset(name string, numClass int) (*datasets.Dataset, error
 		task = datasets.TaskMulti
 	}
 	return &datasets.Dataset{Name: name, X: x, Labels: labels, NumClass: numClass, Task: task}, nil
+}
+
+// makeOrNil is make([]T, n), except that n == 0 gives nil.
+func makeOrNil[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }
 
 // eachColumn runs fn once for every column of colPtr on up to workers
@@ -95,20 +136,20 @@ func eachColumn(colPtr []int64, workers int, fn func(f int)) {
 }
 
 // columnPass derives the prebin of a transposed matrix: per feature, GK
-// over the column, then its candidate splits and count. A column of a CSC
-// keeps global row order, which is sketch.Canonical's insertion order, and
-// a sketch depends on no other feature, so the columns are sketched in
-// parallel and the prebin equals the serial pass's bit for bit.
-func columnPass(csc *sparse.CSC, opts Options) *datasets.Prebin {
+// over the column, then its candidate splits and count. A transposed
+// column keeps global row order, which is sketch.Canonical's insertion
+// order, and a sketch depends on no other feature, so the columns are
+// sketched in parallel and the prebin equals the serial pass's bit for
+// bit.
+func columnPass(c *columns, opts Options) *datasets.Prebin {
 	pb := &datasets.Prebin{
 		SketchEps: opts.SketchEps,
 		Q:         opts.Q,
-		Splits:    make([][]float32, csc.Cols()),
-		FeatCount: make([]int64, csc.Cols()),
+		Splits:    make([][]float32, c.numCols()),
+		FeatCount: make([]int64, c.numCols()),
 	}
-	eachColumn(csc.ColPtr, opts.Workers, func(f int) {
-		_, vals := csc.Col(f)
-		if sk := sketch.Column(vals, opts.SketchEps); sk != nil && sk.Count() > 0 {
+	eachColumn(c.colPtr, opts.Workers, func(f int) {
+		if sk := sketch.Column(c.col(f), opts.SketchEps); sk != nil && sk.Count() > 0 {
 			pb.Splits[f] = sk.CandidateSplits(opts.Q)
 			pb.FeatCount[f] = sk.Count()
 		}
@@ -125,11 +166,11 @@ func ReadDataset(r io.Reader, opts Options) (*datasets.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &collector{}
-	if err := ScanBlocks(r, opts, c.add); err != nil {
+	c, err := scan(r, opts)
+	if err != nil {
 		return nil, err
 	}
-	return c.dataset(string(opts.Format), opts.NumClass)
+	return c.dataset(string(opts.Format), opts.NumClass, opts.Workers)
 }
 
 // Ingest parses the input and derives per-feature quantile sketches from
@@ -145,7 +186,7 @@ func Ingest(r io.Reader, opts Options) (*datasets.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds.Prebin = columnPass(ds.X.ToCSC(), opts)
+	ds.Prebin = columnPass(transposeCSR(ds.X, opts.Workers), opts)
 	return ds, nil
 }
 
@@ -164,5 +205,6 @@ func IngestFile(path string, opts Options) (*datasets.Dataset, error) {
 // inserted in global row order. It is how datasets that never passed
 // through a file (synthetic generators) get cached.
 func Prebinned(ds *datasets.Dataset, sketchEps float64, q int) *datasets.Prebin {
-	return columnPass(ds.X.ToCSC(), Options{SketchEps: sketchEps, Q: q, Workers: runtime.GOMAXPROCS(0)})
+	workers := runtime.GOMAXPROCS(0)
+	return columnPass(transposeCSR(ds.X, workers), Options{SketchEps: sketchEps, Q: q, Workers: workers})
 }

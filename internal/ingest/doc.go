@@ -8,22 +8,30 @@
 //
 // ScanBlocks splits the input into fixed-size row blocks (complete lines),
 // parses the blocks on a worker pool, and re-sequences the results so the
-// consumer sees blocks in file order. Everything downstream is a consumer
-// of that one block iterator:
+// consumer sees blocks in file order. Labels and values are read by one
+// scanner equal to strconv.ParseFloat(s, 32) bit for bit: short plain
+// decimals take Clinger's exact fast path through a float64 quotient, and
+// everything else is strconv's. Everything downstream is a consumer of
+// that one block iterator:
 //
-//   - ReadDataset collects the blocks and concatenates them once, at exact
-//     size, into an in-memory Dataset — the same matrix the
+//   - ReadDataset collects the blocks and copies them, in parallel at their
+//     prefix-sum offsets, into an in-memory Dataset — the same matrix the
 //     single-threaded reference parser (datasets.ReadLibSVM) produces, bit
 //     for bit.
-//   - Ingest then transposes the matrix once and sketches every feature's
-//     column with Greenwald–Khanna (internal/sketch), the columns dealt to
+//   - Ingest then transposes the matrix once, in parallel (each worker
+//     counts its rows' entries per column, and the prefix sums of those
+//     counts give every worker its own write cursors, so each column keeps
+//     global row order), and sketches every feature's column with
+//     Greenwald–Khanna (internal/sketch), the columns dealt to
 //     Options.Workers goroutines. A feature's sketch depends only on the
-//     order of its own values, and a column keeps global row order, so the
-//     parallel pass reproduces sketch.Canonical exactly; the resulting
-//     candidate splits are attached to the Dataset as a datasets.Prebin the
-//     trainer adopts instead of re-sketching.
-//   - A cold Cached or EnsureCache reuses that transposition for the image:
-//     the columns are binned in parallel straight into its bins section.
+//     order of its own values, so the parallel pass reproduces
+//     sketch.Canonical exactly; the resulting candidate splits are
+//     attached to the Dataset as a datasets.Prebin the trainer adopts
+//     instead of re-sketching.
+//   - A cold Cached makes the same transposition and reuses it for the
+//     image: the columns are binned in parallel straight into its bins
+//     section. A cold EnsureCache, which returns no dataset, transposes the
+//     parsed blocks directly and never builds the row-major matrix.
 //
 // Chunking bounds the parser's scratch memory, not the final matrix: the
 // trainer needs the whole (binned) dataset resident, so ingestion still

@@ -129,6 +129,18 @@ type Block struct {
 	width     int
 }
 
+// newBlock returns an empty block for chunk c, sized for its lines and for
+// at most entries stored entries.
+func newBlock(c rawChunk, entries int) *Block {
+	return &Block{
+		firstLine: c.firstLine,
+		Labels:    make([]float32, 0, c.lines),
+		RowPtr:    append(make([]int64, 0, c.lines+1), 0),
+		Feat:      make([]uint32, 0, entries),
+		Val:       make([]float32, 0, entries),
+	}
+}
+
 // NumRows returns the number of parsed rows in the block.
 func (b *Block) NumRows() int { return len(b.Labels) }
 
@@ -136,6 +148,7 @@ func (b *Block) NumRows() int { return len(b.Labels) }
 type rawChunk struct {
 	index     int
 	firstLine int // 1-based line number of the chunk's first line
+	lines     int // number of lines in data
 	data      []byte
 }
 
@@ -263,14 +276,17 @@ func produceChunks(r io.Reader, chunkRows int, out chan<- rawChunk, stop <-chan 
 	buf := make([]byte, 0, 64<<10)
 	send := func() bool {
 		select {
-		case out <- rawChunk{index: index, firstLine: first, data: buf}:
+		case out <- rawChunk{index: index, firstLine: first, lines: rows, data: buf}:
 		case <-stop:
 			return false
 		}
 		index++
 		first = line
 		rows = 0
-		buf = make([]byte, 0, cap(buf))
+		// The next chunk is likely about as long as this one: sizing its
+		// buffer by the length, not by this buffer's capacity, keeps small
+		// chunks from each holding a 64 KiB buffer.
+		buf = make([]byte, 0, len(buf)+len(buf)/8)
 		return true
 	}
 	for sc.Scan() {

@@ -77,16 +77,16 @@ func WriteCache(w io.Writer, ds *datasets.Dataset, pb *datasets.Prebin) error {
 	if len(pb.Splits) != ds.NumFeatures() || len(pb.FeatCount) != ds.NumFeatures() {
 		return fmt.Errorf("ingest: prebin covers %d features, dataset has %d", len(pb.Splits), ds.NumFeatures())
 	}
-	return writeImage(w, ds, ds.X.ToCSC(), pb, runtime.GOMAXPROCS(0))
+	return writeImage(w, ds.Labels, ds.NumClass, transposeCSR(ds.X, runtime.GOMAXPROCS(0)), pb, runtime.GOMAXPROCS(0))
 }
 
-// writeImage writes the .vbin image of ds from its transposition csc. The
-// columns are binned on workers goroutines straight into the bins
-// section, the instance section is csc's own instance column, and the
-// sections are checksummed and written where they lie: no payload buffer
-// is assembled.
-func writeImage(w io.Writer, ds *datasets.Dataset, csc *sparse.CSC, pb *datasets.Prebin, workers int) error {
-	rows, cols, nnz := ds.NumInstances(), len(pb.Splits), csc.NNZ()
+// writeImage writes the .vbin image of the matrix with the given labels
+// from its transposition c. The columns are binned on workers goroutines
+// straight into the bins section, the instance section is c's own
+// instance column, and the sections are checksummed and written where
+// they lie: no payload buffer is assembled.
+func writeImage(w io.Writer, labels []float32, numClass int, c *columns, pb *datasets.Prebin, workers int) error {
+	rows, cols, nnz := len(labels), len(pb.Splits), len(c.inst)
 	splitsTotal, binWidth := 0, 1
 	for _, s := range pb.Splits {
 		splitsTotal += len(s)
@@ -95,10 +95,10 @@ func writeImage(w io.Writer, ds *datasets.Dataset, csc *sparse.CSC, pb *datasets
 		}
 	}
 	tail := make([]byte, binWidth*nnz+4*rows) // bins section, then labels section
-	eachColumn(csc.ColPtr, workers, func(f int) {
+	eachColumn(c.colPtr, workers, func(f int) {
 		binner := sparse.Binner{Splits: pb.Splits[f : f+1]}
-		lo, hi := csc.ColPtr[f], csc.ColPtr[f+1]
-		for k, v := range csc.Val[lo:hi] {
+		lo := c.colPtr[f]
+		for k, v := range c.col(f) {
 			if b := binner.BinValue(0, v); binWidth == 1 {
 				tail[lo+int64(k)] = byte(b)
 			} else {
@@ -106,7 +106,7 @@ func writeImage(w io.Writer, ds *datasets.Dataset, csc *sparse.CSC, pb *datasets
 			}
 		}
 	})
-	for i, y := range ds.Labels {
+	for i, y := range labels {
 		binary.LittleEndian.PutUint32(tail[binWidth*nnz+4*i:], math.Float32bits(y))
 	}
 	head := make([]byte, 0, 4*cols+4*splitsTotal+8*cols+8*(cols+1))
@@ -121,13 +121,13 @@ func writeImage(w io.Writer, ds *datasets.Dataset, csc *sparse.CSC, pb *datasets
 	for _, c := range pb.FeatCount {
 		head = binary.LittleEndian.AppendUint64(head, uint64(c))
 	}
-	for _, p := range csc.ColPtr {
+	for _, p := range c.colPtr {
 		head = binary.LittleEndian.AppendUint64(head, uint64(p))
 	}
-	inst := u32ByteView(csc.Inst)
+	inst := u32ByteView(c.inst)
 	if !hostLittleEndian {
 		inst = make([]byte, 0, 4*nnz)
-		for _, i := range csc.Inst {
+		for _, i := range c.inst {
 			inst = binary.LittleEndian.AppendUint32(inst, i)
 		}
 	}
@@ -138,7 +138,7 @@ func writeImage(w io.Writer, ds *datasets.Dataset, csc *sparse.CSC, pb *datasets
 	binary.LittleEndian.PutUint64(header[8:], uint64(rows))
 	binary.LittleEndian.PutUint64(header[16:], uint64(cols))
 	binary.LittleEndian.PutUint64(header[24:], uint64(nnz))
-	binary.LittleEndian.PutUint32(header[32:], uint32(ds.NumClass))
+	binary.LittleEndian.PutUint32(header[32:], uint32(numClass))
 	binary.LittleEndian.PutUint32(header[36:], uint32(pb.Q))
 	binary.LittleEndian.PutUint64(header[40:], math.Float64bits(pb.SketchEps))
 	binary.LittleEndian.PutUint32(header[48:], uint32(binWidth))
