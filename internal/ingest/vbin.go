@@ -118,8 +118,8 @@ func writeImage(w io.Writer, labels []float32, numClass int, c *columns, pb *dat
 			head = binary.LittleEndian.AppendUint32(head, math.Float32bits(v))
 		}
 	}
-	for _, c := range pb.FeatCount {
-		head = binary.LittleEndian.AppendUint64(head, uint64(c))
+	for _, n := range pb.FeatCount {
+		head = binary.LittleEndian.AppendUint64(head, uint64(n))
 	}
 	for _, p := range c.colPtr {
 		head = binary.LittleEndian.AppendUint64(head, uint64(p))
