@@ -53,7 +53,8 @@ var parseValueSeeds = []string{
 	"1234567890123456", "123456789012345.6", "0.1234567890123456",
 	"1234567890123456789012345678901234567890", "0.0000000000000000000001", "0.00000000000000000000001",
 	"3.4028235e38", "3.4028236e38", "340282356779733661637539395458142568448",
-	"1.1754943e-38", "1.1754942e-38", "1e-45", "1.4e-45", "7e-46", "1e39",
+	"1.1754943e-38", "1.1754942e-38", "0.000000000000000000000000000000000000011754942", "1e-45", "1.4e-45", "7e-46",
+	"1.7014118e38", "1.7014119e38", "170141183460469231731687303715884105728", "1e39",
 	"4294967295", "4294967296", "999999999", "1000000000", "-1", "01", "0001", "1 ", " 1", "1..2", "1.2.3", "1a", "--1", "+-1",
 }
 
