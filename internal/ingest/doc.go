@@ -48,13 +48,26 @@
 // decoder, MappedCache: opening a view checks the header against the file
 // size, the payload checksum, the section sizes, and every column's
 // instance order and instance/bin ranges. ReadCacheFile opens that view
-// and materializes it whole, by the transposition ReadCacheShard runs
-// over one rank's slice, into a Dataset whose values are bin
-// representatives — each value re-bins to exactly the bin stored in the
-// cache — with Prebin.Quantized set. Training such a dataset with the cache's (SketchEps, Q) parameters
+// and materializes it whole, and ReadCacheShard one rank's slice of it,
+// into a Dataset whose values are bin representatives — each value re-bins
+// to exactly the bin stored in the cache — with Prebin.Quantized set.
+// Training such a dataset with the cache's (SketchEps, Q) parameters
 // produces a model bit-identical to training from the original source
 // file; training it with other parameters is rejected, because the source
 // values needed to re-sketch are gone.
+//
+// The image is column-major and the dataset row-major, so every warm load
+// is one column-to-row transposition, and it is cache-blocked. The
+// selected rows are cut into blocks sized from the image's shape, so a
+// block's window of the output fits in cache, and runtime.GOMAXPROCS
+// workers each take a contiguous run of blocks. A worker finds its first
+// row in every column once, then advances one cursor per column from
+// block to block: a count pass tallies each row's entries, and after their
+// prefix sum a fill pass writes every entry at its row's cursor. The
+// bookkeeping is two cursors per column per worker, so a wide image costs
+// no more than a serial load plus O(workers × columns); on a wide image
+// the blocks grow until stepping the cursors stays a small share of the
+// work.
 //
 // Cached ties it together: it warm-loads a fresh cache when one exists and
 // cold-ingests (then writes the cache) otherwise. The cache format is also

@@ -173,7 +173,12 @@ func (m *MappedCache) open(size int64) error {
 		return err
 	}
 	var splitsTotal int64
-	for _, c := range counts {
+	for f, c := range counts {
+		// A bin index is binWidth bytes wide; the writer never stores more
+		// splits than it can address.
+		if int64(c) > 1<<(8*h.binWidth) {
+			return corruptf("feature %d has %d splits, more than %d-byte bins address", f, c, h.binWidth)
+		}
 		splitsTotal += int64(c)
 		if 4*splitsTotal > payloadLen {
 			return corruptf("split table overruns payload")

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"vero/internal/failpoint"
+	"vero/internal/sparse"
 )
 
 // Format selects the ingestion text dialect.
@@ -59,7 +60,7 @@ type Options struct {
 	// boundaries (default 0.01, matching core.Config.SketchEps).
 	SketchEps float64
 	// Q is the candidate-split budget per feature (default 20, the
-	// paper's q).
+	// paper's q; at most sparse.MaxBins, as core.Config requires).
 	Q int
 }
 
@@ -96,6 +97,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Q < 2 {
 		return o, fmt.Errorf("ingest: candidate splits q=%d", o.Q)
+	}
+	if o.Q > sparse.MaxBins {
+		return o, fmt.Errorf("ingest: candidate splits q=%d above the limit of %d bins a feature", o.Q, sparse.MaxBins)
 	}
 	return o, nil
 }

