@@ -24,6 +24,7 @@ import (
 	"vero/internal/core"
 	"vero/internal/costmodel"
 	"vero/internal/datasets"
+	"vero/internal/ingest"
 	"vero/internal/loss"
 	"vero/internal/partition"
 	"vero/internal/systems"
@@ -55,10 +56,11 @@ func NamedDataset(name string, seed int64) (*Dataset, error) { return datasets.L
 // simulated shapes.
 func DatasetCatalog() []datasets.Descriptor { return datasets.Catalog() }
 
-// ReadLibSVM parses LibSVM-format data. numClass is 1 for regression, 2
-// for binary classification, >2 for multi-class.
+// ReadLibSVM parses LibSVM-format data through the chunked parallel
+// parser (ingest.ReadDataset). numClass is 1 for regression, 2 for binary
+// classification, >2 for multi-class.
 func ReadLibSVM(r io.Reader, numClass int) (*Dataset, error) {
-	return datasets.ReadLibSVM(r, numClass)
+	return ingest.ReadDataset(r, ingest.Options{NumClass: numClass})
 }
 
 // ReadLibSVMFile reads a LibSVM file from disk.
@@ -68,7 +70,7 @@ func ReadLibSVMFile(path string, numClass int) (*Dataset, error) {
 		return nil, fmt.Errorf("gbdt: %w", err)
 	}
 	defer f.Close()
-	return datasets.ReadLibSVM(f, numClass)
+	return ReadLibSVM(f, numClass)
 }
 
 // WriteLibSVM writes a dataset in LibSVM format.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"vero/internal/cluster"
 	"vero/internal/datasets"
@@ -68,10 +69,10 @@ func (t *trainer) usablePrebin() (*datasets.Prebin, error) {
 	return nil, nil
 }
 
-// adoptPrebin installs ingestion-derived candidate splits, charging only
-// the split broadcast: the sketch build and exchange were already paid at
-// ingestion time, which is exactly the preparation cost a warm cache
-// removes.
+// adoptPrebin installs candidate splits and charges their broadcast. For
+// ingestion-derived splits that is the only charge: the sketch build and
+// exchange were already paid at ingestion time, which is exactly the
+// preparation cost a warm cache removes.
 func (t *trainer) adoptPrebin(pb *datasets.Prebin) []int64 {
 	t.binner = &sparse.Binner{Splits: pb.Splits}
 	t.numBinsGlobal = make([]int, t.d)
@@ -109,18 +110,7 @@ func (t *trainer) distributedSketch() ([]int64, error) {
 	}
 	local := make([][]*sketch.GK, t.w)
 	t.cl.Parallel("prep.sketch", func(w int) {
-		sks := make([]*sketch.GK, t.d)
-		lo, hi := t.ranges[w][0], t.ranges[w][1]
-		for i := lo; i < hi; i++ {
-			feats, vals := t.ds.X.Row(i)
-			for k, f := range feats {
-				if sks[f] == nil {
-					sks[f] = sketch.New(t.cfg.SketchEps)
-				}
-				sks[f].Add(float64(vals[k]))
-			}
-		}
-		local[w] = sks
+		local[w] = sketch.Local(t.ds.X, t.ranges[w][0], t.ranges[w][1], t.cfg.SketchEps)
 	})
 	var sketchBytes int64
 	for f := 0; f < t.d; f++ {
@@ -132,22 +122,9 @@ func (t *trainer) distributedSketch() ([]int64, error) {
 	}
 	t.cl.ChargeComm("prep.sketch", cluster.OpAllReduce, sketchBytes, t.w-1)
 
-	global := sketch.Canonical(t.ds.X, t.cfg.SketchEps)
-	t.binner = &sparse.Binner{Splits: make([][]float32, t.d)}
-	t.numBinsGlobal = make([]int, t.d)
-	featCount := make([]int64, t.d)
-	var splitBytes int64
-	for f := 0; f < t.d; f++ {
-		if global[f] == nil {
-			continue
-		}
-		t.binner.Splits[f] = global[f].CandidateSplits(t.cfg.Splits)
-		t.numBinsGlobal[f] = len(t.binner.Splits[f])
-		featCount[f] = global[f].Count()
-		splitBytes += int64(len(t.binner.Splits[f])) * 4
-	}
-	t.cl.Broadcast("prep.sketch", splitBytes)
-	return featCount, nil
+	workers := runtime.GOMAXPROCS(0)
+	splits, featCount := sketch.Canonical(sparse.TransposeCSR(t.ds.X, workers), t.cfg.SketchEps, t.cfg.Splits, workers)
+	return t.adoptPrebin(&datasets.Prebin{Splits: splits, FeatCount: featCount}), nil
 }
 
 func binnedCSRBytes(m *sparse.BinnedCSR) int64 {

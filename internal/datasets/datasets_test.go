@@ -1,10 +1,6 @@
 package datasets
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestSyntheticShapeAndDeterminism(t *testing.T) {
 	cfg := SyntheticConfig{N: 200, D: 50, C: 3, InformativeRatio: 0.2, Density: 0.1, Seed: 1}
@@ -155,70 +151,5 @@ func TestLoadSimulacrum(t *testing.T) {
 	}
 	if ds.Task != TaskMulti {
 		t.Fatalf("task = %s", ds.Task)
-	}
-}
-
-func TestLibSVMRoundTrip(t *testing.T) {
-	ds, err := Synthetic(SyntheticConfig{N: 50, D: 30, C: 2, InformativeRatio: 0.3, Density: 0.2, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteLibSVM(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadLibSVM(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumInstances() != ds.NumInstances() {
-		t.Fatalf("rows %d, want %d", back.NumInstances(), ds.NumInstances())
-	}
-	if back.X.NNZ() != ds.X.NNZ() {
-		t.Fatalf("nnz %d, want %d", back.X.NNZ(), ds.X.NNZ())
-	}
-	for i := range ds.Labels {
-		if ds.Labels[i] != back.Labels[i] {
-			t.Fatalf("label %d: %v vs %v", i, ds.Labels[i], back.Labels[i])
-		}
-	}
-}
-
-func TestReadLibSVMErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad label": "x 1:2\n",
-		"bad pair":  "1 nonsense\n",
-		"bad index": "1 x:2\n",
-		"bad value": "1 2:x\n",
-	}
-	for name, input := range cases {
-		if _, err := ReadLibSVM(strings.NewReader(input), 2); err == nil {
-			t.Errorf("%s: accepted %q", name, input)
-		}
-	}
-	// Out-of-range class label.
-	if _, err := ReadLibSVM(strings.NewReader("5 1:1\n"), 2); err == nil {
-		t.Error("accepted label 5 for binary task")
-	}
-	// Comments and blank lines are fine.
-	ds, err := ReadLibSVM(strings.NewReader("# comment\n\n1 3:4.5\n"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.NumInstances() != 1 || ds.NumFeatures() != 4 {
-		t.Fatalf("shape %dx%d", ds.NumInstances(), ds.NumFeatures())
-	}
-}
-
-func TestReadLibSVMRegression(t *testing.T) {
-	ds, err := ReadLibSVM(strings.NewReader("3.25 0:1 2:2\n-1.5 1:4\n"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Task != TaskRegression {
-		t.Fatalf("task = %s", ds.Task)
-	}
-	if ds.Labels[0] != 3.25 || ds.Labels[1] != -1.5 {
-		t.Fatalf("labels = %v", ds.Labels)
 	}
 }

@@ -1,7 +1,7 @@
 // Package datasets provides the training data used across the
 // reproduction: the paper's synthetic generator (Section 5.2), scaled-down
 // simulacra of its public and industrial datasets (Table 2, Section 6),
-// and LibSVM-format I/O.
+// and a LibSVM writer.
 //
 // The paper generates synthetic data "from random linear regression
 // models": a weight matrix W of size D x C with an informative fraction p
@@ -14,9 +14,12 @@
 //
 //   - Synthetic / SyntheticRegression — the paper's generator;
 //   - Load — a named simulacrum of one of the paper's datasets;
-//   - ReadLibSVM — the single-threaded reference parser for LibSVM text;
-//   - package ingest — the production path: chunked, parallel parsing of
+//   - package ingest — the one parser: chunked, parallel parsing of
 //     LibSVM or CSV sources with an optional binned binary cache (.vbin).
+//     The single-threaded LibSVM parser that used to live here is now
+//     test code in ingest, the referee its parser is fuzzed against.
+//
+// WriteLibSVM writes a Dataset back out as LibSVM text.
 //
 // A Dataset optionally carries a Prebin: candidate split points and
 // per-feature value counts derived during ingestion. The trainer adopts a

@@ -1,4 +1,4 @@
-package datasets
+package datasets_test
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"vero/internal/datasets"
 )
 
 // corpusSeeds reads every testdata/*.libsvm file; they seed the fuzzer
@@ -47,7 +49,7 @@ func TestReadLibSVMSeedCorpus(t *testing.T) {
 		if !ok {
 			t.Fatalf("fixture %s has no expectation; add one", name)
 		}
-		ds, err := ReadLibSVM(bytes.NewReader(data), w.numClass)
+		ds, err := readLibSVM(bytes.NewReader(data), w.numClass)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -57,9 +59,10 @@ func TestReadLibSVMSeedCorpus(t *testing.T) {
 	}
 }
 
-// FuzzReadLibSVM feeds arbitrary bytes through the parser at every task
-// type: it must never panic, and any input it accepts must satisfy the
-// Dataset invariants and survive a Write/Read round trip unchanged.
+// FuzzReadLibSVM feeds arbitrary bytes through the parser
+// (ingest.ReadDataset) at every task type: it must never panic, and any
+// input it accepts must satisfy the Dataset invariants and survive a
+// WriteLibSVM/read round trip unchanged.
 func FuzzReadLibSVM(f *testing.F) {
 	for _, data := range corpusSeeds(f) {
 		f.Add(data)
@@ -70,7 +73,7 @@ func FuzzReadLibSVM(f *testing.F) {
 	f.Add([]byte("1 5:0\n1 0:-0 5:1e39\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, numClass := range []int{1, 2, 3} {
-			ds, err := ReadLibSVM(bytes.NewReader(data), numClass)
+			ds, err := readLibSVM(bytes.NewReader(data), numClass)
 			if err != nil {
 				continue
 			}
@@ -91,10 +94,10 @@ func FuzzReadLibSVM(f *testing.F) {
 
 			// Round trip: write and re-read reproduces the matrix bitwise.
 			var buf bytes.Buffer
-			if err := WriteLibSVM(&buf, ds); err != nil {
+			if err := datasets.WriteLibSVM(&buf, ds); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			back, err := ReadLibSVM(bytes.NewReader(buf.Bytes()), numClass)
+			back, err := readLibSVM(bytes.NewReader(buf.Bytes()), numClass)
 			if err != nil {
 				t.Fatalf("re-read rejected written output: %v\n%s", err, buf.Bytes())
 			}

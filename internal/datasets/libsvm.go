@@ -4,88 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"vero/internal/sparse"
 )
-
-// ReadLibSVM parses LibSVM/SVMLight format: one instance per line,
-// "label idx:value idx:value ...". Indices may be 0- or 1-based; they are
-// used as-is, so a 1-based file simply leaves column 0 empty. numClass 1
-// marks a regression task; 2 or more a classification task with integer
-// labels in [0, numClass).
-func ReadLibSVM(r io.Reader, numClass int) (*Dataset, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<24)
-	var rows [][]sparse.KV
-	var labels []float32
-	maxFeat := uint32(0)
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		label, err := strconv.ParseFloat(fields[0], 32)
-		if err != nil {
-			return nil, fmt.Errorf("datasets: line %d: bad label %q: %w", lineNo, fields[0], err)
-		}
-		var kvs []sparse.KV
-		for _, f := range fields[1:] {
-			colon := strings.IndexByte(f, ':')
-			if colon < 0 {
-				return nil, fmt.Errorf("datasets: line %d: bad pair %q", lineNo, f)
-			}
-			idx, err := strconv.ParseUint(f[:colon], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("datasets: line %d: bad index %q: %w", lineNo, f[:colon], err)
-			}
-			val, err := strconv.ParseFloat(f[colon+1:], 32)
-			if err != nil {
-				return nil, fmt.Errorf("datasets: line %d: bad value %q: %w", lineNo, f[colon+1:], err)
-			}
-			kvs = append(kvs, sparse.KV{Index: uint32(idx), Value: float32(val)})
-			if uint32(idx) > maxFeat {
-				maxFeat = uint32(idx)
-			}
-		}
-		rows = append(rows, kvs)
-		labels = append(labels, float32(label))
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("datasets: read: %w", err)
-	}
-	cols := int(maxFeat) + 1
-	if len(rows) == 0 {
-		cols = 0
-	}
-	b := sparse.NewCSRBuilder(cols)
-	for i, kvs := range rows {
-		if err := b.AddRow(kvs); err != nil {
-			return nil, fmt.Errorf("datasets: row %d: %w", i, err)
-		}
-	}
-	task := TaskRegression
-	switch {
-	case numClass == 2:
-		task = TaskBinary
-	case numClass > 2:
-		task = TaskMulti
-	case numClass < 1:
-		return nil, fmt.Errorf("datasets: numClass %d", numClass)
-	}
-	if numClass >= 2 {
-		for i, y := range labels {
-			if y < 0 || int(y) >= numClass || y != float32(int(y)) {
-				return nil, fmt.Errorf("datasets: row %d: label %v outside [0,%d)", i, y, numClass)
-			}
-		}
-	}
-	return &Dataset{Name: "libsvm", X: b.Build(), Labels: labels, NumClass: numClass, Task: task}, nil
-}
 
 // WriteLibSVM writes the dataset in LibSVM format.
 func WriteLibSVM(w io.Writer, d *Dataset) error {

@@ -40,7 +40,7 @@ func TestTrainFromCacheBitIdentical(t *testing.T) {
 	_, text := sampleLibSVM(t, 300, 40, 2, 33)
 
 	// Cold reference: the plain single-threaded parser, no prebin.
-	ref, err := datasets.ReadLibSVM(strings.NewReader(text), 2)
+	ref, err := referenceReadLibSVM(strings.NewReader(text), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestQuantizedParameterMismatchRejected(t *testing.T) {
 // source values, so training with different parameters just re-sketches.
 func TestRawPrebinMismatchFallsBack(t *testing.T) {
 	_, text := sampleLibSVM(t, 150, 20, 2, 12)
-	ref, err := datasets.ReadLibSVM(strings.NewReader(text), 2)
+	ref, err := referenceReadLibSVM(strings.NewReader(text), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

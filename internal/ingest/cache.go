@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"vero/internal/datasets"
+	"vero/internal/sparse"
 )
 
 // CacheStatus reports how Cached obtained its dataset.
@@ -127,17 +128,17 @@ func coldCache(dir, path, source string, opts Options, keep bool) (*datasets.Dat
 		return nil, err
 	}
 	var ds *datasets.Dataset
-	var cols *columns
+	var cols *sparse.CSC
 	var labels []float32
 	if keep {
 		if ds, err = c.dataset(string(opts.Format), opts.NumClass, opts.Workers); err != nil {
 			return nil, err
 		}
-		cols, labels = transposeCSR(ds.X, opts.Workers), ds.Labels
+		cols, labels = sparse.TransposeCSR(ds.X, opts.Workers), ds.Labels
 	} else {
-		cols, labels = transpose(c.runs(), c.numCols(), opts.Workers), c.labels()
+		cols, labels = c.transpose(opts.Workers), c.labels()
 	}
-	pb := columnPass(cols, opts)
+	pb := prebin(cols, opts.SketchEps, opts.Q, opts.Workers)
 	if ds != nil {
 		ds.Prebin = pb
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"vero/internal/datasets"
 	"vero/internal/failpoint"
 )
 
@@ -24,7 +23,7 @@ import (
 // and at q = 300 (bin width known only after sketching).
 func TestColumnPassDeterministic(t *testing.T) {
 	text := goldenLibSVM(5, 900, 18, 3)
-	ref, err := datasets.ReadLibSVM(strings.NewReader(text), 3)
+	ref, err := referenceReadLibSVM(strings.NewReader(text), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func TestParseUnicodeSpacesMatchReference(t *testing.T) {
 		"1 0:1 2:\xff2\n",
 		"1 0:\xc2\xa02\n",
 	} {
-		ref, refErr := datasets.ReadLibSVM(strings.NewReader(text), 2)
+		ref, refErr := referenceReadLibSVM(strings.NewReader(text), 2)
 		got, gotErr := ReadDataset(strings.NewReader(text), Options{NumClass: 2, ChunkRows: 1})
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%q: reference err %v, chunked err %v", text, refErr, gotErr)

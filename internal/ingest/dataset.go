@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
-	"sync"
 
 	"vero/internal/datasets"
 	"vero/internal/sketch"
@@ -47,13 +45,14 @@ func (c *collector) numCols() int {
 	return max(c.cols, 1)
 }
 
-// runs returns the collected blocks as row runs, in file order.
-func (c *collector) runs() []rowRun {
-	runs := make([]rowRun, len(c.blocks))
+// transpose returns the CSC of the collected blocks, transposed on up to
+// workers goroutines.
+func (c *collector) transpose(workers int) *sparse.CSC {
+	runs := make([]sparse.RowRun[float32], len(c.blocks))
 	for i, b := range c.blocks {
-		runs[i] = rowRun{start: b.Start, rowPtr: b.RowPtr, feat: b.Feat, val: b.Val}
+		runs[i] = sparse.RowRun[float32]{Start: b.Start, RowPtr: b.RowPtr, Feat: b.Feat, Val: b.Val}
 	}
-	return runs
+	return sparse.TransposeRuns(runs, c.rows, c.numCols(), workers)
 }
 
 // labels concatenates the collected blocks' labels.
@@ -76,7 +75,7 @@ func (c *collector) dataset(name string, numClass, workers int) (*datasets.Datas
 	for i := 1; i < len(c.blocks); i++ {
 		base[i] = base[i-1] + int64(len(c.blocks[i-1].Feat))
 	}
-	parallel(len(c.blocks), workers, func(i int) {
+	sparse.Parallel(len(c.blocks), workers, func(i int) {
 		b, at := c.blocks[i], base[i]
 		copy(feat[at:], b.Feat)
 		copy(val[at:], b.Val)
@@ -108,59 +107,18 @@ func makeOrNil[T any](n int) []T {
 	return make([]T, n)
 }
 
-// eachColumn runs fn once for every column of colPtr on up to workers
-// goroutines, dealt in contiguous runs of about equal nnz (sketching and
-// binning a column cost time linear in its entries), and returns when all
-// have finished. What fn writes per column cannot depend on the dealing.
-func eachColumn(colPtr []int64, workers int, fn func(f int)) {
-	cols := len(colPtr) - 1
-	workers = min(workers, cols)
-	var wg sync.WaitGroup
-	lo := 0
-	for w := 1; w <= workers; w++ {
-		hi := cols
-		if w < workers {
-			target := colPtr[cols] * int64(w) / int64(workers)
-			hi = max(lo, sort.Search(cols, func(f int) bool { return colPtr[f] >= target }))
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for f := lo; f < hi; f++ {
-				fn(f)
-			}
-		}(lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-}
-
-// columnPass derives the prebin of a transposed matrix: per feature, GK
-// over the column, then its candidate splits and count. A transposed
-// column keeps global row order, which is sketch.Canonical's insertion
-// order, and a sketch depends on no other feature, so the columns are
-// sketched in parallel and the prebin equals the serial pass's bit for
-// bit.
-func columnPass(c *columns, opts Options) *datasets.Prebin {
-	pb := &datasets.Prebin{
-		SketchEps: opts.SketchEps,
-		Q:         opts.Q,
-		Splits:    make([][]float32, c.numCols()),
-		FeatCount: make([]int64, c.numCols()),
-	}
-	eachColumn(c.colPtr, opts.Workers, func(f int) {
-		if sk := sketch.Column(c.col(f), opts.SketchEps); sk != nil && sk.Count() > 0 {
-			pb.Splits[f] = sk.CandidateSplits(opts.Q)
-			pb.FeatCount[f] = sk.Count()
-		}
-	})
-	return pb
+// prebin derives the prebin of a transposed matrix: sketch.Canonical's
+// candidate splits and counts, the columns dealt to workers goroutines.
+func prebin(c *sparse.CSC, eps float64, q, workers int) *datasets.Prebin {
+	splits, count := sketch.Canonical(c, eps, q, workers)
+	return &datasets.Prebin{SketchEps: eps, Q: q, Splits: splits, FeatCount: count}
 }
 
 // ReadDataset parses the input through the chunked parallel pipeline and
-// returns the in-memory dataset, without deriving bins. The result is
-// bit-identical to the single-threaded reference parser for LibSVM input
-// (datasets.ReadLibSVM): same matrix, same labels.
+// returns the in-memory dataset, without deriving bins. It is the one
+// LibSVM parser; FuzzIngestLibSVM holds it bit for bit (same matrix, same
+// labels, same acceptance) to a single-threaded reference parser kept in
+// the tests.
 func ReadDataset(r io.Reader, opts Options) (*datasets.Dataset, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -186,7 +144,7 @@ func Ingest(r io.Reader, opts Options) (*datasets.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds.Prebin = columnPass(transposeCSR(ds.X, opts.Workers), opts)
+	ds.Prebin = prebin(sparse.TransposeCSR(ds.X, opts.Workers), opts.SketchEps, opts.Q, opts.Workers)
 	return ds, nil
 }
 
@@ -206,5 +164,5 @@ func IngestFile(path string, opts Options) (*datasets.Dataset, error) {
 // through a file (synthetic generators) get cached.
 func Prebinned(ds *datasets.Dataset, sketchEps float64, q int) *datasets.Prebin {
 	workers := runtime.GOMAXPROCS(0)
-	return columnPass(transposeCSR(ds.X, workers), Options{SketchEps: sketchEps, Q: q, Workers: workers})
+	return prebin(sparse.TransposeCSR(ds.X, workers), sketchEps, q, workers)
 }

@@ -15,19 +15,18 @@
 // that one block iterator:
 //
 //   - ReadDataset collects the blocks and copies them, in parallel at their
-//     prefix-sum offsets, into an in-memory Dataset — the same matrix the
-//     single-threaded reference parser (datasets.ReadLibSVM) produces, bit
-//     for bit.
-//   - Ingest then transposes the matrix once, in parallel (each worker
-//     counts its rows' entries per column, and the prefix sums of those
-//     counts give every worker its own write cursors, so each column keeps
-//     global row order), and sketches every feature's column with
-//     Greenwald–Khanna (internal/sketch), the columns dealt to
-//     Options.Workers goroutines. A feature's sketch depends only on the
-//     order of its own values, so the parallel pass reproduces
-//     sketch.Canonical exactly; the resulting candidate splits are
-//     attached to the Dataset as a datasets.Prebin the trainer adopts
-//     instead of re-sketching.
+//     prefix-sum offsets, into an in-memory Dataset. It is the repository's
+//     one LibSVM parser (gbdt.ReadLibSVM goes through it); the tests hold
+//     it bit for bit to the single-threaded parser it replaced, now kept
+//     only as test code.
+//   - Ingest then transposes the matrix once with sparse.TransposeCSR on
+//     Options.Workers goroutines (each counts its rows' entries per
+//     column, and the prefix sums of those counts give every worker its
+//     own write cursors, so each column keeps global row order), and
+//     derives its candidate splits with sketch.Canonical, one
+//     Greenwald–Khanna sketch per column, the columns dealt to the same
+//     workers. The splits are attached to the Dataset as a
+//     datasets.Prebin the trainer adopts instead of re-sketching.
 //   - A cold Cached makes the same transposition and reuses it for the
 //     image: the columns are binned in parallel straight into its bins
 //     section. A cold EnsureCache, which returns no dataset, transposes the

@@ -26,7 +26,7 @@ func FuzzIngestLibSVM(f *testing.F) {
 			chunk = 1 + (chunk&0x3f+64)&0x3f
 		}
 		for _, numClass := range []int{1, 2, 3} {
-			ref, refErr := datasets.ReadLibSVM(bytes.NewReader(data), numClass)
+			ref, refErr := referenceReadLibSVM(bytes.NewReader(data), numClass)
 			got, gotErr := ReadDataset(bytes.NewReader(data), Options{NumClass: numClass, ChunkRows: chunk})
 			if (refErr == nil) != (gotErr == nil) {
 				t.Fatalf("numClass %d chunk %d: reference err %v, chunked err %v", numClass, chunk, refErr, gotErr)

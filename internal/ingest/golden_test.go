@@ -90,7 +90,7 @@ func goldenImages(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	prebinned("prebinned-synthetic", syn, DefaultSketchEps, 20)
-	edge, err := datasets.ReadLibSVM(strings.NewReader(goldenLibSVM(17, 1500, 12, 3)), 3)
+	edge, err := referenceReadLibSVM(strings.NewReader(goldenLibSVM(17, 1500, 12, 3)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

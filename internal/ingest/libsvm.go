@@ -11,8 +11,8 @@ import (
 
 // parseLibSVMChunk parses one chunk of LibSVM/SVMLight lines: "label
 // idx:value idx:value ...". Blank lines and lines starting with '#' are
-// skipped. Indices may be 0- or 1-based and are used as-is, matching the
-// reference parser (datasets.ReadLibSVM).
+// skipped. Indices may be 0- or 1-based and are used as-is, as the
+// single-threaded parser this one replaced (now a test referee) used them.
 //
 // The chunk's buffer belongs to this call and is never written again, so
 // it is read in place as a string: lines and fields are substrings of it,

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"vero/internal/datasets"
 )
 
 // checkParseValue holds parseValue32 to strconv.ParseFloat(s, 32) and
@@ -118,7 +116,7 @@ func TestPairScanFallbacksMatchReference(t *testing.T) {
 		"1 0:1.\n0 1:.5\n1 2:.\n",
 		"1.5 0:1\n",
 	} {
-		ref, refErr := datasets.ReadLibSVM(strings.NewReader(text), 1)
+		ref, refErr := referenceReadLibSVM(strings.NewReader(text), 1)
 		got, gotErr := ReadDataset(strings.NewReader(text), Options{NumClass: 1, ChunkRows: 1})
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%q: reference err %v, chunked err %v", text, refErr, gotErr)

@@ -46,7 +46,7 @@ func sameMatrix(t *testing.T, got, want *datasets.Dataset, label string) {
 func TestChunkedMatchesWholeFile(t *testing.T) {
 	const n = 257
 	_, text := sampleLibSVM(t, n, 40, 2, 11)
-	ref, err := datasets.ReadLibSVM(strings.NewReader(text), 2)
+	ref, err := referenceReadLibSVM(strings.NewReader(text), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestChunkedMatchesWholeFile(t *testing.T) {
 // block size: no phantom empty block may corrupt the row numbering.
 func TestEmptyTrailingChunk(t *testing.T) {
 	_, text := sampleLibSVM(t, 128, 20, 2, 3)
-	ref, err := datasets.ReadLibSVM(strings.NewReader(text), 2)
+	ref, err := referenceReadLibSVM(strings.NewReader(text), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBlanksCommentsAndMissingNewline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := datasets.ReadLibSVM(strings.NewReader(text), 2)
+	ref, err := referenceReadLibSVM(strings.NewReader(text), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

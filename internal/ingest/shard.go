@@ -154,7 +154,7 @@ func transposeView(m *MappedCache, sel []int, rowLo, rowHi int) (*sparse.CSR, er
 	ws := make([]blockWorker, w)
 	errs := make([]error, w)
 	run := func(pass func(*blockWorker) error) error {
-		parallel(w, w, func(i int) { errs[i] = pass(&ws[i]) })
+		sparse.Parallel(w, w, func(i int) { errs[i] = pass(&ws[i]) })
 		for _, err := range errs {
 			if err != nil {
 				return err

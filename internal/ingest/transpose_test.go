@@ -11,8 +11,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"vero/internal/datasets"
 )
 
 // wideSparseLibSVM writes n rows over d features with perRow entries each.
@@ -39,14 +37,14 @@ func wideSparseLibSVM(seed int64, n, d, perRow int) string {
 
 // TestWideSparseTransposition: a wide sparse input ingested in 64-row and
 // in 4096-row blocks yields the same image and prebin as the serial
-// transposition (CSR.ToCSC) and column pass over the reference parser's
+// transposition (serialToCSC) and column pass over the reference parser's
 // matrix, and the cold image costs about the same allocation at both
 // block sizes: the transposition's bookkeeping grows with the workers, not
 // with blocks × columns (313 blocks × 200k columns would be 250 MB).
 func TestWideSparseTransposition(t *testing.T) {
 	const rows, d = 20000, 200000
 	text := wideSparseLibSVM(3, rows, d, 5)
-	ref, err := datasets.ReadLibSVM(strings.NewReader(text), 2)
+	ref, err := referenceReadLibSVM(strings.NewReader(text), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +53,8 @@ func TestWideSparseTransposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csc := ref.X.ToCSC()
-	serial := &columns{colPtr: csc.ColPtr, inst: csc.Inst, val: csc.Val}
-	serialOpts := base
-	serialOpts.Workers = 1
-	wantPB := columnPass(serial, serialOpts)
+	serial := serialToCSC(ref.X)
+	wantPB := prebin(serial, base.SketchEps, base.Q, 1)
 	var want bytes.Buffer
 	if err := writeImage(&want, ref.Labels, 2, serial, wantPB, 1); err != nil {
 		t.Fatal(err)

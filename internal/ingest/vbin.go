@@ -77,7 +77,7 @@ func WriteCache(w io.Writer, ds *datasets.Dataset, pb *datasets.Prebin) error {
 	if len(pb.Splits) != ds.NumFeatures() || len(pb.FeatCount) != ds.NumFeatures() {
 		return fmt.Errorf("ingest: prebin covers %d features, dataset has %d", len(pb.Splits), ds.NumFeatures())
 	}
-	return writeImage(w, ds.Labels, ds.NumClass, transposeCSR(ds.X, runtime.GOMAXPROCS(0)), pb, runtime.GOMAXPROCS(0))
+	return writeImage(w, ds.Labels, ds.NumClass, sparse.TransposeCSR(ds.X, runtime.GOMAXPROCS(0)), pb, runtime.GOMAXPROCS(0))
 }
 
 // writeImage writes the .vbin image of the matrix with the given labels
@@ -85,8 +85,8 @@ func WriteCache(w io.Writer, ds *datasets.Dataset, pb *datasets.Prebin) error {
 // straight into the bins section, the instance section is c's own
 // instance column, and the sections are checksummed and written where
 // they lie: no payload buffer is assembled.
-func writeImage(w io.Writer, labels []float32, numClass int, c *columns, pb *datasets.Prebin, workers int) error {
-	rows, cols, nnz := len(labels), len(pb.Splits), len(c.inst)
+func writeImage(w io.Writer, labels []float32, numClass int, c *sparse.CSC, pb *datasets.Prebin, workers int) error {
+	rows, cols, nnz := len(labels), len(pb.Splits), c.NNZ()
 	splitsTotal, binWidth := 0, 1
 	for _, s := range pb.Splits {
 		splitsTotal += len(s)
@@ -95,10 +95,11 @@ func writeImage(w io.Writer, labels []float32, numClass int, c *columns, pb *dat
 		}
 	}
 	tail := make([]byte, binWidth*nnz+4*rows) // bins section, then labels section
-	eachColumn(c.colPtr, workers, func(f int) {
+	sparse.EachColumn(c.ColPtr, workers, func(f int) {
 		binner := sparse.Binner{Splits: pb.Splits[f : f+1]}
-		lo := c.colPtr[f]
-		for k, v := range c.col(f) {
+		lo := c.ColPtr[f]
+		_, vals := c.Col(f)
+		for k, v := range vals {
 			if b := binner.BinValue(0, v); binWidth == 1 {
 				tail[lo+int64(k)] = byte(b)
 			} else {
@@ -121,13 +122,13 @@ func writeImage(w io.Writer, labels []float32, numClass int, c *columns, pb *dat
 	for _, n := range pb.FeatCount {
 		head = binary.LittleEndian.AppendUint64(head, uint64(n))
 	}
-	for _, p := range c.colPtr {
+	for _, p := range c.ColPtr {
 		head = binary.LittleEndian.AppendUint64(head, uint64(p))
 	}
-	inst := u32ByteView(c.inst)
+	inst := u32ByteView(c.Inst)
 	if !hostLittleEndian {
 		inst = make([]byte, 0, 4*nnz)
-		for _, i := range c.inst {
+		for _, i := range c.Inst {
 			inst = binary.LittleEndian.AppendUint32(inst, i)
 		}
 	}

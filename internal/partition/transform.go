@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"runtime"
 
 	"vero/internal/cluster"
 	"vero/internal/datasets"
@@ -349,17 +350,7 @@ func (t *transformation) sketchSplits(x *sparse.CSR) {
 	cl, w, d := t.cl, t.cl.Workers(), x.Cols()
 	local := make([][]*sketch.GK, w)
 	cl.Parallel("transform.sketch", func(wk int) {
-		sks := make([]*sketch.GK, d)
-		for i := t.ranges[wk][0]; i < t.ranges[wk][1]; i++ {
-			feats, vals := x.Row(i)
-			for k, f := range feats {
-				if sks[f] == nil {
-					sks[f] = sketch.New(t.opts.SketchEps)
-				}
-				sks[f].Add(float64(vals[k]))
-			}
-		}
-		local[wk] = sks
+		local[wk] = sketch.Local(x, t.ranges[wk][0], t.ranges[wk][1], t.opts.SketchEps)
 	})
 	// Sketch repartition: feature f's local sketches travel to worker
 	// f mod W for merging. The candidate splits themselves come from the
@@ -379,19 +370,13 @@ func (t *transformation) sketchSplits(x *sparse.CSR) {
 			}
 		}
 	}
-	global := sketch.Canonical(x, t.opts.SketchEps)
+	workers := runtime.GOMAXPROCS(0)
+	splits, featCount := sketch.Canonical(sparse.TransposeCSR(x, workers), t.opts.SketchEps, t.opts.Q, workers)
 	cl.Shuffle("transform.sketch", sketchSend)
 
-	splits := make([][]float32, d)
-	featCount := make([]int64, d)
 	var splitBytes int64
-	for f := 0; f < d; f++ {
-		if global[f] == nil {
-			continue
-		}
-		splits[f] = global[f].CandidateSplits(t.opts.Q)
-		featCount[f] = global[f].Count()
-		splitBytes += int64(len(splits[f])) * 4
+	for _, s := range splits {
+		splitBytes += int64(len(s)) * 4
 	}
 	cl.PointToPoint("transform.splits", splitBytes) // gather at master
 	t.adoptSplits(splits, featCount)

@@ -23,7 +23,6 @@ type GK struct {
 	spare  []tuple   // the previous tuple slice, reused by the next flush
 	buf    []float64 // pending unsorted inserts, folded in lazily
 	bufCap int
-	mergeE float64 // accumulated error from merges, in units of eps
 }
 
 // New returns an empty sketch with the given error bound (0 < eps < 1).
@@ -35,18 +34,13 @@ func New(eps float64) *GK {
 	if cap < 16 {
 		cap = 16
 	}
-	return &GK{eps: eps, buf: make([]float64, 0, cap), bufCap: cap, mergeE: 1}
+	return &GK{eps: eps, buf: make([]float64, 0, cap), bufCap: cap}
 }
 
 // Eps returns the nominal error bound the sketch was created with.
 func (s *GK) Eps() float64 { return s.eps }
 
-// ErrorBound returns the current additive rank-error bound as a fraction of
-// n, accounting for merges (each merge adds the operands' errors).
-func (s *GK) ErrorBound() float64 { return s.eps * s.mergeE }
-
-// Count returns the number of values inserted (including both operands of
-// any merges).
+// Count returns the number of values inserted.
 func (s *GK) Count() int64 { return s.n + int64(len(s.buf)) }
 
 // Add inserts one value into the sketch.
@@ -134,7 +128,7 @@ func (s *GK) Query(phi float64) float64 {
 		return s.tuples[len(s.tuples)-1].v
 	}
 	r := phi * float64(s.n)
-	e := s.ErrorBound() * float64(s.n)
+	e := s.eps * float64(s.n)
 	// The GK existence guarantee needs a tolerance of at least half the
 	// widest tuple band; with few samples eps*n drops below one rank and
 	// no tuple would qualify, so floor the tolerance at one.
@@ -153,44 +147,6 @@ func (s *GK) Query(phi float64) float64 {
 		}
 	}
 	return s.tuples[len(s.tuples)-1].v
-}
-
-// Merge folds other into s. Both sketches remain valid GK summaries; the
-// resulting error bound is the sum of the operands' bounds. other is left
-// unchanged.
-func (s *GK) Merge(other *GK) {
-	other.flush()
-	s.flush()
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		s.n = other.n
-		s.tuples = append([]tuple(nil), other.tuples...)
-		s.mergeE = other.mergeE * other.eps / s.eps
-		if s.mergeE < 1 {
-			s.mergeE = 1
-		}
-		return
-	}
-	merged := make([]tuple, 0, len(s.tuples)+len(other.tuples))
-	i, j := 0, 0
-	for i < len(s.tuples) && j < len(other.tuples) {
-		if s.tuples[i].v <= other.tuples[j].v {
-			merged = append(merged, s.tuples[i])
-			i++
-		} else {
-			merged = append(merged, other.tuples[j])
-			j++
-		}
-	}
-	merged = append(merged, s.tuples[i:]...)
-	merged = append(merged, other.tuples[j:]...)
-	s.tuples = merged
-	s.n += other.n
-	// Error bounds add under merge (standard GK merge result).
-	s.mergeE = s.mergeE + other.mergeE*other.eps/s.eps
-	s.compress()
 }
 
 // Quantiles returns the k values at phi = 1/k, 2/k, ..., 1. It is the

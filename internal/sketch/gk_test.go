@@ -19,7 +19,7 @@ func checkQuantiles(t *testing.T, s *GK, xs []float64, slack float64) {
 	t.Helper()
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	bound := s.ErrorBound()*slack + 1e-9
+	bound := s.Eps()*slack + 1e-9
 	for _, phi := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
 		got := s.Query(phi)
 		r := exactRank(sorted, got)
@@ -137,69 +137,6 @@ func TestSpaceBound(t *testing.T) {
 	limit := int(11.0 / 0.01 * math.Log2(0.01*200000))
 	if got := s.NumTuples(); got > limit {
 		t.Fatalf("summary has %d tuples, budget %d", got, limit)
-	}
-}
-
-func TestMergeTwoSketches(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a, b := New(0.01), New(0.01)
-	var xs []float64
-	for i := 0; i < 10000; i++ {
-		v := rng.NormFloat64()
-		xs = append(xs, v)
-		a.Add(v)
-	}
-	for i := 0; i < 15000; i++ {
-		v := rng.NormFloat64()*2 + 1
-		xs = append(xs, v)
-		b.Add(v)
-	}
-	a.Merge(b)
-	if a.Count() != int64(len(xs)) {
-		t.Fatalf("merged Count = %d, want %d", a.Count(), len(xs))
-	}
-	if a.ErrorBound() <= a.Eps() {
-		t.Fatal("merge did not widen the error bound")
-	}
-	checkQuantiles(t, a, xs, 2)
-}
-
-func TestMergeManyWorkerSketches(t *testing.T) {
-	// Simulates step 1 of the horizontal-to-vertical transformation:
-	// 8 worker-local sketches of the same feature merged into one.
-	rng := rand.New(rand.NewSource(5))
-	const workers = 8
-	global := New(0.005)
-	var xs []float64
-	for w := 0; w < workers; w++ {
-		local := New(0.005)
-		for i := 0; i < 4000; i++ {
-			v := rng.ExpFloat64() * float64(w+1)
-			xs = append(xs, v)
-			local.Add(v)
-		}
-		global.Merge(local)
-	}
-	checkQuantiles(t, global, xs, 2)
-}
-
-func TestMergeIntoEmpty(t *testing.T) {
-	a, b := New(0.01), New(0.01)
-	for i := 0; i < 100; i++ {
-		b.Add(float64(i))
-	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("Count = %d, want 100", a.Count())
-	}
-	if got := a.Query(0.5); got < 40 || got > 60 {
-		t.Fatalf("median after merge-into-empty = %v", got)
-	}
-	// And merging an empty sketch is a no-op.
-	before := a.Count()
-	a.Merge(New(0.01))
-	if a.Count() != before {
-		t.Fatal("merging empty sketch changed count")
 	}
 }
 

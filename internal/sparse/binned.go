@@ -119,28 +119,3 @@ func (b *Binner) BinCSR(m *CSR) (*BinnedCSR, error) {
 	}
 	return &BinnedCSR{rows: m.Rows(), cols: m.Cols(), RowPtr: m.RowPtr, Feat: m.Feat, Bin: bins}, nil
 }
-
-// ToCSC transposes a BinnedCSR into BinnedCSC form, O(nnz).
-func (m *BinnedCSR) ToCSC() *BinnedCSC {
-	colPtr := make([]int64, m.cols+1)
-	for _, f := range m.Feat {
-		colPtr[f+1]++
-	}
-	for j := 0; j < m.cols; j++ {
-		colPtr[j+1] += colPtr[j]
-	}
-	inst := make([]uint32, m.NNZ())
-	bin := make([]uint16, m.NNZ())
-	next := make([]int64, m.cols)
-	copy(next, colPtr[:m.cols])
-	for i := 0; i < m.rows; i++ {
-		feats, bins := m.Row(i)
-		for k, f := range feats {
-			p := next[f]
-			inst[p] = uint32(i)
-			bin[p] = bins[k]
-			next[f] = p + 1
-		}
-	}
-	return &BinnedCSC{rows: m.rows, cols: m.cols, ColPtr: colPtr, Inst: inst, Bin: bin}
-}

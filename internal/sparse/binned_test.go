@@ -118,12 +118,12 @@ func TestBinCSRAndCSCAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := binCSC(b, m.ToCSC())
+	bc, err := binCSC(b, serialCSRToCSC(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Transposing the binned CSR must equal binning the transposed CSC.
-	tr := br.ToCSC()
+	tr := serialBinnedToCSC(br)
 	if tr.NNZ() != bc.NNZ() {
 		t.Fatalf("nnz mismatch %d vs %d", tr.NNZ(), bc.NNZ())
 	}
@@ -144,13 +144,13 @@ func TestBinCSRDimensionMismatch(t *testing.T) {
 	if _, err := b.BinCSR(m); err == nil {
 		t.Fatal("BinCSR accepted dimension mismatch")
 	}
-	if _, err := binCSC(b, m.ToCSC()); err == nil {
+	if _, err := binCSC(b, serialCSRToCSC(m)); err == nil {
 		t.Fatal("binCSC accepted dimension mismatch")
 	}
 }
 
-// binCSC quantizes a raw CSC column by column: BinCSR + ToCSC in the
-// other order.
+// binCSC quantizes a raw CSC column by column: BinCSR + transposition in
+// the other order.
 func binCSC(b *Binner, m *CSC) (*BinnedCSC, error) {
 	if len(b.Splits) != m.Cols() {
 		return nil, fmt.Errorf("sparse: binner has %d features, matrix has %d", len(b.Splits), m.Cols())

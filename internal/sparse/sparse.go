@@ -131,6 +131,12 @@ type CSC struct {
 	Val    []float32
 }
 
+// NewCSC assembles a CSC from parts that already form a valid
+// column-major matrix; unlike NewCSR it does not check them.
+func NewCSC(rows, cols int, colPtr []int64, inst []uint32, val []float32) *CSC {
+	return &CSC{rows: rows, cols: cols, ColPtr: colPtr, Inst: inst, Val: val}
+}
+
 // Rows returns the number of instances.
 func (m *CSC) Rows() int { return m.rows }
 
@@ -149,31 +155,6 @@ func (m *CSC) Col(j int) (inst []uint32, val []float32) {
 
 // ColNNZ returns the number of stored entries in column j.
 func (m *CSC) ColNNZ(j int) int { return int(m.ColPtr[j+1] - m.ColPtr[j]) }
-
-// ToCSC transposes a CSR into CSC form using a counting pass, O(nnz).
-func (m *CSR) ToCSC() *CSC {
-	colPtr := make([]int64, m.cols+1)
-	for _, f := range m.Feat {
-		colPtr[f+1]++
-	}
-	for j := 0; j < m.cols; j++ {
-		colPtr[j+1] += colPtr[j]
-	}
-	inst := make([]uint32, m.NNZ())
-	val := make([]float32, m.NNZ())
-	next := make([]int64, m.cols)
-	copy(next, colPtr[:m.cols])
-	for i := 0; i < m.rows; i++ {
-		feats, vals := m.Row(i)
-		for k, f := range feats {
-			p := next[f]
-			inst[p] = uint32(i)
-			val[p] = vals[k]
-			next[f] = p + 1
-		}
-	}
-	return &CSC{rows: m.rows, cols: m.cols, ColPtr: colPtr, Inst: inst, Val: val}
-}
 
 // SliceRows returns the submatrix of rows [lo, hi) as a new CSR. Feature
 // indices are preserved. This is the horizontal-partitioning primitive.

@@ -256,8 +256,10 @@ func DecodeForest(data []byte) (*Forest, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("tree: decode forest: %w", err)
 	}
-	if f.NumClass <= 0 {
-		return nil, fmt.Errorf("tree: decoded forest has num_class %d", f.NumClass)
+	// One init score per class bounds the class count, and with it every
+	// prediction's allocation, by the encoding's size.
+	if f.NumClass <= 0 || len(f.InitScore) != f.NumClass {
+		return nil, fmt.Errorf("tree: decoded forest has num_class %d and %d init scores", f.NumClass, len(f.InitScore))
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -265,8 +267,15 @@ func DecodeForest(data []byte) (*Forest, error) {
 	return &f, nil
 }
 
+// MaxSplitFeature bounds the feature ids a valid forest splits on.
+// Compile maps features through a dense table as long as the highest
+// split feature, so an unbounded id in an untrusted model would be an
+// unbounded allocation.
+const MaxSplitFeature = 1 << 24
+
 // Validate checks the structural invariants prediction relies on: every
-// tree is non-empty, interior child links point forward and in range,
+// tree is non-empty, split features are below MaxSplitFeature, interior
+// child links point forward and in range,
 // every non-root node has exactly one parent (so a tree is a tree, and
 // compiling it is linear in its nodes), and every leaf carries NumClass
 // weights.
@@ -285,6 +294,10 @@ func (f *Forest) Validate() error {
 						ti, i, len(nd.Weights), f.NumClass)
 				}
 				continue
+			}
+			if nd.Feature >= MaxSplitFeature {
+				return fmt.Errorf("tree: forest tree %d node %d splits on feature %d, beyond the limit of %d",
+					ti, i, nd.Feature, MaxSplitFeature-1)
 			}
 			if nd.Left <= i || nd.Left >= n || nd.Right <= i || nd.Right >= n {
 				return fmt.Errorf("tree: forest tree %d node %d has child links (%d,%d) outside (%d,%d)",
