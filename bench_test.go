@@ -446,10 +446,9 @@ func BenchmarkInferenceFlatParallel(b *testing.B) {
 
 // benchPredictBatch scores batches with PredictRows, perCall rows a call
 // (0: the whole batch in one call).
-func benchPredictBatch(b *testing.B, opts gbdt.PredictorOptions, perCall int) {
+func benchPredictBatch(b *testing.B, perCall int) {
 	model, _, traffic := inferSetup(b)
-	opts.Workers = 1
-	pred, err := gbdt.NewPredictor(model, opts)
+	pred, err := gbdt.NewPredictor(model, gbdt.PredictorOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -479,18 +478,11 @@ func benchPredictBatch(b *testing.B, opts gbdt.PredictorOptions, perCall int) {
 
 // BenchmarkPredictRow scores batches as 1-row calls, what a stream of
 // single-row requests costs the kernel.
-func BenchmarkPredictRow(b *testing.B) { benchPredictBatch(b, gbdt.PredictorOptions{}, 1) }
+func BenchmarkPredictRow(b *testing.B) { benchPredictBatch(b, 1) }
 
 // BenchmarkPredictBlock scores each batch in one call at the default block
 // size.
-func BenchmarkPredictBlock(b *testing.B) { benchPredictBatch(b, gbdt.PredictorOptions{}, 0) }
-
-// BenchmarkPredictBinned scores batches through the binned (bin-code)
-// engine: uint8/uint16 node thresholds, integer compares, bit-identical
-// margins — the `veroserve -binned` path.
-func BenchmarkPredictBinned(b *testing.B) {
-	benchPredictBatch(b, gbdt.PredictorOptions{Binned: true}, 0)
-}
+func BenchmarkPredictBlock(b *testing.B) { benchPredictBatch(b, 0) }
 
 // BenchmarkInferenceRowLatency measures single-row latency through the
 // flat engine — the veroserve single-request path — and reports p50/p99.

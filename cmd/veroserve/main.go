@@ -7,16 +7,14 @@
 //	veroserve -model model.json [flags]
 //	veroserve -model main=model.json -model canary=candidate.json -admin [flags]
 //
-// Each -model flag is name=path (a bare path serves as the "default"
-// model); the first -model is the default served by the legacy /v1/model
-// and /v1/predict aliases. With -admin, models can be loaded, hot-swapped
-// and deleted at runtime without dropping traffic.
+// Each -model flag is name=path; a bare path serves as the model named
+// "default". With -admin, models can be loaded, hot-swapped and deleted
+// at runtime without dropping traffic.
 //
 // -batch-deadline enables cross-request micro-batching: concurrent
 // single-row predicts coalesce into one blocked scoring call, flushed at
 // -batch-rows rows or when the deadline expires (-model-batch overrides
-// per model). -binned scores through integer bin-code descent for models
-// carrying their candidate splits; margins are bit-identical either way.
+// per model).
 //
 // Endpoints (see internal/serve and docs/SERVING.md for the wire format):
 //
@@ -24,7 +22,7 @@
 //	curl localhost:8080/readyz
 //	curl localhost:8080/v1/models
 //	curl localhost:8080/metricz
-//	curl -d '{"rows":[{"indices":[0,3],"values":[1.5,-2]}],"proba":true}' localhost:8080/v1/predict
+//	curl -d '{"rows":[{"indices":[0,3],"values":[1.5,-2]}],"proba":true}' localhost:8080/v1/models/default/predict
 //	curl -d '{"path":"retrained.json"}' localhost:8080/v1/models/default   # -admin only
 package main
 
@@ -55,7 +53,7 @@ func (m *modelFlags) Set(v string) error {
 }
 
 // parseSpec splits one -model flag into (name, path). A bare path serves
-// as the default model.
+// as the model named serve.DefaultModel.
 func parseSpec(arg string) (name, path string, err error) {
 	if eq := strings.IndexByte(arg, '='); eq >= 0 {
 		name, path = arg[:eq], arg[eq+1:]
@@ -92,31 +90,6 @@ func parseBatchOverride(arg string) (name string, cfg serve.BatchConfig, err err
 	return name, cfg, nil
 }
 
-// Connection timeouts: a client may be slow, but not for ever, at any
-// point of a connection's life. They are constants, not flags: what they
-// defend (a goroutine and a buffer per stalled connection) does not
-// depend on the deployment, and the slowest honest request — a 32 MiB
-// body, the largest the predict endpoint reads, or 10000 rows against a
-// deep forest — fits them many times over.
-const (
-	readHeaderTimeout = 10 * time.Second  // request line and headers
-	readTimeout       = 30 * time.Second  // the whole request, body included
-	writeTimeout      = 60 * time.Second  // end of the headers to end of the response: admission wait, scoring, write
-	idleTimeout       = 120 * time.Second // a keep-alive connection between requests
-)
-
-// newHTTPServer is the http.Server veroserve listens with.
-func newHTTPServer(addr string, handler http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-}
-
 func main() {
 	var models, batchOverrides modelFlags
 	var (
@@ -131,10 +104,8 @@ func main() {
 			"micro-batching flush deadline for concurrent single-row requests (0 disables; try 200us)")
 		batchRows = flag.Int("batch-rows", 0,
 			"rows that flush a micro-batch early (0 = block-rows)")
-		binned = flag.Bool("binned", false,
-			"serve through bin-code descent when the model carries candidate splits (bit-identical margins)")
 	)
-	flag.Var(&models, "model", "model to serve, as name=path or a bare path (repeatable; first is the default)")
+	flag.Var(&models, "model", "model to serve, as name=path or a bare path named default (repeatable)")
 	flag.Var(&batchOverrides, "model-batch",
 		"per-model micro-batching override, as name=deadline[,rows] (repeatable; deadline 0 disables that model's batching)")
 	flag.Parse()
@@ -177,7 +148,6 @@ func main() {
 		MaxBatchRows:   *maxBatch,
 		Batch:          serve.BatchConfig{Deadline: *batchDeadline, MaxRows: *batchRows},
 		BatchOverrides: overrides,
-		Binned:         *binned,
 		EnableAdmin:    *admin,
 		Logger:         logger,
 	})
@@ -186,12 +156,8 @@ func main() {
 	}
 
 	for _, st := range srv.Registry().List() {
-		def := ""
-		if st.Name == srv.DefaultModelName() {
-			def = " (default)"
-		}
-		logger.Printf("model %q v%d%s: %d trees, %d classes, objective %q from %s",
-			st.Name, st.Version, def, st.NumTrees, st.NumClass, st.Objective, st.Source)
+		logger.Printf("model %q v%d: %d trees, %d classes, objective %q from %s",
+			st.Name, st.Version, st.NumTrees, st.NumClass, st.Objective, st.Source)
 	}
 	if *admin {
 		logger.Printf("admin endpoints enabled: POST/DELETE /v1/models/{name}")
@@ -199,11 +165,8 @@ func main() {
 	if *batchDeadline > 0 {
 		logger.Printf("micro-batching on: deadline %v, batch rows %d (0 = block size)", *batchDeadline, *batchRows)
 	}
-	if *binned {
-		logger.Printf("binned inference on: models without candidate splits fall back to float descent")
-	}
 
-	httpSrv := newHTTPServer(*addr, srv.Handler())
+	httpSrv := serve.NewHTTPServer(*addr, srv.Handler())
 	// On SIGINT/SIGTERM: flip /readyz to 503 first so load balancers stop
 	// routing, then stop accepting and drain the coalescing queues so
 	// every already-enqueued row is scored and answered.

@@ -7,7 +7,7 @@
 // To serve the saved model over HTTP instead (with hot-swap enabled):
 //
 //	go run ./cmd/veroserve -model /tmp/vero-model.json -admin
-//	curl -d '{"rows":[{"indices":[0,3],"values":[1.5,-2]}],"proba":true}' localhost:8080/v1/predict
+//	curl -d '{"rows":[{"indices":[0,3],"values":[1.5,-2]}],"proba":true}' localhost:8080/v1/models/default/predict
 //	curl -d '{"path":"/tmp/vero-model.json"}' localhost:8080/v1/models/default  # hot-swap
 //	curl localhost:8080/metricz
 package main

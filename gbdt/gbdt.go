@@ -248,13 +248,6 @@ func (m *Model) Forest() *tree.Forest { return m.forest }
 // NumTrees returns the number of trees.
 func (m *Model) NumTrees() int { return m.forest.NumTrees() }
 
-// HasBins reports whether the model carries the per-feature candidate
-// splits its thresholds were drawn from — the metadata the binned
-// inference engine (PredictorOptions.Binned) quantizes incoming rows
-// with. Models trained by this version of the trainer always do; models
-// decoded from older encodings do not.
-func (m *Model) HasBins() bool { return m.forest.Splits != nil }
-
 // flatForest compiles the forest on first use.
 func (m *Model) flatForest() *tree.FlatForest {
 	m.flatOnce.Do(func() { m.flat = tree.Compile(m.forest) })

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
+	"vero/internal/sparse"
 	"vero/internal/tree"
 )
 
@@ -15,7 +15,6 @@ import (
 // per loaded model and share it across request handlers.
 type Predictor struct {
 	flat      *tree.FlatForest
-	binned    *tree.BinnedForest // non-nil when binned inference is on
 	objective string
 	workers   int
 	blockRows int
@@ -32,14 +31,8 @@ type PredictorOptions struct {
 	// (bit-identical margins to the pointer walk). It is clamped to the
 	// compiled block size, tree.DefaultBlockRows unless the forest routes
 	// on very many features; 0 selects that size. Predict over a dataset
-	// uses the compiled size unless Binned is set.
+	// uses the compiled size.
 	BlockRows int
-	// Binned selects bin-code descent: incoming values are quantized to
-	// uint8/uint16 bin indices against the model's candidate splits and
-	// every node comparison is an integer compare — bit-identical margins
-	// with a smaller node image. Requires a model carrying its candidate
-	// splits (Model.HasBins); NewPredictor fails otherwise.
-	Binned bool
 }
 
 // NewPredictor compiles the model's forest into the flat inference engine.
@@ -59,32 +52,12 @@ func NewPredictor(m *Model, opts PredictorOptions) (*Predictor, error) {
 	if blockRows <= 0 {
 		blockRows = tree.DefaultBlockRows
 	}
-	p := &Predictor{
+	return &Predictor{
 		flat:      flat,
 		objective: m.forest.Objective,
 		workers:   workers,
 		blockRows: blockRows,
-	}
-	if opts.Binned {
-		binned, err := flat.CompileBinned(m.forest.Splits)
-		if err != nil {
-			return nil, fmt.Errorf("gbdt: compile binned predictor: %w", err)
-		}
-		p.binned = binned
-	}
-	return p, nil
-}
-
-// Binned reports whether the predictor scores through bin-code descent.
-func (p *Predictor) Binned() bool { return p.binned != nil }
-
-// CodeBits returns the binned engine's code width in bits (8 or 16), or 0
-// when binned inference is off.
-func (p *Predictor) CodeBits() int {
-	if p.binned == nil {
-		return 0
-	}
-	return p.binned.CodeBits()
+	}, nil
 }
 
 // NumClass returns the per-row score dimensionality (1 for regression and
@@ -101,19 +74,12 @@ func (p *Predictor) Objective() string { return p.objective }
 // PredictRow returns raw scores (margins) for one sparse row, given as
 // parallel feature-id/value slices sorted by feature id.
 func (p *Predictor) PredictRow(feat []uint32, val []float32) []float64 {
-	if p.binned != nil {
-		return p.binned.PredictRow(feat, val)
-	}
 	return p.flat.PredictRow(feat, val)
 }
 
 // PredictRowInto is PredictRow without the allocation; out must have
 // length NumClass.
 func (p *Predictor) PredictRowInto(feat []uint32, val []float32, out []float64) {
-	if p.binned != nil {
-		p.binned.PredictRowInto(feat, val, out)
-		return
-	}
 	p.flat.PredictRowInto(feat, val, out)
 }
 
@@ -121,9 +87,6 @@ func (p *Predictor) PredictRowInto(feat []uint32, val []float32, out []float64) 
 // stride NumClass, scored in parallel by the predictor's worker pool
 // through the blocked batch kernel.
 func (p *Predictor) Predict(ds *Dataset) []float64 {
-	if p.binned != nil {
-		return p.binned.PredictCSRBlocked(ds.X, p.workers, p.blockRows)
-	}
 	return p.flat.PredictCSR(ds.X, p.workers)
 }
 
@@ -133,57 +96,23 @@ const predictRowsChunk = 64
 // PredictRows scores a batch of independent sparse rows (parallel
 // feature-id/value slices per row, each sorted by feature id) with the
 // predictor's worker pool, returning margins row-major with stride
-// NumClass. This is the batch path behind cmd/veroserve.
+// NumClass. This is the batch path behind cmd/veroserve. With one worker,
+// or a batch of one chunk, the whole batch is one blocked call on the
+// calling goroutine.
 func (p *Predictor) PredictRows(feats [][]uint32, vals [][]float32) []float64 {
 	n := len(feats)
 	k := p.flat.NumClass()
 	out := make([]float64, n*k)
-	chunk := predictRowsChunk
-	if p.blockRows > chunk {
-		chunk = p.blockRows
-	}
-	workers := p.workers
-	if max := (n + chunk - 1) / chunk; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		p.scoreChunk(feats, vals, out, 0, n)
+	chunk := max(predictRowsChunk, p.blockRows)
+	if p.workers <= 1 || n <= chunk {
+		p.flat.PredictBlock(feats, vals, out, p.blockRows)
 		return out
 	}
-	next := make(chan int)
-	go func() {
-		for lo := 0; lo < n; lo += chunk {
-			next <- lo
-		}
-		close(next)
-	}()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for lo := range next {
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				p.scoreChunk(feats, vals, out, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	sparse.Parallel((n+chunk-1)/chunk, p.workers, func(i int) {
+		lo, hi := i*chunk, min((i+1)*chunk, n)
+		p.flat.PredictBlock(feats[lo:hi], vals[lo:hi], out[lo*k:hi*k], p.blockRows)
+	})
 	return out
-}
-
-// scoreChunk scores rows [lo, hi) on the calling goroutine through the
-// blocked kernel.
-func (p *Predictor) scoreChunk(feats [][]uint32, vals [][]float32, out []float64, lo, hi int) {
-	k := p.flat.NumClass()
-	if p.binned != nil {
-		p.binned.PredictBlock(feats[lo:hi], vals[lo:hi], out[lo*k:hi*k], p.blockRows)
-		return
-	}
-	p.flat.PredictBlock(feats[lo:hi], vals[lo:hi], out[lo*k:hi*k], p.blockRows)
 }
 
 // Probabilities converts raw scores (as returned by Predict or PredictRow,

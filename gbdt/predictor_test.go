@@ -1,11 +1,14 @@
 package gbdt
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"vero/internal/datasets"
+	"vero/internal/sparse"
 	"vero/internal/testutil"
 )
 
@@ -65,6 +68,117 @@ func TestPredictorMatchesPointerWalk(t *testing.T) {
 				t.Fatalf("classes=%d: PredictRow[%d] = %v, want %v", classes, c, rowGot[c], want[5*k+c])
 			}
 		}
+	}
+}
+
+// thresholdRows builds sparse rows whose values sit exactly on the model's
+// candidate splits — the boundary cases where routing could disagree with
+// the pointer walk's if a threshold key were off by one — plus
+// out-of-range and between-split values.
+func thresholdRows(rng *rand.Rand, splits [][]float32, rows int) ([][]uint32, [][]float32) {
+	feats := make([][]uint32, rows)
+	vals := make([][]float32, rows)
+	for i := 0; i < rows; i++ {
+		for f, s := range splits {
+			if len(s) == 0 || rng.Float64() < 0.4 {
+				continue
+			}
+			var v float32
+			switch rng.Intn(4) {
+			case 0:
+				v = s[rng.Intn(len(s))] // exactly on a split
+			case 1:
+				v = s[len(s)-1] + 1 // above every split
+			case 2:
+				v = s[0] - 1 // below every split
+			default:
+				k := rng.Intn(len(s))
+				v = s[k] + 1e-4 // just past a split
+			}
+			feats[i] = append(feats[i], uint32(f))
+			vals[i] = append(vals[i], v)
+		}
+	}
+	return feats, vals
+}
+
+// TestPredictorAllQuadrants is the serving tier's bit-identity property
+// test: for a model trained through each quadrant QD1-QD4, Predict,
+// PredictRows and PredictRow must reproduce the pointer walk
+// (Forest.PredictRow) exactly — on every training row and on rows placed
+// on the split thresholds themselves — whatever the worker count and
+// however the rows are cut into requests.
+func TestPredictorAllQuadrants(t *testing.T) {
+	ds, err := Synthetic(SyntheticConfig{N: 900, D: 35, C: 3, InformativeRatio: 0.4, Density: 0.4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Quadrant{QD1, QD2, QD3, QD4} {
+		t.Run(q.String(), func(t *testing.T) {
+			m, _, err := Train(ds, Options{Quadrant: q, Workers: 3, Trees: 4, Layers: 5, Splits: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every training row, then the threshold rows.
+			rng := rand.New(rand.NewSource(int64(q)))
+			extraFeats, extraVals := thresholdRows(rng, m.forest.Splits, 200)
+			var feats [][]uint32
+			var vals [][]float32
+			rowPtr := []int64{0}
+			var flatFeat []uint32
+			var flatVal []float32
+			for i := 0; i < ds.X.Rows()+len(extraFeats); i++ {
+				var f []uint32
+				var v []float32
+				if i < ds.X.Rows() {
+					f, v = ds.X.Row(i)
+				} else {
+					f, v = extraFeats[i-ds.X.Rows()], extraVals[i-ds.X.Rows()]
+				}
+				feats, vals = append(feats, f), append(vals, v)
+				flatFeat, flatVal = append(flatFeat, f...), append(flatVal, v...)
+				rowPtr = append(rowPtr, int64(len(flatFeat)))
+			}
+			x, err := sparse.NewCSR(len(feats), ds.X.Cols(), rowPtr, flatFeat, flatVal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := &Dataset{X: x}
+			k := m.forest.NumClass
+			want := make([]float64, 0, len(feats)*k)
+			for i := range feats {
+				want = append(want, m.forest.PredictRow(feats[i], vals[i])...)
+			}
+			same := func(t *testing.T, what string, got []float64, lo int) {
+				t.Helper()
+				for i, g := range got {
+					if g != want[lo*k+i] {
+						t.Fatalf("%s: row %d class %d = %v, pointer walk %v", what, lo+i/k, i%k, g, want[lo*k+i])
+					}
+				}
+			}
+
+			for _, workers := range []int{1, 2, 3} {
+				p, err := NewPredictor(m, PredictorOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, fmt.Sprintf("Predict workers=%d", workers), p.Predict(all), 0)
+				for _, batch := range []int{1, 63, 64, 65, 257, len(feats)} {
+					got := make([]float64, 0, len(want))
+					for lo := 0; lo < len(feats); lo += batch {
+						hi := min(lo+batch, len(feats))
+						got = append(got, p.PredictRows(feats[lo:hi], vals[lo:hi])...)
+					}
+					same(t, fmt.Sprintf("PredictRows workers=%d batch=%d", workers, batch), got, 0)
+				}
+				if workers == 1 {
+					for i := range feats {
+						same(t, "PredictRow", p.PredictRow(feats[i], vals[i]), i)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -86,3 +86,38 @@ func TestDecodeModelRejectsCorruptStructure(t *testing.T) {
 		})
 	}
 }
+
+// TestBinnedSurvivesRoundtrip checks that candidate splits ride through
+// Encode/Decode, so the bin-code kernel (tree.BinnedForest, kept for the
+// bench's tree.binned_block probe) still compiles from a served model file
+// and scores it bit-identically.
+func TestBinnedSurvivesRoundtrip(t *testing.T) {
+	m, ds := trainSmall(t, 3)
+	enc, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeModel(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.forest.Splits == nil {
+		t.Fatal("decoded model lost its candidate splits")
+	}
+	binned, err := back.flatForest().CompileBinned(back.forest.Splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.Predict(ds)
+	got := make([]float64, len(want))
+	feats, vals := make([][]uint32, ds.X.Rows()), make([][]float32, ds.X.Rows())
+	for i := range feats {
+		feats[i], vals[i] = ds.X.Row(i)
+	}
+	binned.PredictBlock(feats, vals, got, 0)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("score[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}

@@ -115,9 +115,9 @@ func (t *trainer) run(ck *checkpoint) (*Result, error) {
 	initScore := t.obj.InitScore(t.ds.Labels)
 	t.allocRunState(initScore)
 	forest := tree.NewForest(t.c, t.cfg.LearningRate, initScore, t.obj.Name(), t.d)
-	// Record the candidate splits the trees' thresholds were drawn from,
-	// so serving can compile the binned (bin-code) inference engine. The
-	// inner slices are immutable after preparation and safe to share.
+	// Record the candidate splits the trees' thresholds were drawn from
+	// (Forest.Splits, part of the model encoding). The inner slices are
+	// immutable after preparation and safe to share.
 	forest.Splits = append([][]float32(nil), t.binner.Splits...)
 
 	start := 0

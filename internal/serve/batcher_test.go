@@ -642,13 +642,13 @@ func TestErrorEnvelope(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"malformed json", "/v1/predict", `{"rows": [`, http.StatusBadRequest, "bad_request"},
-		{"not json", "/v1/predict", `hello`, http.StatusBadRequest, "bad_request"},
-		{"unknown field", "/v1/predict", `{"rowz": []}`, http.StatusBadRequest, "bad_request"},
-		{"empty request", "/v1/predict", `{}`, http.StatusBadRequest, "bad_request"},
-		{"mismatched row arrays", "/v1/predict", `{"rows":[{"indices":[1,2],"values":[0.5]}]}`, http.StatusBadRequest, "bad_request"},
-		{"duplicate feature", "/v1/predict", `{"rows":[{"indices":[1,1],"values":[0.5,0.5]}]}`, http.StatusBadRequest, "bad_request"},
-		{"too many rows", "/v1/predict", `{"dense":[[1],[1],[1],[1],[1]]}`, http.StatusRequestEntityTooLarge, "too_large"},
+		{"malformed json", "/v1/models/default/predict", `{"rows": [`, http.StatusBadRequest, "bad_request"},
+		{"not json", "/v1/models/default/predict", `hello`, http.StatusBadRequest, "bad_request"},
+		{"unknown field", "/v1/models/default/predict", `{"rowz": []}`, http.StatusBadRequest, "bad_request"},
+		{"empty request", "/v1/models/default/predict", `{}`, http.StatusBadRequest, "bad_request"},
+		{"mismatched row arrays", "/v1/models/default/predict", `{"rows":[{"indices":[1,2],"values":[0.5]}]}`, http.StatusBadRequest, "bad_request"},
+		{"duplicate feature", "/v1/models/default/predict", `{"rows":[{"indices":[1,1],"values":[0.5,0.5]}]}`, http.StatusBadRequest, "bad_request"},
+		{"too many rows", "/v1/models/default/predict", `{"dense":[[1],[1],[1],[1],[1]]}`, http.StatusRequestEntityTooLarge, "too_large"},
 		{"unknown model", "/v1/models/nope/predict", `{"dense":[[1]]}`, http.StatusNotFound, "not_found"},
 		{"admin disabled", "/v1/models/m", `{"path":"x"}`, http.StatusForbidden, "forbidden"},
 	}

@@ -82,7 +82,7 @@ func sameRows(t *testing.T, body []byte, sc *predictScratch, wantFeats [][]uint3
 	}
 }
 
-// FuzzDecodePredictRequest holds the /v1/predict body decoder to
+// FuzzDecodePredictRequest holds the /v1/models/{name}/predict body decoder to
 // encoding/json, differentially: it must never panic, whatever it rejects
 // carries a 4xx status, and whatever it accepts the reference accepts too,
 // with the same proba flag and bit-identical rows in the same order. (The

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bufio"
@@ -13,11 +13,10 @@ import (
 	"time"
 
 	"vero/gbdt"
-	"vero/internal/serve"
 )
 
-// startScaled serves a one-leaf model through newHTTPServer — veroserve's
-// own constructor — with every timeout divided by the same factor, so
+// startScaled serves a one-leaf model through NewHTTPServer — the
+// constructor cmd/veroserve listens with — with every timeout divided by the same factor, so
 // the slow-client cases below take fractions of a second and still
 // exercise the fields the constructor set, in the proportions it set
 // them.
@@ -29,14 +28,14 @@ func startScaled(t *testing.T, div time.Duration) (*http.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(model, "test", serve.Options{Logger: log.New(io.Discard, "", 0)})
+	srv, err := New(model, "test", Options{Logger: log.New(io.Discard, "", 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := newHTTPServer("", srv.Handler())
+	hs := NewHTTPServer("", srv.Handler())
 	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout ||
 		hs.WriteTimeout != writeTimeout || hs.IdleTimeout != idleTimeout {
-		t.Fatalf("newHTTPServer left a timeout unset: %+v", hs)
+		t.Fatalf("NewHTTPServer left a timeout unset: %+v", hs)
 	}
 	if min(readHeaderTimeout, readTimeout, writeTimeout, idleTimeout) <= 0 {
 		t.Fatal("a connection timeout is disabled")
@@ -94,7 +93,7 @@ func TestSlowClientsAreCutOff(t *testing.T) {
 
 	t.Run("headers", func(t *testing.T) {
 		conn := dial(t)
-		go dribble(conn, "POST /v1/predict HTTP/1.1\r\nHost: x\r\n"+strings.Repeat("X-Pad: y\r\n", 100), hs.ReadHeaderTimeout/5)
+		go dribble(conn, "POST /v1/models/default/predict HTTP/1.1\r\nHost: x\r\n"+strings.Repeat("X-Pad: y\r\n", 100), hs.ReadHeaderTimeout/5)
 		if got := closedWithin(t, conn, 5*hs.ReadHeaderTimeout); strings.Contains(got, "200 OK") {
 			t.Fatalf("slow headers were served: %q", got)
 		}
@@ -102,7 +101,7 @@ func TestSlowClientsAreCutOff(t *testing.T) {
 	t.Run("body", func(t *testing.T) {
 		conn := dial(t)
 		body := `{"dense":[[1]]}` + strings.Repeat(" ", 200)
-		fmt.Fprintf(conn, "POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n", len(body))
+		fmt.Fprintf(conn, "POST /v1/models/default/predict HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n", len(body))
 		go dribble(conn, body, hs.ReadTimeout/5)
 		// The handler's body read fails at ReadTimeout: an error envelope,
 		// then the connection closes — long before 215 bytes arrive.
@@ -114,7 +113,7 @@ func TestSlowClientsAreCutOff(t *testing.T) {
 	t.Run("idle keep-alive", func(t *testing.T) {
 		conn := dial(t)
 		body := `{"dense":[[1]]}`
-		fmt.Fprintf(conn, "POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+		fmt.Fprintf(conn, "POST /v1/models/default/predict HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
 		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -125,20 +125,10 @@ func (r *Registry) List() []ModelStatus {
 // compile builds a fresh handle for model, reusing prior's shared
 // per-name state when swapping.
 func (r *Registry) compile(name, source string, model *gbdt.Model, prior *handle) (*handle, error) {
-	popts := gbdt.PredictorOptions{
+	pred, err := gbdt.NewPredictor(model, gbdt.PredictorOptions{
 		Workers:   r.opts.Workers,
 		BlockRows: r.opts.BlockRows,
-		Binned:    r.opts.Binned,
-	}
-	pred, err := gbdt.NewPredictor(model, popts)
-	if err != nil && popts.Binned {
-		// Serving availability beats the binned speedup: models without
-		// usable bin metadata fall back to float descent (bit-identical
-		// margins either way).
-		r.opts.Logger.Printf("serve: model %q: binned engine unavailable, serving float descent: %v", name, err)
-		popts.Binned = false
-		pred, err = gbdt.NewPredictor(model, popts)
-	}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}

@@ -110,7 +110,7 @@ func TestRegistrySwapNeverMixesVersions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/models/default/predict", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return
@@ -200,7 +200,7 @@ func TestMetricz(t *testing.T) {
 		`{"dense":[[0,1,0,0]]}`,
 		`{"rows":[{"indices":[0,0],"values":[1,2]}]}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(ts.URL+"/v1/models/default/predict", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if st.Version != 2 || st.Source != path2 {
 		t.Fatalf("swap status %+v", st)
 	}
-	code, body = post(ts.URL+"/v1/predict", `{"rows":[{"indices":[],"values":[]}]}`)
+	code, body = post(ts.URL+"/v1/models/default/predict", `{"rows":[{"indices":[],"values":[]}]}`)
 	var pr PredictResponse
 	if code != http.StatusOK || json.Unmarshal(body, &pr) != nil || pr.Scores[0][0] != 42 || pr.Version != 2 {
 		t.Fatalf("post-swap predict %d %s", code, body)
@@ -380,21 +380,16 @@ func TestModelsListEndpoint(t *testing.T) {
 	if len(list.Models) != 2 || list.Models[0].Name != "canary" || list.Models[1].Name != "main" {
 		t.Fatalf("models %+v", list.Models)
 	}
-	if !list.Models[1].Default || list.Models[0].Default {
-		t.Fatalf("default flag wrong: %+v", list.Models)
-	}
 
-	// Named metadata route agrees with the legacy alias for the default.
-	for _, path := range []string{"/v1/model", "/v1/models/main"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var info ModelInfo
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if err != nil || info.Name != "main" || info.NumTrees != 1 {
-			t.Fatalf("%s: %+v (%v)", path, info, err)
-		}
+	// Named metadata route.
+	resp, err = http.Get(ts.URL + "/v1/models/main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info ModelStatus
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || info.Name != "main" || info.NumTrees != 1 {
+		t.Fatalf("/v1/models/main: %+v (%v)", info, err)
 	}
 }

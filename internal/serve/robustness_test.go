@@ -56,7 +56,7 @@ func TestReadyzDrain(t *testing.T) {
 		t.Fatalf("draining /healthz returned %d, want 200", got)
 	}
 	// Requests already routed here must still be answered.
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/models/default/predict", "application/json",
 		bytes.NewReader([]byte(`{"rows":[{"indices":[],"values":[]}]}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestAdminSwapProbeRejects(t *testing.T) {
 	if !ok || st.Version != 1 {
 		t.Fatalf("registry moved to %+v after rejected swap", st)
 	}
-	resp, err = http.Post(ts.URL+"/v1/predict", "application/json",
+	resp, err = http.Post(ts.URL+"/v1/models/default/predict", "application/json",
 		bytes.NewReader([]byte(`{"rows":[{"indices":[],"values":[]}]}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestEndlessBodyIsBounded(t *testing.T) {
 	handler := srv.Handler()
 	limit := bodyLimit(4)
 	post := func() *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/predict", endless{})
+		req := httptest.NewRequest(http.MethodPost, "/v1/models/default/predict", endless{})
 		req.ContentLength = -1
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
@@ -191,7 +191,7 @@ func TestEndlessBodyIsBounded(t *testing.T) {
 	}
 
 	// A declared length over the cap is refused before a byte is read.
-	req := httptest.NewRequest(http.MethodPost, "/v1/predict", endless{})
+	req := httptest.NewRequest(http.MethodPost, "/v1/models/default/predict", endless{})
 	req.ContentLength = limit + 1
 	rec = httptest.NewRecorder()
 	handler.ServeHTTP(rec, req)
@@ -290,7 +290,7 @@ func TestPoisonedScratchNeverScored(t *testing.T) {
 					req.Rows = append(req.Rows, SparseRow{Indices: feat, Values: val})
 				}
 				body, _ := json.Marshal(req)
-				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/models/default/predict", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return
@@ -342,7 +342,7 @@ func TestNonFiniteScoreIs500(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(`{"dense":[[1]]}`))
+	resp, err := http.Post(ts.URL+"/v1/models/default/predict", "application/json", strings.NewReader(`{"dense":[[1]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestMetriczClockCoversWaitAndWrite(t *testing.T) {
 		return snap.LatencyMs.P50
 	}
 	request := func() *http.Request {
-		return httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(`{"dense":[[1]]}`))
+		return httptest.NewRequest(http.MethodPost, "/v1/models/default/predict", strings.NewReader(`{"dense":[[1]]}`))
 	}
 
 	t.Run("admission wait", func(t *testing.T) {

@@ -13,8 +13,6 @@
 //	POST   /v1/models/{name}/predict  single-row or batch prediction
 //	POST   /v1/models/{name}          load or hot-swap a model (admin)
 //	DELETE /v1/models/{name}          unregister a model (admin)
-//	GET    /v1/model                  alias: default model's metadata
-//	POST   /v1/predict                alias: predict on the default model
 //
 // A predict request carries sparse rows (parallel indices/values arrays),
 // dense rows, or both:
@@ -59,8 +57,7 @@ import (
 )
 
 // DefaultModel is the name the single-model constructor registers its
-// model under, and the model the legacy /v1/model and /v1/predict aliases
-// resolve.
+// model under. The admin endpoint refuses to delete it.
 const DefaultModel = "default"
 
 // Options configures a Server.
@@ -86,11 +83,6 @@ type Options struct {
 	// BatchOverrides replaces Batch for specific model names. An override
 	// with zero Deadline disables batching for that model only.
 	BatchOverrides map[string]BatchConfig
-	// Binned scores through bin-code descent when a model carries its
-	// candidate splits (bit-identical margins, smaller node images).
-	// Models without bin metadata fall back to float descent with a log
-	// line.
-	Binned bool
 	// EnableAdmin exposes the model load/swap/delete endpoints. Off by
 	// default: the admin endpoint reads model files from the server's
 	// filesystem, so only enable it on trusted networks.
@@ -151,9 +143,8 @@ func (o Options) batchConfig(name string) BatchConfig {
 
 // Server serves predictions for a registry of models.
 type Server struct {
-	reg         *Registry
-	defaultName string
-	opts        Options
+	reg  *Registry
+	opts Options
 	// ready backs /readyz: true once every construction-time model has
 	// loaded, false again when a drain begins — so load balancers stop
 	// routing before the listener closes.
@@ -168,21 +159,19 @@ type ModelSpec struct {
 }
 
 // New compiles a single model and returns a ready Server with the model
-// registered as the default. name is recorded as the model's source
+// registered as DefaultModel. name is recorded as the model's source
 // (typically the model file path).
 func New(model *gbdt.Model, name string, opts Options) (*Server, error) {
 	return NewMulti([]ModelSpec{{Name: DefaultModel, Source: name, Model: model}}, opts)
 }
 
-// NewMulti compiles several models into a fresh registry. The first spec
-// is the default model served by the legacy /v1/model and /v1/predict
-// aliases.
+// NewMulti compiles several models into a fresh registry.
 func NewMulti(specs []ModelSpec, opts Options) (*Server, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("serve: no models")
 	}
 	opts = opts.withDefaults()
-	s := &Server{reg: newRegistry(opts), defaultName: specs[0].Name, opts: opts}
+	s := &Server{reg: newRegistry(opts), opts: opts}
 	for _, spec := range specs {
 		if spec.Name == "" {
 			return nil, fmt.Errorf("serve: model with empty name")
@@ -216,9 +205,6 @@ func (s *Server) Close() {
 	s.reg.Close()
 }
 
-// DefaultModelName returns the name served by the legacy aliases.
-func (s *Server) DefaultModelName() string { return s.defaultName }
-
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -240,32 +226,40 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/models/{name}/predict", s.handlePredict)
 	mux.HandleFunc("POST /v1/models/{name}", s.handleAdminSwap)
 	mux.HandleFunc("DELETE /v1/models/{name}", s.handleAdminDelete)
-	// Legacy single-model aliases, routed at the default model.
-	mux.HandleFunc("GET /v1/model", s.handleModel)
-	mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	return mux
 }
 
-// resolve picks the request's model handle: the {name} path segment, or
-// the default model for the legacy alias routes.
+// Connection timeouts: a client may be slow, but not for ever, at any
+// point of a connection's life. They are constants, not options: what they
+// defend (a goroutine and a buffer per stalled connection) does not
+// depend on the deployment, and the slowest honest request — a 32 MiB
+// body, the largest the predict endpoint reads, or 10000 rows against a
+// deep forest — fits them many times over.
+const (
+	readHeaderTimeout = 10 * time.Second  // request line and headers
+	readTimeout       = 30 * time.Second  // the whole request, body included
+	writeTimeout      = 60 * time.Second  // end of the headers to end of the response: admission wait, scoring, write
+	idleTimeout       = 120 * time.Second // a keep-alive connection between requests
+)
+
+// NewHTTPServer returns the http.Server to listen with on addr: handler
+// (typically Server.Handler) behind the connection timeouts above.
+func NewHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// resolve picks the request's model handle by its {name} path segment.
 func (s *Server) resolve(r *http.Request) (*handle, string, bool) {
 	name := r.PathValue("name")
-	if name == "" {
-		name = s.defaultName
-	}
 	h, ok := s.reg.get(name)
 	return h, name, ok
-}
-
-// ModelInfo is the /v1/model and /v1/models/{name} response: the
-// registry status plus whether the model backs the legacy aliases.
-type ModelInfo struct {
-	ModelStatus
-	Default bool `json:"default"`
-}
-
-func (s *Server) info(st ModelStatus) ModelInfo {
-	return ModelInfo{ModelStatus: st, Default: st.Name == s.defaultName}
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
@@ -274,21 +268,16 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("model %q not registered", name))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.info(h.status()))
+	writeJSON(w, http.StatusOK, h.status())
 }
 
 // ModelList is the /v1/models response.
 type ModelList struct {
-	Models []ModelInfo `json:"models"`
+	Models []ModelStatus `json:"models"`
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	sts := s.reg.List()
-	list := ModelList{Models: make([]ModelInfo, 0, len(sts))}
-	for _, st := range sts {
-		list.Models = append(list.Models, s.info(st))
-	}
-	writeJSON(w, http.StatusOK, list)
+	writeJSON(w, http.StatusOK, ModelList{Models: s.reg.List()})
 }
 
 // MetricsResponse is the /metricz response.
@@ -307,8 +296,8 @@ type SparseRow struct {
 	Values  []float32 `json:"values"`
 }
 
-// PredictRequest is the /v1/predict request body. Sparse rows are scored
-// first, then dense rows.
+// PredictRequest is the /v1/models/{name}/predict request body. Sparse
+// rows are scored first, then dense rows.
 type PredictRequest struct {
 	Rows  []SparseRow `json:"rows,omitempty"`
 	Dense [][]float32 `json:"dense,omitempty"`
@@ -316,9 +305,9 @@ type PredictRequest struct {
 	Proba bool `json:"proba,omitempty"`
 }
 
-// PredictResponse is the /v1/predict response body. Model and Version
-// identify the exact registry entry that scored every row of the
-// response.
+// PredictResponse is the /v1/models/{name}/predict response body. Model
+// and Version identify the exact registry entry that scored every row of
+// the response.
 type PredictResponse struct {
 	Model         string      `json:"model"`
 	Version       int         `json:"version"`
@@ -526,7 +515,7 @@ func (s *Server) handleAdminDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	if name == s.defaultName {
+	if name == DefaultModel {
 		writeError(w, http.StatusConflict, "cannot delete the default model")
 		return
 	}

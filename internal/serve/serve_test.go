@@ -50,7 +50,7 @@ func postPredict(t *testing.T, url string, req PredictRequest) (int, PredictResp
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/predict", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/models/default/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestServeValidation(t *testing.T) {
 	}
 
 	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(ts.URL+"/v1/models/default/predict", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +184,12 @@ func TestServeModelAndHealth(t *testing.T) {
 		t.Fatalf("healthz returned %d", resp.StatusCode)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/model")
+	resp, err = http.Get(ts.URL + "/v1/models/default")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var info ModelInfo
+	var info ModelStatus
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestServeConcurrentRequests(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			body, _ := json.Marshal(req)
-			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/models/default/predict", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errs <- err
 				return

@@ -1,16 +1,16 @@
-// Binned inference: descent over bin codes instead of float thresholds.
+// Bin-code descent, kept only as the subject of the bench's
+// tree.binned_block probe: serving scores through the float kernel in
+// flat.go alone, and this file goes when ROADMAP item 1(f) drops that
+// probe.
 //
 // Histogram-based training never compares raw float values: it quantizes
 // every feature into at most q bins and routes on bin indices. The trained
 // model records both views of each split — the float threshold
-// (Node.SplitValue) and the bin index it came from (Node.SplitBin) — and,
-// since PR 6, the per-feature candidate split arrays themselves
-// (Forest.Splits). BinnedForest exploits that: incoming rows are quantized
-// once per feature (a binary search over at most q splits), and the
-// per-node comparison becomes a uint8/uint16 compare against a
-// precomputed bin threshold. The node image shrinks (1-2 bytes of
-// threshold per node instead of 4) and the block image shrinks 4x/2x,
-// so more of the descent working set stays cache-resident.
+// (Node.SplitValue) and the bin index it came from (Node.SplitBin) — and
+// the per-feature candidate split arrays themselves (Forest.Splits).
+// BinnedForest quantizes incoming rows once per feature (a binary search
+// over at most q splits), and the per-node comparison becomes a
+// uint8/uint16 compare against a precomputed bin threshold.
 //
 // Routing is bit-identical to the float walk for every input value. With
 // s = Splits[f] ascending and t = s[b] the node's threshold, quantize v to
@@ -150,17 +150,6 @@ func newBinnedEngine[C binCode](ff *FlatForest, compact [][]float32) *binnedEngi
 	return e
 }
 
-// CodeBits reports the bin-code width in bits (8 or 16).
-func (bf *BinnedForest) CodeBits() int {
-	if bf.e8 != nil {
-		return 8
-	}
-	return 16
-}
-
-// NumClass returns the per-row output dimensionality.
-func (bf *BinnedForest) NumClass() int { return bf.ff.numClass }
-
 // binValue quantizes one raw value of compact feature g: the first split
 // index >= v, or len(splits) when v exceeds every split. Unlike
 // sparse.Binner.BinValue it never clamps — the out-of-range code must
@@ -179,19 +168,6 @@ func (e *binnedEngine[C]) binValue(g int32, v float32) C {
 	return C(lo)
 }
 
-// PredictRowInto computes the raw scores (margins) of one sparse row into
-// out, which must have length NumClass.
-func (bf *BinnedForest) PredictRowInto(feat []uint32, val []float32, out []float64) {
-	bf.PredictBlock([][]uint32{feat}, [][]float32{val}, out, 1)
-}
-
-// PredictRow returns the raw scores (margins) of one sparse row.
-func (bf *BinnedForest) PredictRow(feat []uint32, val []float32) []float64 {
-	out := make([]float64, bf.ff.numClass)
-	bf.PredictRowInto(feat, val, out)
-	return out
-}
-
 // PredictBlock scores a batch of independent sparse rows into out
 // (row-major, stride NumClass) on the calling goroutine through the binned
 // blocked kernel, block rows at a time (<=0 means DefaultBlockRows).
@@ -202,24 +178,6 @@ func (bf *BinnedForest) PredictBlock(feats [][]uint32, vals [][]float32, out []f
 	} else {
 		bf.e16.predict(feats, vals, out, block)
 	}
-}
-
-// PredictCSRBlocked returns raw scores for every row of m, row-major with
-// stride NumClass, computed by `workers` goroutines over instance blocks
-// of `block` rows through the binned kernel.
-func (bf *BinnedForest) PredictCSRBlocked(m *sparse.CSR, workers, block int) []float64 {
-	rows := m.Rows()
-	out := make([]float64, rows*bf.ff.numClass)
-	if rows == 0 {
-		return out
-	}
-	block = bf.ff.blockSize(block)
-	chunk := ((batchRows + block - 1) / block) * block
-	parallelRowRanges(rows, chunk, workers, func(lo, hi int) {
-		feats, vals := csrRows(m, lo, hi)
-		bf.PredictBlock(feats, vals, out[lo*bf.ff.numClass:hi*bf.ff.numClass], block)
-	})
-	return out
 }
 
 // predict scores the rows (feats[i], vals[i]) into out with one code

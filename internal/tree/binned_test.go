@@ -62,6 +62,21 @@ func binnedRandomForest(t testing.TB, rng *rand.Rand, splits [][]float32, trees,
 	return f
 }
 
+// codeBits reports the bin-code width bf compiled to, in bits.
+func codeBits(bf *BinnedForest) int {
+	if bf.e8 != nil {
+		return 8
+	}
+	return 16
+}
+
+// binnedRow scores one row through the binned blocked kernel.
+func binnedRow(bf *BinnedForest, feat []uint32, val []float32) []float64 {
+	out := make([]float64, bf.ff.numClass)
+	bf.PredictBlock([][]uint32{feat}, [][]float32{val}, out, 1)
+	return out
+}
+
 // boundaryRows generates sparse rows biased to the sharp edges of
 // quantization: with high probability a stored value sits exactly on a
 // candidate split (including the first and last), and otherwise it lands
@@ -121,8 +136,8 @@ func TestBinnedMatchesFloat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bf.CodeBits() != tc.wantBits {
-				t.Fatalf("code bits %d, want %d", bf.CodeBits(), tc.wantBits)
+			if codeBits(bf) != tc.wantBits {
+				t.Fatalf("code bits %d, want %d", codeBits(bf), tc.wantBits)
 			}
 
 			const rows = 300
@@ -134,7 +149,7 @@ func TestBinnedMatchesFloat(t *testing.T) {
 			bf.PredictBlock(feats, vals, gotBlock, 0)
 			for i := 0; i < rows; i++ {
 				want := f.PredictRow(feats[i], vals[i])
-				gotRow := bf.PredictRow(feats[i], vals[i])
+				gotRow := binnedRow(bf, feats[i], vals[i])
 				for c := 0; c < k; c++ {
 					if gotRow[c] != want[c] {
 						t.Fatalf("row %d class %d: binned per-row %v, pointer walk %v", i, c, gotRow[c], want[c])
@@ -163,34 +178,13 @@ func TestBinnedMissingAndUnroutedFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty row: every node follows DefaultLeft in both engines.
-	if got, want := bf.PredictRow(nil, nil)[0], ff.PredictRow(nil, nil)[0]; got != want {
+	if got, want := binnedRow(bf, nil, nil)[0], ff.PredictRow(nil, nil)[0]; got != want {
 		t.Fatalf("empty row: binned %v, float %v", got, want)
 	}
 	// A feature id beyond every split table is ignored, not crashed on.
 	feat, val := []uint32{500}, []float32{1.5}
-	if got, want := bf.PredictRow(feat, val)[0], ff.PredictRow(feat, val)[0]; got != want {
+	if got, want := binnedRow(bf, feat, val)[0], ff.PredictRow(feat, val)[0]; got != want {
 		t.Fatalf("unrouted feature: binned %v, float %v", got, want)
-	}
-}
-
-// TestBinnedCSRBlockedMatches runs the parallel CSR path against the float
-// engine on a random matrix.
-func TestBinnedCSRBlockedMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	splits := randomSplits(rng, 30, 20)
-	f := binnedRandomForest(t, rng, splits, 12, 6, 2)
-	ff := Compile(f)
-	bf, err := ff.CompileBinned(f.Splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := randomCSR(t, rng, 500, 30, 0.4)
-	want := ff.PredictCSR(m, 4)
-	got := bf.PredictCSRBlocked(m, 4, 64)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cell %d: binned %v, float %v", i, got[i], want[i])
-		}
 	}
 }
 

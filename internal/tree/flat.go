@@ -109,9 +109,9 @@ type FlatForest struct {
 	numSplitFeat int
 	stride       int
 
-	// The binned engine's view of the same nodes, in the same order:
-	// global feature id (-1 on leaves), float threshold and histogram-bin
-	// threshold.
+	// The bin-code kernel's (binned.go) view of the same nodes, in the
+	// same order: global feature id (-1 on leaves), float threshold and
+	// histogram-bin threshold.
 	feature   []int32
 	threshold []float32
 	splitBin  []uint16
@@ -282,12 +282,19 @@ const batchRows = 256
 func (ff *FlatForest) PredictCSR(m *sparse.CSR, workers int) []float64 {
 	rows := m.Rows()
 	out := make([]float64, rows*ff.numClass)
-	if rows == 0 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// A parallel work unit is a whole number of blocks; one worker scores
+	// the whole matrix in one call.
+	chunk := (batchRows + ff.stride - 1) / ff.stride * ff.stride
+	if workers <= 1 || rows <= chunk {
+		feats, vals := csrRows(m, 0, rows)
+		ff.PredictBlock(feats, vals, out, 0)
 		return out
 	}
-	// A parallel work unit is a whole number of blocks.
-	chunk := (batchRows + ff.stride - 1) / ff.stride * ff.stride
-	parallelRowRanges(rows, chunk, workers, func(lo, hi int) {
+	sparse.Parallel((rows+chunk-1)/chunk, workers, func(i int) {
+		lo, hi := i*chunk, min((i+1)*chunk, rows)
 		feats, vals := csrRows(m, lo, hi)
 		ff.PredictBlock(feats, vals, out[lo*ff.numClass:hi*ff.numClass], 0)
 	})
@@ -301,44 +308,6 @@ func csrRows(m *sparse.CSR, lo, hi int) ([][]uint32, [][]float32) {
 		feats[i], vals[i] = m.Row(lo + i)
 	}
 	return feats, vals
-}
-
-// parallelRowRanges invokes fn over [lo, hi) chunks of `chunk` rows from
-// `workers` goroutines (0 or negative means GOMAXPROCS; the worker count
-// never exceeds the chunk count, and a single worker runs inline).
-func parallelRowRanges(rows, chunk, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := (rows + chunk - 1) / chunk; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	next := make(chan int)
-	go func() {
-		for lo := 0; lo < rows; lo += chunk {
-			next <- lo
-		}
-		close(next)
-	}()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for lo := range next {
-				hi := lo + chunk
-				if hi > rows {
-					hi = rows
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // blockSize clamps a requested block size to [1, stride]; <= 0 means

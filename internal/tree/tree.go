@@ -194,10 +194,10 @@ type Forest struct {
 	// Splits, when non-nil, are the per-feature candidate split values the
 	// model was trained against: Splits[f] is ascending (nil for features
 	// with no observed values), and every interior node's SplitValue is
-	// exactly Splits[Feature][SplitBin]. They are what the binned inference
-	// engine (CompileBinned) needs to quantize incoming rows into bin codes
-	// at serve time. Models encoded before this field decode with a nil
-	// Splits and serve through float thresholds only.
+	// exactly Splits[Feature][SplitBin]. Serving never reads them: it
+	// routes on the float thresholds. They stay in the encoding so model
+	// bytes do not change, and models encoded before this field decode
+	// with a nil Splits.
 	Splits [][]float32 `json:"splits,omitempty"`
 }
 

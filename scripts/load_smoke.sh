@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end micro-batching soak smoke: train a model, serve it with
-# cross-request batching and binned inference, fire a short veroload
+# cross-request batching, fire a short veroload
 # burst, and assert the server coalesced requests (non-zero batching
 # factor) with zero errors. Run from the repo root; used by CI and
 # reproducible locally with `bash scripts/load_smoke.sh`.
@@ -21,9 +21,9 @@ echo "== train"
 "$DIR/veroctl" train -data "$DIR/train.libsvm" -classes 2 -trees 5 -layers 4 \
   -model "$DIR/model.json" >/dev/null
 
-echo "== start veroserve with micro-batching + binned inference"
+echo "== start veroserve with micro-batching"
 "$DIR/veroserve" -model "default=$DIR/model.json" -addr "$ADDR" \
-  -batch-deadline 500us -batch-rows 32 -binned \
+  -batch-deadline 500us -batch-rows 32 \
   2>"$DIR/server.log" &
 SERVER_PID=$!
 for i in $(seq 1 50); do

@@ -35,7 +35,7 @@ fail() { echo "FAIL: $1"; echo "--- server log:"; cat "$DIR/server.log"; exit 1;
 
 echo "== predict on v1"
 OUT=$(curl -sf -d '{"rows":[{"indices":[0,3],"values":[1.5,-2]}],"proba":true}' \
-  "http://$ADDR/v1/predict")
+  "http://$ADDR/v1/models/default/predict")
 echo "$OUT" | grep -q '"version":1' || fail "predict did not report version 1: $OUT"
 echo "$OUT" | grep -q '"probabilities"' || fail "no probabilities: $OUT"
 
@@ -47,7 +47,7 @@ grep -q 'hot-swapped model "default" v1 -> v2' "$DIR/server.log" \
   || fail "swap rationale missing from server log"
 
 echo "== predict on v2"
-OUT=$(curl -sf -d '{"rows":[{"indices":[0,3],"values":[1.5,-2]}]}' "http://$ADDR/v1/predict")
+OUT=$(curl -sf -d '{"rows":[{"indices":[0,3],"values":[1.5,-2]}]}' "http://$ADDR/v1/models/default/predict")
 echo "$OUT" | grep -q '"version":2' || fail "predict still on old version: $OUT"
 
 echo "== scrape /metricz"
