@@ -345,22 +345,28 @@ func parseWorkers(spec string, rank int, listen string, dialTimeout, opTimeout t
 }
 
 // printDistributed prints the measured transport numbers next to the
-// alpha-beta model's predictions, totals first, then per phase. The two
-// byte columns agree by construction — the accounted volume is exactly
-// the payload the transport moves — so a mismatch means a lost frame.
+// alpha-beta model's predictions, totals first, then per phase. Measured
+// bytes must equal accounted minus modeled (charge-only collectives send
+// nothing), for the run and every phase; a mismatch means a lost frame.
 func printDistributed(report *gbdt.Report, peers int) {
+	var modeled int64
+	agree := true
+	for _, p := range report.Phases {
+		modeled += p.ModeledBytes
+		agree = agree && p.MeasuredBytes == p.AccountedBytes-p.ModeledBytes
+	}
 	check := "bytes agree"
-	if report.MeasuredCommBytes != report.CommBytes {
+	if !agree || report.MeasuredCommBytes != report.CommBytes-modeled {
 		check = "BYTE MISMATCH"
 	}
 	fmt.Printf("distributed: rank %d of %d peers\n", report.Rank, peers)
-	fmt.Printf("measured: comm %.3fs  payload %.1f MB (%s)  wire %.1f MB incl. framing\n",
-		report.MeasuredCommSeconds, float64(report.MeasuredCommBytes)/(1<<20), check,
-		float64(report.WireBytes)/(1<<20))
-	fmt.Printf("%-22s %14s %14s %12s %12s\n", "phase", "accounted B", "measured B", "model s", "measured s")
+	fmt.Printf("measured: comm %.3fs  payload %d B of %d B accounted, %d B modeled (%s)  wire %d B incl. framing\n",
+		report.MeasuredCommSeconds, report.MeasuredCommBytes, report.CommBytes, modeled, check,
+		report.WireBytes)
+	fmt.Printf("%-22s %14s %14s %14s %12s %12s\n", "phase", "accounted B", "modeled B", "measured B", "model s", "measured s")
 	for _, p := range report.Phases {
-		fmt.Printf("%-22s %14d %14d %12.4f %12.4f\n",
-			p.Phase, p.AccountedBytes, p.MeasuredBytes, p.ModelSeconds, p.MeasuredSeconds)
+		fmt.Printf("%-22s %14d %14d %14d %12.4f %12.4f\n",
+			p.Phase, p.AccountedBytes, p.ModeledBytes, p.MeasuredBytes, p.ModelSeconds, p.MeasuredSeconds)
 	}
 }
 

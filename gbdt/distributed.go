@@ -41,14 +41,17 @@ type DistributedOptions struct {
 
 // PhaseComm is one phase's communication record with the model's
 // prediction and the transport's measurement side by side. On a
-// distributed run the two byte columns are equal by construction — the
-// alpha-beta model's accounted volume is exactly what the transport puts
-// on the wire (before framing) — while the seconds columns compare the
-// model's prediction against measured wall-clock.
+// distributed run MeasuredBytes equals AccountedBytes − ModeledBytes
+// exactly: charge-only collectives (split tables, placement bitmaps, the
+// transformation's repartition) are modeled and move nothing, the rest
+// put their charged volume on the wire (before framing). The seconds
+// columns compare the model's prediction against measured wall-clock.
 type PhaseComm struct {
 	Phase string
 	// AccountedBytes is the volume the alpha-beta model charged.
 	AccountedBytes int64
+	// ModeledBytes is the part of AccountedBytes no transport moves.
+	ModeledBytes int64
 	// ModelSeconds is the alpha-beta model's simulated duration.
 	ModelSeconds float64
 	// MeasuredBytes is the payload volume sent over the transport, summed
@@ -119,12 +122,13 @@ func phaseComms(cl *cluster.Cluster) []PhaseComm {
 	var out []PhaseComm
 	for _, name := range stats.PhaseNames() {
 		p := stats.Phase(name)
-		if p.TotalBytes() == 0 && p.MeasuredBytes == 0 {
+		if p.TotalBytes() == 0 {
 			continue
 		}
 		out = append(out, PhaseComm{
 			Phase:           name,
 			AccountedBytes:  p.TotalBytes(),
+			ModeledBytes:    p.ModeledBytes,
 			ModelSeconds:    p.CommSeconds,
 			MeasuredBytes:   p.MeasuredBytes,
 			MeasuredSeconds: p.MeasuredSeconds,

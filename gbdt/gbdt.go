@@ -323,9 +323,9 @@ type Report struct {
 	// counterpart of CommSeconds' alpha-beta prediction.
 	MeasuredCommSeconds float64
 	// MeasuredCommBytes is the collective payload volume the deployment
-	// put on the wire, summed across ranks. Equal to CommBytes by
-	// construction: the model's accounted volume is what the transport
-	// sends.
+	// put on the wire, summed across ranks: CommBytes minus the modeled
+	// bytes of Phases, which charge-only collectives account but never
+	// send.
 	MeasuredCommBytes int64
 	// WireBytes is this rank's raw transmitted volume including frame
 	// headers and checksums (the framing overhead above CommBytes' share).

@@ -318,7 +318,6 @@ func (rankOnly) AllReduce(string, []float64) error            { return nil }
 func (rankOnly) ReduceScatter(string, []float64, []int) error { return nil }
 func (rankOnly) AllGather(string, [][]byte) error             { return nil }
 func (rankOnly) Broadcast(string, []byte, int) error          { return nil }
-func (rankOnly) Shadow(string, [][]int64) error               { return nil }
 func (rankOnly) PayloadBytesSent() int64                      { return 0 }
 func (rankOnly) WireBytes() int64                             { return 0 }
 func (rankOnly) Err() error                                   { return nil }

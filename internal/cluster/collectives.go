@@ -7,9 +7,10 @@ import (
 
 // Collective primitives: one entry point per communication shape. Each
 // has one body — account the alpha-beta charge under the caller's phase,
-// then, on a distributed cluster (WithTransport), move the payload over
-// the wire in the simulation's rank-ordered reduction order, so trained
-// models are bit-identical, and record the measured bytes and wall-clock.
+// then, for a data-carrying collective on a distributed cluster
+// (WithTransport), move the payload over the wire in the simulation's
+// rank-ordered reduction order, so trained models are bit-identical, and
+// record the measured bytes and wall-clock.
 // On the simulation (the default) every worker lives in one process, the
 // data is already in place, and only the charge is recorded.
 //
@@ -31,7 +32,10 @@ import (
 //
 // The charged totals are exact: they equal the bytes a direct-exchange
 // implementation of the collective puts on the wire, which is what the
-// TCP backend's measured-vs-accounted equality check relies on.
+// TCP backend's measured-vs-accounted equality check relies on. The
+// charge-only collectives (Broadcast, PointToPoint, Shuffle, ChargeComm)
+// move nothing: their charge is modeled, recorded as ModeledBytes, so on
+// a distributed cluster measured == accounted − modeled for every phase.
 //
 // Reductions work in place (MPI_IN_PLACE): a buffer holds this process's
 // contribution on entry — the hosted workers' sum, see SumHosted — and
@@ -148,18 +152,11 @@ func (c *Cluster) AllGatherFixed(phase string, recs [][]byte) {
 
 // Broadcast charges a binomial-tree broadcast of b payload bytes from one
 // root to the other W-1 workers (e.g. the instance-placement bitmap of
-// vertical partitioning, Section 3.1.3). The payload itself is replicated
-// state every rank derives locally, so on a distributed cluster the
-// charge is realized as shadow traffic of exactly the charged volume
-// (rank 0 to every peer), keeping measured equal to accounted.
+// vertical partitioning, Section 3.1.3). The payload is replicated state
+// every rank derives locally, so the charge is modeled: nothing crosses
+// the wire, and the bytes land in the phase's ModeledBytes.
 func (c *Cluster) Broadcast(phase string, b int64) {
-	c.broadcast(phase, b, func() error {
-		return c.shadow(phase, func(send [][]int64) {
-			for j := 1; j < c.w; j++ {
-				send[0][j] = b
-			}
-		})
-	})
+	c.broadcast(phase, b, nil)
 }
 
 // BroadcastBytes is the data-carrying form of Broadcast: buf moves from
@@ -182,20 +179,16 @@ func (c *Cluster) broadcast(phase string, b int64, wire func() error) {
 }
 
 // PointToPoint charges a single b-byte message between two workers (or
-// worker and master). Shadow traffic (rank 0 to rank 1) on a distributed
-// cluster.
+// worker and master). Modeled: no bytes cross the wire.
 func (c *Cluster) PointToPoint(phase string, b int64) {
-	c.collective(phase, OpPointToPoint, b, c.simTime(1, float64(b)), func() error {
-		return c.shadow(phase, func(send [][]int64) { send[0][1] = b })
-	})
+	c.collective(phase, OpPointToPoint, b, c.simTime(1, float64(b)), nil)
 }
 
 // Shuffle charges an all-to-all repartition where sendBytes[i][j] bytes
 // move from worker i to worker j (step 4 of the horizontal-to-vertical
 // transformation). Simulated time is bounded by the busiest worker's
-// send plus receive volume. On a distributed cluster the exact matrix is
-// realized as shadow traffic (the repartitioned data is replicated state
-// every rank derives locally).
+// send plus receive volume. Modeled: the repartitioned data is state
+// every rank derives or loads itself, so no bytes cross the wire.
 func (c *Cluster) Shuffle(phase string, sendBytes [][]int64) {
 	if len(sendBytes) != c.w {
 		panic(fmt.Sprintf("cluster: shuffle matrix has %d rows for %d workers", len(sendBytes), c.w))
@@ -215,69 +208,38 @@ func (c *Cluster) Shuffle(phase string, sendBytes [][]int64) {
 			busiest = v
 		}
 	}
-	c.collective(phase, OpShuffle, total, c.simTime(c.w-1, busiest), func() error {
-		return c.tr.Shadow(phase, sendBytes) // the transport ignores the diagonal
-	})
+	c.collective(phase, OpShuffle, total, c.simTime(c.w-1, busiest), nil)
 }
 
 // ChargeComm records a raw communication volume of kind over the given
 // number of latency steps; used by components that size a transfer
-// themselves (the sketch exchange, QD3's raw repartition). The volume is
-// realized as shadow traffic spread evenly over all ordered worker pairs
-// (remainder bytes to the lexicographically first pairs) on a distributed
-// cluster. Callers must therefore invoke it with identical arguments at
-// every rank — true for all in-tree callers, whose volumes derive from
-// replicated state.
+// themselves (the sketch exchange, QD3's raw repartition). Modeled: no
+// bytes cross the wire. Callers must invoke it with identical arguments
+// at every rank, so that each rank's accounting equals the simulation's —
+// true for all in-tree callers, whose volumes derive from replicated
+// state.
 func (c *Cluster) ChargeComm(phase string, kind OpKind, bytes int64, steps int) {
-	c.collective(phase, kind, bytes, c.simTime(steps, float64(bytes)), func() error {
-		return c.shadow(phase, func(send [][]int64) {
-			pairs := int64(c.w) * int64(c.w-1)
-			base, rem := bytes/pairs, bytes%pairs
-			for i := 0; i < c.w; i++ {
-				for j := 0; j < c.w; j++ {
-					if i == j {
-						continue
-					}
-					send[i][j] = base
-					if rem > 0 {
-						send[i][j]++
-						rem--
-					}
-				}
-			}
-		})
-	})
+	c.collective(phase, kind, bytes, c.simTime(steps, float64(bytes)), nil)
 }
 
 // collective is the one body of every collective: charge bytes and
-// seconds of kind to phase, then — on a distributed cluster of more than
-// one worker — run the wire operation, attributing its payload bytes and
-// wall-clock to the phase's measured record. The simulation stops after
-// the charge, so its measured record stays zero. A wire failure latches
-// into the transport's sticky error (surfaced by Err) and the collective
-// falls back to the local contribution, so the caller reaches a
-// consistency boundary without blocking.
+// seconds of kind to phase. A nil wire marks a charge-only collective:
+// its bytes are modeled (PhaseStats.ModeledBytes) on every backend and no
+// transport is called. Otherwise, on a distributed cluster of more than
+// one worker, run the wire operation and attribute its payload bytes and
+// wall-clock to the phase's measured record. A wire failure latches into
+// the transport's sticky error (surfaced by Err) and the collective falls
+// back to the local contribution, so the caller reaches a consistency
+// boundary without blocking.
 func (c *Cluster) collective(phase string, kind OpKind, bytes int64, seconds float64, wire func() error) {
-	c.stats.addComm(phase, kind, bytes, seconds)
-	if !c.Distributed() || c.w == 1 {
+	c.stats.addComm(phase, kind, bytes, seconds, wire == nil)
+	if wire == nil || !c.Distributed() || c.w == 1 {
 		return
 	}
 	before := c.tr.PayloadBytesSent()
 	start := time.Now()
 	_ = wire() // sticky in the transport; surfaced via Err()
 	c.stats.addMeasured(phase, c.tr.PayloadBytesSent()-before, time.Since(start).Seconds())
-}
-
-// shadow is the wire operation of a charge-only collective: synthetic
-// traffic shaped by fill, which populates the send matrix (send[i][j] =
-// bytes from rank i to rank j) and must come out identical at every rank.
-func (c *Cluster) shadow(phase string, fill func(send [][]int64)) error {
-	send := make([][]int64, c.w)
-	for i := range send {
-		send[i] = make([]int64, c.w)
-	}
-	fill(send)
-	return c.tr.Shadow(phase, send)
 }
 
 func ceilLog2(x int) int {

@@ -54,11 +54,14 @@ type PhaseStats struct {
 	CommSeconds float64
 	// Bytes is the total communication volume by collective kind.
 	Bytes [numOpKinds]int64
+	// ModeledBytes is the part of TotalBytes charged by charge-only
+	// collectives (Broadcast, PointToPoint, Shuffle, ChargeComm), which no
+	// transport moves; like TotalBytes it is deployment-global.
+	ModeledBytes int64
 	// MeasuredBytes is the collective payload volume actually sent over a
 	// real transport (zero on the simulated backend). Before
 	// Cluster.SyncMeasured it counts this rank's sends; after, the
-	// deployment-global total — directly comparable to TotalBytes, the
-	// model's accounted volume.
+	// deployment-global total, equal to TotalBytes() − ModeledBytes.
 	MeasuredBytes int64
 	// MeasuredSeconds is wall-clock spent inside transport operations
 	// (zero on the simulated backend): this rank's before SyncMeasured,
@@ -159,12 +162,15 @@ func (s *Stats) addWorkerComp(w int, d time.Duration) {
 	s.workerComp[w] += d
 }
 
-func (s *Stats) addComm(phase string, kind OpKind, bytes int64, seconds float64) {
+func (s *Stats) addComm(phase string, kind OpKind, bytes int64, seconds float64, modeled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.phase(phase)
 	p.Bytes[kind] += bytes
 	p.CommSeconds += seconds
+	if modeled {
+		p.ModeledBytes += bytes
+	}
 }
 
 func (s *Stats) addMeasured(phase string, bytes int64, seconds float64) {

@@ -7,8 +7,9 @@
 // the W contributions in rank order starting from zero — exactly the
 // simulation's reduction order, which is what makes models trained over
 // sockets bit-identical to simulated runs. The wire volume of each
-// collective equals the alpha-beta model's charged volume byte for byte,
-// so measured and accounted communication are directly comparable.
+// data-carrying collective equals the alpha-beta model's charged volume
+// byte for byte, so measured and accounted communication are directly
+// comparable; charge-only collectives never reach the transport.
 //
 // Every frame carries the sender's rank, a CRC-32C of the phase label and
 // a per-transport operation sequence number. Because training is SPMD —
@@ -28,7 +29,7 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "VFRM"
-//	4       1     version (1)
+//	4       1     version (2)
 //	5       1     op
 //	6       2     sender rank (u16 LE)
 //	8       4     CRC-32C of the phase label (u32 LE)
@@ -38,7 +39,7 @@ import (
 //	20+n    4     CRC-32C of header+payload (u32 LE)
 const (
 	frameMagic  = "VFRM"
-	wireVersion = 1
+	wireVersion = 2
 	headerSize  = 20
 	trailerSize = 4
 )
@@ -51,8 +52,9 @@ const (
 	opContrib op = 2 // reduction contribution sent to a segment owner
 	opResult  op = 3 // reduced segment distributed back (all-reduce)
 	opRecord  op = 4 // fixed-size all-gather record
-	opShadow  op = 5 // synthetic traffic realizing a charge-only collective
-	opBcast   op = 6 // data-carrying broadcast payload from the root rank
+	// Op 5 carried version 1's zero-filled frames for charge-only
+	// collectives and stays unassigned.
+	opBcast op = 6 // data-carrying broadcast payload from the root rank
 )
 
 func (o op) String() string {
@@ -65,8 +67,6 @@ func (o op) String() string {
 		return "result"
 	case opRecord:
 		return "record"
-	case opShadow:
-		return "shadow"
 	case opBcast:
 		return "bcast"
 	default:

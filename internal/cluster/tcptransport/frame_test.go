@@ -2,6 +2,8 @@ package tcptransport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
@@ -22,7 +24,7 @@ func sampleFrames() []frame {
 		{Op: opContrib, Rank: 1, PhaseCRC: phaseCRC("train.gradient"), Seq: 1, Payload: payload(24)},
 		{Op: opResult, Rank: 65535, PhaseCRC: phaseCRC("train.split"), Seq: 4294967295, Payload: payload(129)},
 		{Op: opRecord, Rank: 7, PhaseCRC: phaseCRC("cluster.syncstats"), Seq: 2, Payload: payload(44)},
-		{Op: opShadow, Rank: 2, PhaseCRC: phaseCRC("prep.repartition"), Seq: 9, Payload: payload(1024)},
+		{Op: opBcast, Rank: 2, PhaseCRC: phaseCRC("train.node"), Seq: 9, Payload: payload(1024)},
 	}
 }
 
@@ -107,6 +109,25 @@ func TestDecodeFrameLengthBomb(t *testing.T) {
 	}
 	if _, err := readFrame(bytes.NewReader(enc), 1<<20); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("readFrame on length bomb: %v", err)
+	}
+}
+
+// TestDecodeFrameRejectsVersion1 pins the wire-version bump: a frame of
+// version 1, whose mesh still sent zero-filled frames for charge-only
+// collectives, is refused by both parsers, so a mesh mixing the two
+// versions fails at its first hello frame instead of desyncing mid-run.
+func TestDecodeFrameRejectsVersion1(t *testing.T) {
+	f := sampleFrames()[0]
+	enc := appendFrame(nil, &f)
+	enc[4] = 1
+	// Re-seal the trailer so only the version byte is wrong.
+	body := enc[:len(enc)-trailerSize]
+	binary.LittleEndian.PutUint32(enc[len(body):], crc32.Checksum(body, crcTable))
+	if _, _, err := decodeFrame(enc, 1<<20); err == nil || !strings.Contains(err.Error(), "unsupported wire version 1") {
+		t.Fatalf("decodeFrame on a version-1 frame: %v", err)
+	}
+	if _, err := readFrame(bytes.NewReader(enc), 1<<20); err == nil || !strings.Contains(err.Error(), "unsupported wire version 1") {
+		t.Fatalf("readFrame on a version-1 frame: %v", err)
 	}
 }
 

@@ -30,9 +30,6 @@ const (
 	defaultOpTimeout   = 30 * time.Second
 	defaultMaxPayload  = 1 << 30
 	maxDialBackoff     = 2 * time.Second
-	// shadowChunk bounds a single shadow frame's payload so realizing a
-	// multi-gigabyte charge never materializes one giant buffer.
-	shadowChunk = 1 << 20
 )
 
 // Config describes one rank of a deployment.
@@ -631,62 +628,6 @@ func (t *Transport) Broadcast(phase string, buf []byte, root int) error {
 	}
 	copy(buf, p)
 	return nil
-}
-
-// Shadow implements cluster.Transport: send[i][j] zero bytes move from
-// rank i to rank j in chunks of at most shadowChunk, so charge-only
-// collectives produce exactly their accounted volume as measurable wire
-// traffic. The matrix is identical at every rank, which is how receivers
-// know how much to expect.
-func (t *Transport) Shadow(phase string, send [][]int64) error {
-	if t.w == 1 {
-		return nil
-	}
-	if len(send) != t.w {
-		return t.fail(fmt.Errorf("tcptransport: rank %d: phase %q: shadow matrix has %d rows for %d workers", t.rank, phase, len(send), t.w))
-	}
-	seq, err := t.startOp()
-	if err != nil {
-		return err
-	}
-	pc := phaseCRC(phase)
-	var fns []func() error
-	for j := 0; j < t.w; j++ {
-		if j == t.rank {
-			continue
-		}
-		if out := send[t.rank][j]; out > 0 {
-			fns = append(fns, func() error {
-				zeros := make([]byte, min(out, shadowChunk))
-				for rem := out; rem > 0; rem -= int64(len(zeros)) {
-					if rem < int64(len(zeros)) {
-						zeros = zeros[:rem]
-					}
-					if err := t.send(j, opShadow, pc, seq, phase, zeros); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}
-		if in := send[j][t.rank]; in > 0 {
-			fns = append(fns, func() error {
-				for rem := in; rem > 0; {
-					p, err := t.recv(j, opShadow, pc, seq, phase)
-					if err != nil {
-						return err
-					}
-					want := min(rem, shadowChunk)
-					if int64(len(p)) != want {
-						return fmt.Errorf("tcptransport: rank %d: phase %q: shadow chunk from rank %d is %d bytes, want %d", t.rank, phase, j, len(p), want)
-					}
-					rem -= want
-				}
-				return nil
-			})
-		}
-	}
-	return t.runAll(fns)
 }
 
 // reduceRankOrder reduces the owner's local segment and the peers'

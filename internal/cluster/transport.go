@@ -45,12 +45,6 @@ type Transport interface {
 	// the root's buf is meaningful; on return every rank holds the root's
 	// bytes. len(buf) must be identical at every rank.
 	Broadcast(phase string, buf []byte, root int) error
-	// Shadow moves synthetic traffic shaped like a charged collective:
-	// send[i][j] payload bytes from rank i to rank j (diagonal ignored).
-	// It exists so that charge-only collectives (Broadcast, PointToPoint,
-	// Shuffle, ChargeComm) put real, measurable bytes on the wire in
-	// exactly the volume the alpha-beta model accounts.
-	Shadow(phase string, send [][]int64) error
 
 	// PayloadBytesSent returns the cumulative collective payload bytes
 	// this rank has sent (excluding framing overhead); the cluster diffs
@@ -79,7 +73,6 @@ func (simulation) AllReduce(string, []float64) error            { return nil }
 func (simulation) ReduceScatter(string, []float64, []int) error { return nil }
 func (simulation) AllGather(string, [][]byte) error             { return nil }
 func (simulation) Broadcast(string, []byte, int) error          { return nil }
-func (simulation) Shadow(string, [][]int64) error               { return nil }
 func (simulation) PayloadBytesSent() int64                      { return 0 }
 func (simulation) WireBytes() int64                             { return 0 }
 func (simulation) Err() error                                   { return nil }

@@ -2,18 +2,18 @@
 // backend must pass. It drives the full collective surface — all-reduce,
 // reduce-scatter (even, ceil-sized and ragged bounds), sharded gather,
 // one-shard gather, fixed-record all-gather, broadcast and every
-// charge-only (shadow-realized) collective — across several deployment
-// sizes and aligned, ragged, tiny and empty payloads, and checks three
-// invariants:
+// charge-only (modeled) collective — across several deployment sizes and
+// aligned, ragged, tiny and empty payloads, and checks three invariants:
 //
 //  1. Values: reductions equal the rank-ordered sum bit for bit (the
 //     simulation's reduction order), with distributed ownership semantics
 //     (non-owned regions keep the local contribution).
 //  2. Accounting: every handle charges exactly what a plain simulated
-//     cluster charges for the same sequence — the alpha-beta model is
-//     backend-independent.
+//     cluster charges for the same sequence — accounted bytes, modeled
+//     bytes and alpha-beta seconds are backend-independent.
 //  3. Measurement: on a distributed backend, after SyncMeasured every
-//     phase's measured payload bytes equal its accounted bytes.
+//     phase's measured payload bytes equal its accounted minus its
+//     modeled bytes, and every charge-only phase measures zero.
 package transporttest
 
 import (
@@ -94,6 +94,13 @@ func Run(t *testing.T, b Backend) {
 			runScript(t, ref, w)
 			for _, h := range handles {
 				checkAccounting(t, h, ref)
+				// Charge-only phases model all they charge, measure nothing.
+				for _, name := range []string{"conf.bcast", "conf.p2p", "conf.shuffle", "conf.charge"} {
+					if p := h.Stats().Phase(name); p.TotalBytes() == 0 || p.ModeledBytes != p.TotalBytes() || p.MeasuredBytes != 0 {
+						t.Errorf("rank %d: charge-only phase %s accounted %d bytes, modeled %d, measured %d",
+							h.Rank(), name, p.TotalBytes(), p.ModeledBytes, p.MeasuredBytes)
+					}
+				}
 			}
 		})
 	}
@@ -287,8 +294,8 @@ func runScript(t *testing.T, c *cluster.Cluster, w int) {
 			}
 		}
 
-		// Charge-only collectives, realized as shadow traffic on a real
-		// transport in exactly the charged volume.
+		// Charge-only collectives: charged and modeled on every backend,
+		// never put on the wire.
 		c.Broadcast("conf.bcast", 1000)
 		smallRecs := make([][]byte, w)
 		for v := range smallRecs {
@@ -314,9 +321,9 @@ func runScript(t *testing.T, c *cluster.Cluster, w int) {
 }
 
 // checkAccounting pins one handle's per-phase records to the simulated
-// reference: identical accounted bytes and model seconds, and — on a
-// distributed handle, after SyncMeasured — measured payload bytes equal
-// to the accounted bytes of every phase.
+// reference: identical accounted bytes, modeled bytes and model seconds,
+// and — on a distributed handle, after SyncMeasured — measured payload
+// bytes equal to the accounted minus the modeled bytes of every phase.
 func checkAccounting(t *testing.T, h, ref *cluster.Cluster) {
 	t.Helper()
 	for _, name := range ref.Stats().PhaseNames() {
@@ -325,12 +332,15 @@ func checkAccounting(t *testing.T, h, ref *cluster.Cluster) {
 		if got.TotalBytes() != want.TotalBytes() {
 			t.Errorf("rank %d: phase %s accounted %d bytes, reference %d", h.Rank(), name, got.TotalBytes(), want.TotalBytes())
 		}
+		if got.ModeledBytes != want.ModeledBytes {
+			t.Errorf("rank %d: phase %s modeled %d bytes, reference %d", h.Rank(), name, got.ModeledBytes, want.ModeledBytes)
+		}
 		if got.CommSeconds != want.CommSeconds {
 			t.Errorf("rank %d: phase %s modeled %v comm seconds, reference %v", h.Rank(), name, got.CommSeconds, want.CommSeconds)
 		}
 		if h.Distributed() {
-			if got.MeasuredBytes != got.TotalBytes() {
-				t.Errorf("rank %d: phase %s measured %d bytes, accounted %d", h.Rank(), name, got.MeasuredBytes, got.TotalBytes())
+			if got.MeasuredBytes != got.TotalBytes()-got.ModeledBytes {
+				t.Errorf("rank %d: phase %s measured %d bytes, accounted %d, modeled %d", h.Rank(), name, got.MeasuredBytes, got.TotalBytes(), got.ModeledBytes)
 			}
 		} else if got.MeasuredBytes != 0 {
 			t.Errorf("rank %d: phase %s measured %d bytes on the simulation", h.Rank(), name, got.MeasuredBytes)

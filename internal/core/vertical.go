@@ -108,8 +108,8 @@ func (e *verticalEngine) prepare() error {
 			// build hosted-only (applyLayer broadcasts real placement shards
 			// instead of deriving the full layer locally) and charge the
 			// repartition from the replicated global entry count — the local
-			// NNZ differs per rank, and rank-divergent charges desynchronize
-			// the transport's shadow frames.
+			// NNZ differs per rank, and each rank's accounting must equal
+			// the simulation's (the socket tests check it through CommBytes).
 			t.cl.ParallelLocal("prep.bin", binPrep)
 			globalNNZ = sh.GlobalNNZ
 		} else {
@@ -522,8 +522,8 @@ func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map
 		// A replicated Parallel even on a distributed cluster (full-image
 		// and out-of-core datasets): the vertical engines materialize or
 		// map every worker's columns at every rank, so each rank derives
-		// the full placement locally and only the broadcast's charge —
-		// realized as shadow traffic — touches the wire.
+		// the full placement locally and the broadcast is only charged:
+		// modeled, nothing touches the wire.
 		t.cl.Parallel(phaseNode, fill)
 		placement = e.parts[0]
 		for w := 1; w < t.w; w++ {

@@ -438,9 +438,9 @@ func RangeGroupNNZ(src datasets.BlockSource, rowLo, rowHi int, groups [][]int) (
 // matching the engine's hosted-only structures — and takes the cell
 // counts from the shard's replicated GroupNNZ matrix instead of walking
 // remote data. Every rank derives that matrix identically from the
-// cache's column index — a requirement, since charge-only collectives are
-// realized as shadow frames on the distributed transport and
-// rank-divergent volumes would desynchronize the mesh.
+// cache's column index — a requirement, since each rank's accounting must
+// equal the simulation's, which the socket tests check through
+// CommBytes.
 //
 // Like TransformStreamed it requires ingestion-derived splits: a shard
 // holds a fraction of the values, so candidate splits cannot be sketched

@@ -22,12 +22,14 @@
 // so the binned predicate equals the float predicate exactly, including
 // for out-of-range and boundary values. Missing features follow
 // DefaultLeft in both engines. CompileBinned verifies the metadata
-// (thresholds must equal their split values) and refuses models where the
-// equivalence cannot be guaranteed.
+// (thresholds must be among their feature's split values) and refuses
+// models where the equivalence cannot be guaranteed.
 package tree
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"vero/internal/sparse"
@@ -55,7 +57,7 @@ type BinnedForest struct {
 // pool.
 type binnedEngine[C binCode] struct {
 	ff *FlatForest
-	// thresh[i] is node i's SplitBin: code <= thresh routes left,
+	// thresh[i] is node i's bin: code <= thresh routes left,
 	// mirroring value <= threshold. Leaves hold the largest code, so a
 	// present cell keeps a row on its leaf.
 	thresh []C
@@ -77,9 +79,12 @@ type binImage[C binCode] struct {
 }
 
 // CompileBinned builds the bin-code engine for a compiled forest. splits
-// is indexed by global feature id (Forest.Splits). It fails when any
+// is indexed by global feature id (Forest.Splits). A node's feature comes
+// from its image column, its threshold from inverting routeKey, and its
+// bin is an index of the threshold in the feature's splits (any such
+// index routes identically, per the proof above). It fails when any
 // routed feature lacks splits, when a split array is not ascending, when
-// a node's float threshold is not exactly its split array entry (the
+// a node's threshold is NaN or not among its feature's splits (the
 // invariant bit-identical routing rests on), or when a feature has too
 // many bins for a uint16 code.
 func (ff *FlatForest) CompileBinned(splits [][]float32) (*BinnedForest, error) {
@@ -87,11 +92,13 @@ func (ff *FlatForest) CompileBinned(splits [][]float32) (*BinnedForest, error) {
 		return nil, fmt.Errorf("tree: model carries no candidate splits")
 	}
 	compact := make([][]float32, ff.numSplitFeat)
+	global := make([]int, ff.numSplitFeat) // inverse of remap
 	maxBins := 0
 	for f, g := range ff.remap {
 		if g < 0 {
 			continue
 		}
+		global[g] = f
 		if f >= len(splits) || len(splits[f]) == 0 {
 			return nil, fmt.Errorf("tree: split feature %d has no candidate splits", f)
 		}
@@ -111,35 +118,48 @@ func (ff *FlatForest) CompileBinned(splits [][]float32) (*BinnedForest, error) {
 	if maxBins >= sparse.MaxBins {
 		return nil, fmt.Errorf("tree: %d bins exceed the uint16 code range", maxBins)
 	}
-	for i, f := range ff.feature {
-		if f < 0 {
+	bins := make([]int32, len(ff.nodes)) // -1 on leaves
+	for i, n := range ff.nodes {
+		if n.width == 0 {
+			bins[i] = -1
 			continue
 		}
-		s := splits[f]
-		b := int(ff.splitBin[i])
-		if b >= len(s) {
-			return nil, fmt.Errorf("tree: node %d split bin %d out of range for feature %d (%d splits)", i, b, f, len(s))
+		g := n.off / int32(ff.stride)
+		t := n.lo - 1
+		if t == nanThresholdKey {
+			return nil, fmt.Errorf("tree: node %d has a NaN threshold; bin metadata inconsistent", i)
 		}
-		if s[b] != ff.threshold[i] {
-			return nil, fmt.Errorf("tree: node %d threshold %v != splits[%d][%d] = %v; bin metadata inconsistent",
-				i, ff.threshold[i], f, b, s[b])
+		thr := keyValue(t)
+		b, found := slices.BinarySearch(compact[g], thr)
+		if !found {
+			return nil, fmt.Errorf("tree: node %d threshold %v is not among feature %d's %d splits; bin metadata inconsistent",
+				i, thr, global[g], len(compact[g]))
 		}
+		bins[i] = int32(b)
 	}
 	bf := &BinnedForest{ff: ff}
 	if maxBins < 1<<8 {
-		bf.e8 = newBinnedEngine[uint8](ff, compact)
+		bf.e8 = newBinnedEngine[uint8](ff, compact, bins)
 	} else {
-		bf.e16 = newBinnedEngine[uint16](ff, compact)
+		bf.e16 = newBinnedEngine[uint16](ff, compact, bins)
 	}
 	return bf, nil
 }
 
-func newBinnedEngine[C binCode](ff *FlatForest, compact [][]float32) *binnedEngine[C] {
+// keyValue inverts routeKey on a non-NaN key.
+func keyValue(k uint32) float32 {
+	if k&(1<<31) != 0 {
+		return math.Float32frombits(k ^ 1<<31)
+	}
+	return math.Float32frombits(^k)
+}
+
+func newBinnedEngine[C binCode](ff *FlatForest, compact [][]float32, bins []int32) *binnedEngine[C] {
 	e := &binnedEngine[C]{ff: ff, splits: compact}
-	e.thresh = make([]C, len(ff.splitBin))
-	for i, b := range ff.splitBin {
+	e.thresh = make([]C, len(bins))
+	for i, b := range bins {
 		e.thresh[i] = C(b)
-		if ff.feature[i] < 0 {
+		if b < 0 {
 			e.thresh[i] = ^C(0)
 		}
 	}
@@ -153,7 +173,7 @@ func newBinnedEngine[C binCode](ff *FlatForest, compact [][]float32) *binnedEngi
 // binValue quantizes one raw value of compact feature g: the first split
 // index >= v, or len(splits) when v exceeds every split. Unlike
 // sparse.Binner.BinValue it never clamps — the out-of-range code must
-// compare greater than every stored SplitBin for bit-identical routing.
+// compare greater than every node's bin for bit-identical routing.
 func (e *binnedEngine[C]) binValue(g int32, v float32) C {
 	s := e.splits[g]
 	lo, hi := 0, len(s)

@@ -201,8 +201,9 @@ func TestCompileBinnedRejectsBadMetadata(t *testing.T) {
 		t.Fatal("CompileBinned(nil) succeeded; want error")
 	}
 	// Drop one routed feature's splits.
+	rootNode := f.Trees[0].Nodes[0]
 	broken := append([][]float32(nil), splits...)
-	broken[int(ff.feature[0])] = nil
+	broken[int(rootNode.Feature)] = nil
 	if _, err := ff.CompileBinned(broken); err == nil {
 		t.Fatal("missing splits for a routed feature accepted")
 	}
@@ -211,8 +212,8 @@ func TestCompileBinnedRejectsBadMetadata(t *testing.T) {
 	for i, s := range splits {
 		perturbed[i] = append([]float32(nil), s...)
 	}
-	root := int(ff.feature[0])
-	perturbed[root][int(ff.splitBin[0])] += 0.5
+	root := int(rootNode.Feature)
+	perturbed[root][int(rootNode.SplitBin)] += 0.5
 	if _, err := ff.CompileBinned(perturbed); err == nil {
 		t.Fatal("threshold/split mismatch accepted")
 	}

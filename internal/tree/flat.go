@@ -109,13 +109,6 @@ type FlatForest struct {
 	numSplitFeat int
 	stride       int
 
-	// The bin-code kernel's (binned.go) view of the same nodes, in the
-	// same order: global feature id (-1 on leaves), float threshold and
-	// histogram-bin threshold.
-	feature   []int32
-	threshold []float32
-	splitBin  []uint16
-
 	images sync.Pool // *keyImage
 }
 
@@ -166,9 +159,6 @@ func Compile(f *Forest) *FlatForest {
 	}
 
 	ff.nodes = make([]node, 0, total)
-	ff.feature = make([]int32, 0, total)
-	ff.threshold = make([]float32, 0, total)
-	ff.splitBin = make([]uint16, 0, total)
 	order := make([]int32, 0, 64)
 	for _, t := range f.Trees {
 		base := int32(len(ff.nodes))
@@ -196,9 +186,6 @@ func Compile(f *Forest) *FlatForest {
 					ff.nodes = append(ff.nodes, interiorNode(off, n.SplitValue, n.DefaultLeft, base+int32(len(order))))
 					order = append(order, n.Left, n.Right)
 				}
-				ff.feature = append(ff.feature, n.Feature)
-				ff.threshold = append(ff.threshold, n.SplitValue)
-				ff.splitBin = append(ff.splitBin, n.SplitBin)
 			}
 			lo = hi
 		}

@@ -5,7 +5,11 @@
 # two model files to be byte-identical, for `-system vero` (QD4) and for
 # `-system lightgbm` (QD2, histogram reduce-scatter). Also asserts each
 # distributed run reports its measured payload equal to the alpha-beta
-# model's accounted volume, that an armed `cluster.tcp.write` failpoint
+# model's accounted volume minus its modeled part (charge-only collectives
+# such as the transformation's repartition send nothing), for the run and
+# every phase; that the vero run's `transform.repartition` measures 0
+# bytes and the lightgbm run's `train.histogram` measures all it
+# accounts; that an armed `cluster.tcp.write` failpoint
 # aborts training at a tree boundary instead of hanging or writing a
 # model, and that a deployment killed mid-run resumes from checkpoints.
 # Run from the repo root; used by CI and reproducible locally with
@@ -27,9 +31,22 @@ echo "== generate a .vbin cache image"
 "$DIR/datagen" -n 20000 -d 300 -c 2 -density 0.3 -informative 0.3 \
   -format vbin -out "$DIR/train.vbin"
 
+# measured_bytes LOG PHASE prints the measured-bytes column of PHASE's
+# row in a distributed run's table, failing when the row is missing.
+measured_bytes() {
+  awk -v p="$2" '$1 == p { print $4; found = 1 } END { exit !found }' "$1" \
+    || fail "no $2 row in the phase table" "$1"
+}
+
+# accounted_bytes LOG PHASE prints the accounted-bytes column of PHASE's row.
+accounted_bytes() {
+  awk -v p="$2" '$1 == p { print $2; found = 1 } END { exit !found }' "$1" \
+    || fail "no $2 row in the phase table" "$1"
+}
+
 # three_ranks SYSTEM trains SYSTEM on the simulation with 3 workers and
 # as a 3-rank loopback deployment, and requires byte-identical models and
-# measured payload equal to the accounted volume.
+# measured payload equal to the accounted minus the modeled volume.
 three_ranks() {
   local sys="$1" args=("${TRAIN_ARGS[@]}" -system "$1") # the last -system wins
   echo "== $sys: single-process simulated reference run (3 workers)"
@@ -59,7 +76,13 @@ three_ranks() {
 }
 
 three_ranks vero
+[ "$(measured_bytes "$DIR/dist-vero.log" transform.repartition)" = 0 ] \
+  || fail "vero's modeled repartition put bytes on the wire" "$DIR/dist-vero.log"
 three_ranks lightgbm
+HIST="$(accounted_bytes "$DIR/dist-lightgbm.log" train.histogram)"
+[ "$HIST" -gt 0 ] && [ "$(measured_bytes "$DIR/dist-lightgbm.log" train.histogram)" = "$HIST" ] \
+  || fail "lightgbm's histogram reduce-scatter did not measure its accounted bytes" "$DIR/dist-lightgbm.log"
+echo "   vero repartition modeled, lightgbm histograms measured ($HIST B)"
 
 echo "== injected transport write failure aborts at a tree boundary"
 BASE=$(( (RANDOM % 20000) + 20000 ))
