@@ -113,15 +113,6 @@ func (g *MemGauge) MaxPeak() int64 {
 	return m
 }
 
-// SumPeak returns the sum of per-worker peaks.
-func (g *MemGauge) SumPeak() int64 {
-	var s int64
-	for _, v := range g.Peak {
-		s += v
-	}
-	return s
-}
-
 // Stats collects per-phase computation/communication records and memory
 // gauges. All methods are safe for concurrent use.
 type Stats struct {

@@ -31,7 +31,7 @@ func BenchmarkTrainTree(b *testing.B) {
 				cl := cluster.New(4, cluster.Gigabit())
 				t := newTestTrainer(b, cl, ds, Config{Quadrant: q, Trees: 1, Layers: 6, Splits: 20})
 				t.allocRunState(t.obj.InitScore(ds.Labels))
-				t.computeGradients()
+				t.eng.computeGradients()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

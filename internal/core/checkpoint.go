@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"vero/internal/failpoint"
+	"vero/internal/histogram"
 	"vero/internal/tree"
 )
 
@@ -420,7 +421,7 @@ func (t *trainer) replayTree(tr *tree.Tree) {
 	t.eng.resetIndexes()
 	frontier := []int32{tr.Root()}
 	for len(frontier) > 0 {
-		splits := make(map[int32]resolvedSplit)
+		splits := make(map[int32]histogram.Split)
 		children := make(map[int32][2]int32)
 		var next []int32
 		for _, id := range frontier {
@@ -428,14 +429,8 @@ func (t *trainer) replayTree(tr *tree.Tree) {
 			if n.IsLeaf() {
 				continue
 			}
-			splits[id] = resolvedSplit{
-				node:        id,
-				feature:     int(n.Feature),
-				bin:         int(n.SplitBin),
-				gain:        n.Gain,
-				defaultLeft: n.DefaultLeft,
-				valid:       true,
-			}
+			splits[id] = histogram.Split{Feature: int(n.Feature), Bin: int(n.SplitBin),
+				Gain: n.Gain, DefaultLeft: n.DefaultLeft, Valid: true}
 			children[id] = [2]int32{n.Left, n.Right}
 			next = append(next, n.Left, n.Right)
 		}

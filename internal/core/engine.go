@@ -1,6 +1,7 @@
 package core
 
 import (
+	"vero/internal/histogram"
 	"vero/internal/partition"
 	"vero/internal/tree"
 )
@@ -37,10 +38,10 @@ type engine interface {
 	deriveHistograms(toDerive []*nodeInfo)
 	// findSplits locates each frontier node's best split, with the work
 	// placed where the quadrant's aggregation puts it.
-	findSplits(frontier []*nodeInfo) map[int32]resolvedSplit
+	findSplits(frontier []*nodeInfo) map[int32]histogram.Split
 	// applyLayer propagates one layer's split placements into the
 	// engine's node/instance indexes.
-	applyLayer(splits map[int32]resolvedSplit, children map[int32][2]int32)
+	applyLayer(splits map[int32]histogram.Split, children map[int32][2]int32)
 	// childStats fills count and gradient totals of the new children.
 	childStats(nodes []*nodeInfo)
 	// updatePredictions adds the finished tree's leaf weights to the raw
@@ -77,4 +78,16 @@ func siblingOf(nd *nodeInfo) int32 {
 		return nd.id + 1
 	}
 	return nd.id - 1
+}
+
+// subtractSiblings derives each node's histogram in hm as parent minus
+// built sibling, reusing the parent's storage (the parent entry is
+// consumed).
+func subtractSiblings(hm map[int32]*histogram.Hist, toDerive []*nodeInfo) {
+	for _, nd := range toDerive {
+		parent := hm[nd.parent]
+		parent.Sub(hm[siblingOf(nd)])
+		hm[nd.id] = parent
+		delete(hm, nd.parent)
+	}
 }

@@ -35,10 +35,6 @@ type horizontalEngine struct {
 	layout  histogram.Layout
 }
 
-// splitWireBytes is the serialized size of one best-split record
-// (feature id, bin, gain, default direction).
-const splitWireBytes = 24
-
 // prepare sketches candidate splits and gives each worker its row shard
 // in the quadrant's storage pattern: binned and materialized, or — out of
 // core — a reader over the worker's row range of the mapped image.
@@ -85,7 +81,7 @@ func (e *horizontalEngine) prepare() error {
 				errs[w] = err
 				return
 			}
-			e.rows[w] = csrRows{m: binned, base: lo}
+			e.rows[w] = blockRows{blocks: csrBlock(binned), base: lo}
 			dataGauge.Set(w, binnedCSRBytes(binned))
 		})
 		return cluster.FirstError(errs)
@@ -118,13 +114,7 @@ func (e *horizontalEngine) transformReport() partition.ByteReport { return parti
 // computeGradients has each worker process its own row range.
 func (e *horizontalEngine) computeGradients() {
 	t := e.t
-	labels := t.ds.Labels
-	t.cl.ParallelLocal(phaseGrad, func(w int) {
-		lo, hi := t.ranges[w][0], t.ranges[w][1]
-		for i := lo; i < hi; i++ {
-			t.obj.GradHess(t.preds[i*t.c:(i+1)*t.c], labels[i], t.grads[i*t.c:(i+1)*t.c], t.hessv[i*t.c:(i+1)*t.c])
-		}
-	})
+	t.cl.ParallelLocal(phaseGrad, func(w int) { t.gradRange(t.ranges[w][0], t.ranges[w][1]) })
 }
 
 func (e *horizontalEngine) resetIndexes() {
@@ -171,15 +161,7 @@ func (e *horizontalEngine) dropHist(id int32) {
 // relies on survives subtraction.
 func (e *horizontalEngine) deriveHistograms(toDerive []*nodeInfo) {
 	// Aggregated histograms are logically replicated: derive once.
-	e.t.cl.Replicated(phaseHist, func() {
-		for _, nd := range toDerive {
-			parent := e.agg[nd.parent]
-			sibling := e.agg[siblingOf(nd)]
-			parent.Sub(sibling)
-			e.agg[nd.id] = parent
-			delete(e.agg, nd.parent)
-		}
-	})
+	e.t.cl.Replicated(phaseHist, func() { subtractSiblings(e.agg, toDerive) })
 }
 
 // flatScratch returns worker w's zeroed arena scratch of n floats per
@@ -203,22 +185,7 @@ func (e *horizontalEngine) rootTotals() ([]float64, []float64) {
 	locals := make([][]float64, t.w)
 	t.cl.ParallelLocal(phaseGrad, func(w int) {
 		acc := make([]float64, 2*t.c)
-		lo, hi := t.ranges[w][0], t.ranges[w][1]
-		if t.c == 1 {
-			var g, h float64
-			for i := lo; i < hi; i++ {
-				g += t.grads[i]
-				h += t.hessv[i]
-			}
-			acc[0], acc[1] = g, h
-		} else {
-			for i := lo; i < hi; i++ {
-				for k := 0; k < t.c; k++ {
-					acc[k] += t.grads[i*t.c+k]
-					acc[t.c+k] += t.hessv[i*t.c+k]
-				}
-			}
-		}
+		t.sumRows(t.ranges[w][0], t.ranges[w][1], acc[:t.c], acc[t.c:])
 		locals[w] = acc
 	})
 	sum := make([]float64, 2*t.c)
@@ -404,62 +371,34 @@ func (e *horizontalEngine) aggregate(node int32, locals []*histogram.Hist) {
 // histograms, with the work placed where the aggregation method puts it: a
 // leader for all-reduce, per-feature-shard workers for reduce-scatter and
 // the parameter servers.
-func (e *horizontalEngine) findSplits(frontier []*nodeInfo) map[int32]resolvedSplit {
+func (e *horizontalEngine) findSplits(frontier []*nodeInfo) map[int32]histogram.Split {
 	t := e.t
-	out := make(map[int32]resolvedSplit, len(frontier))
-	switch t.cfg.Aggregation {
-	case AggReduceScatter, AggParameterServer:
-		// Each worker finds the best split over its feature shard and
-		// serializes it; the records travel in an all-gather and every
-		// rank merges the same W records in worker order, so the chosen
-		// split is identical on every backend.
-		recs := make([][]byte, t.w)
+	if t.cfg.Aggregation != AggAllReduce {
+		// Each worker searches its feature shard of the aggregated
+		// histograms.
 		per := (t.d + t.w - 1) / t.w
-		t.cl.ParallelLocal(phaseSplit, func(w int) {
+		return t.exchangeSplits(frontier, func(w int, nd *nodeInfo) histogram.Split {
 			lo := min(w*per, t.d)
-			hi := min(lo+per, t.d)
-			splits := make([]histogram.Split, len(frontier))
-			for i, nd := range frontier {
-				splits[i] = t.finder.FindBestInRange(e.agg[nd.id], nd.totalG, nd.totalH, t.numBinsGlobal, lo, hi)
-			}
-			recs[w] = encodeSplits(splits)
+			return t.finder.FindBestInRange(e.agg[nd.id], nd.totalG, nd.totalH, t.numBinsGlobal, lo, min(lo+per, t.d))
 		})
-		for w := range recs {
-			if recs[w] == nil {
-				recs[w] = make([]byte, len(frontier)*splitWireBytes)
-			}
-		}
-		t.cl.AllGatherFixed(phaseSplit, recs)
-		for i, nd := range frontier {
-			best := histogram.Split{}
-			for w := 0; w < t.w; w++ {
-				if s := decodeSplit(recs[w][i*splitWireBytes:]); histogram.Prefer(s, best) {
-					best = s
-				}
-			}
-			out[nd.id] = resolvedSplit{node: nd.id, feature: best.Feature, bin: best.Bin,
-				gain: best.Gain, defaultLeft: best.DefaultLeft, valid: best.Valid}
-		}
-	default: // AggAllReduce: the leader scans all features.
-		// Every rank recomputes the identical result from the fully reduced
-		// histograms; the broadcast below charges the split records the
-		// leader would send.
-		t.cl.Replicated(phaseSplit, func() {
-			for _, nd := range frontier {
-				s := t.finder.FindBest(e.agg[nd.id], nd.totalG, nd.totalH, t.numBinsGlobal)
-				out[nd.id] = resolvedSplit{node: nd.id, feature: s.Feature, bin: s.Bin,
-					gain: s.Gain, defaultLeft: s.DefaultLeft, valid: s.Valid}
-			}
-		})
-		t.cl.Broadcast(phaseSplit, int64(len(frontier))*splitWireBytes)
 	}
+	// All-reduce: the leader scans all features. Every rank recomputes the
+	// identical result from the fully reduced histograms; the broadcast
+	// below charges the split records the leader would send.
+	out := make(map[int32]histogram.Split, len(frontier))
+	t.cl.Replicated(phaseSplit, func() {
+		for _, nd := range frontier {
+			out[nd.id] = t.finder.FindBest(e.agg[nd.id], nd.totalG, nd.totalH, t.numBinsGlobal)
+		}
+	})
+	t.cl.Broadcast(phaseSplit, int64(len(frontier))*splitWireBytes)
 	return out
 }
 
 // applyLayer updates each worker's local node/instance index; every worker
 // holds all features of its rows, so placements are computed locally — no
 // placement broadcast, only the (tiny) split records travel.
-func (e *horizontalEngine) applyLayer(splits map[int32]resolvedSplit, children map[int32][2]int32) {
+func (e *horizontalEngine) applyLayer(splits map[int32]histogram.Split, children map[int32][2]int32) {
 	t := e.t
 	t.cl.Broadcast(phaseNode, int64(len(splits))*splitWireBytes)
 	if t.cfg.Quadrant == QD2 {
@@ -476,12 +415,12 @@ func (e *horizontalEngine) applyLayer(splits map[int32]resolvedSplit, children m
 		i2n := e.i2n[w]
 		i2n.SplitLayer(children, func(inst uint32) bool {
 			sp := splits[i2n.Node(inst)]
-			lo, hi := cols.src.ColRange(sp.feature)
+			lo, hi := cols.src.ColRange(sp.Feature)
 			bin, ok := cols.lookup(lo, hi, uint32(cols.rowLo)+inst)
 			if !ok {
-				return sp.defaultLeft
+				return sp.DefaultLeft
 			}
-			return int(bin) <= sp.bin
+			return int(bin) <= sp.Bin
 		})
 	})
 }
@@ -491,41 +430,23 @@ func (e *horizontalEngine) applyLayer(splits map[int32]resolvedSplit, children m
 func (e *horizontalEngine) childStats(nodes []*nodeInfo) {
 	t := e.t
 	stride := 2*t.c + 1 // totals + count
-	slot := make(map[int32]int, len(nodes))
-	for i, nd := range nodes {
-		slot[nd.id] = i
-	}
 	locals := make([][]float64, t.w)
 	if t.cfg.Quadrant == QD2 {
 		t.cl.ParallelLocal(phaseNode, func(w int) {
 			acc := make([]float64, stride*len(nodes))
-			base := t.ranges[w][0]
-			for _, nd := range nodes {
-				o := slot[nd.id] * stride
+			for i, nd := range nodes {
 				insts := e.n2i[w].Instances(nd.id)
-				if t.c == 1 {
-					var g, h float64
-					for _, inst := range insts {
-						g += t.grads[base+int(inst)]
-						h += t.hessv[base+int(inst)]
-					}
-					acc[o] += g
-					acc[o+1] += h
-					acc[o+2] += float64(len(insts))
-					continue
-				}
-				for _, inst := range insts {
-					gi := (base + int(inst)) * t.c
-					for k := 0; k < t.c; k++ {
-						acc[o+k] += t.grads[gi+k]
-						acc[o+t.c+k] += t.hessv[gi+k]
-					}
-					acc[o+2*t.c]++
-				}
+				o := acc[i*stride:]
+				t.sumInsts(insts, t.ranges[w][0], o[:t.c], o[t.c:2*t.c])
+				o[2*t.c] = float64(len(insts))
 			}
 			locals[w] = acc
 		})
 	} else {
+		slot := make(map[int32]int, len(nodes))
+		for i, nd := range nodes {
+			slot[nd.id] = i
+		}
 		t.cl.ParallelLocal(phaseNode, func(w int) {
 			acc := make([]float64, stride*len(nodes))
 			i2n := e.i2n[w]
@@ -577,25 +498,11 @@ func (e *horizontalEngine) childStats(nodes []*nodeInfo) {
 func (e *horizontalEngine) updatePredictions(tr *tree.Tree) {
 	t := e.t
 	t.cl.Broadcast(phaseUpdate, int64(tr.NumLeaves()*t.c)*8)
-	eta := t.cfg.LearningRate
 	if t.cfg.Quadrant == QD2 {
-		t.cl.ParallelLocal(phaseUpdate, func(w int) {
-			base := t.ranges[w][0]
-			for id := range tr.Nodes {
-				n := &tr.Nodes[id]
-				if !n.IsLeaf() {
-					continue
-				}
-				for _, inst := range e.n2i[w].Instances(int32(id)) {
-					gi := (base + int(inst)) * t.c
-					for k := 0; k < t.c; k++ {
-						t.preds[gi+k] += eta * n.Weights[k]
-					}
-				}
-			}
-		})
+		t.cl.ParallelLocal(phaseUpdate, func(w int) { t.addLeaves(tr, e.n2i[w], t.ranges[w][0]) })
 		return
 	}
+	eta := t.cfg.LearningRate
 	t.cl.ParallelLocal(phaseUpdate, func(w int) {
 		i2n := e.i2n[w]
 		base := t.ranges[w][0]

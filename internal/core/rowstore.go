@@ -16,7 +16,7 @@ import (
 // ids and bit positions are relative to the worker's first row.
 //
 // The two kinds are different algorithms, not two copies of one: over a
-// materialized row store (csrRows, shardRows) a node's rows are scanned
+// materialized row store (blockRows) a node's rows are scanned
 // through histogram.RowScan and placed by placeSegment's lookup in each
 // row — the paper's QD2/QD4 — while the column-major mapped image has no
 // rows to scan and is served by blockScan. prepare picks by
@@ -27,7 +27,7 @@ type rowStore interface {
 	build(hs []*histogram.Hist, lists [][]uint32, grad, hess []float64)
 	// place writes the placement bit (set = left child) of every instance
 	// of one splitting node.
-	place(sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap)
+	place(sp histogram.Split, insts []uint32, bm *bitmap.Bitmap)
 }
 
 // nodeLists returns each node's (ascending) instance list.
@@ -42,7 +42,7 @@ func nodeLists(idx *index.NodeToInstance, nodes []*nodeInfo) [][]uint32 {
 // placeAndSplit applies one layer's splits to an index whose rows one store
 // holds whole (QD2's row shard, feature-parallel's full copy): each
 // splitting node is placed into bm and split from it.
-func placeAndSplit(rows rowStore, idx *index.NodeToInstance, bm *bitmap.Bitmap, splits map[int32]resolvedSplit, children map[int32][2]int32) {
+func placeAndSplit(rows rowStore, idx *index.NodeToInstance, bm *bitmap.Bitmap, splits map[int32]histogram.Split, children map[int32][2]int32) {
 	for parent, ch := range children {
 		rows.place(splits[parent], idx.Instances(parent), bm)
 		idx.Split(parent, ch[0], ch[1], bm)
@@ -50,17 +50,17 @@ func placeAndSplit(rows rowStore, idx *index.NodeToInstance, bm *bitmap.Bitmap, 
 }
 
 // placeSegment is the row-store placement kernel: it places the instances
-// insts — all inside one row segment (rowStart, rowPtr, feat, bin), a
-// block of a shard or a whole CSR matrix — by finding the split column col
+// insts — all inside one row segment (rowStart, rowPtr, feat, bin) of a
+// blockRows block — by finding the split column col
 // in each one's row (rows are sorted by feature); an absent value goes the
 // default direction.
-func placeSegment(insts []uint32, rowStart int, rowPtr []int64, feat []uint32, bin []uint16, col uint32, sp resolvedSplit, bm *bitmap.Bitmap) {
+func placeSegment(insts []uint32, rowStart int, rowPtr []int64, feat []uint32, bin []uint16, col uint32, sp histogram.Split, bm *bitmap.Bitmap) {
 	for _, inst := range insts {
 		r := int(inst) - rowStart
 		lo, hi := rowPtr[r], rowPtr[r+1]
-		left := sp.defaultLeft
+		left := sp.DefaultLeft
 		if b, ok := lookupBin(feat[lo:hi], bin[lo:hi], col); ok {
-			left = int(b) <= sp.bin
+			left = int(b) <= sp.Bin
 		}
 		bm.SetTo(int(inst), left)
 	}
@@ -89,38 +89,31 @@ func lookupBin(feats []uint32, bins []uint16, f uint32) (uint16, bool) {
 	return 0, false
 }
 
-// csrRows is QD2's materialized row shard: all features of the worker's
-// rows, whose gradients sit base rows into the shared vectors.
-type csrRows struct {
-	m    *sparse.BinnedCSR
-	base int
+// blockRows is a materialized row store: row blocks covering contiguous
+// ascending ranges of the worker's rows, features addressed by slotOf
+// (nil: the global feature id), the gradients of row r at base+r in the
+// shared vectors. QD2's binned shard is one block with base its first row,
+// QD4's transformation shard is its BlockSet's blocks, and the
+// feature-parallel full copy is one block over all rows.
+type blockRows struct {
+	blocks []*partition.Block
+	slotOf []int32
+	base   int
 }
 
-func (r csrRows) build(hs []*histogram.Hist, lists [][]uint32, grad, hess []float64) {
-	for i, h := range hs {
-		h.RowScan(lists[i], 0, r.m.RowPtr, r.m.Feat, r.m.Bin, grad, hess, r.base)
-	}
+// csrBlock views a binned CSR matrix as one block starting at row 0.
+func csrBlock(m *sparse.BinnedCSR) []*partition.Block {
+	return []*partition.Block{{RowPtr: m.RowPtr, Feat: m.Feat, Bin: m.Bin}}
 }
 
-func (r csrRows) place(sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap) {
-	placeSegment(insts, 0, r.m.RowPtr, r.m.Feat, r.m.Bin, uint32(sp.feature), sp, bm)
-}
-
-// shardRows is QD4's materialized shard: the blockified rows of the
-// worker's feature group, features addressed by slot within the group.
-type shardRows struct {
-	data   *partition.BlockSet
-	slotOf []int32 // global feature -> slot within its group
-}
-
-// eachSegment cuts an ascending instance list at the shard's block
-// boundaries and hands every non-empty segment to fn with its block. A
-// node's instance list is ascending (the node-to-instance index partitions
-// stably from an ascending initial order) and the blocks cover contiguous
-// ascending row ranges, so one forward walk resolves every instance's block
-// — no per-instance block lookup.
-func (r shardRows) eachSegment(insts []uint32, fn func(b *partition.Block, seg []uint32)) {
-	for _, b := range r.data.Blocks {
+// eachSegment cuts an ascending instance list at the block boundaries and
+// hands every non-empty segment to fn with its block. A node's instance
+// list is ascending (the node-to-instance index partitions stably from an
+// ascending initial order) and the blocks cover contiguous ascending row
+// ranges, so one forward walk resolves every instance's block — no
+// per-instance block lookup.
+func (r blockRows) eachSegment(insts []uint32, fn func(b *partition.Block, seg []uint32)) {
+	for _, b := range r.blocks {
 		if len(insts) == 0 {
 			return
 		}
@@ -133,20 +126,23 @@ func (r shardRows) eachSegment(insts []uint32, fn func(b *partition.Block, seg [
 	}
 }
 
-// build scans each node's instances through the blockified rows — Vero's
-// histogram construction (node-to-instance index + row-store) — running
-// the fused row-scan kernel once per block segment.
-func (r shardRows) build(hs []*histogram.Hist, lists [][]uint32, grad, hess []float64) {
+// build scans each node's instances through the rows — the paper's
+// row-store histogram construction (node-to-instance index + row-store) —
+// running the fused row-scan kernel once per block segment.
+func (r blockRows) build(hs []*histogram.Hist, lists [][]uint32, grad, hess []float64) {
 	for i, h := range hs {
 		r.eachSegment(lists[i], func(b *partition.Block, seg []uint32) {
-			h.RowScan(seg, b.RowStart, b.RowPtr, b.Feat, b.Bin, grad, hess, 0)
+			h.RowScan(seg, b.RowStart, b.RowPtr, b.Feat, b.Bin, grad, hess, r.base)
 		})
 	}
 }
 
 // place runs the placement kernel once per block segment, as build does.
-func (r shardRows) place(sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap) {
-	col := uint32(r.slotOf[sp.feature])
+func (r blockRows) place(sp histogram.Split, insts []uint32, bm *bitmap.Bitmap) {
+	col := uint32(sp.Feature)
+	if r.slotOf != nil {
+		col = uint32(r.slotOf[sp.Feature])
+	}
 	r.eachSegment(insts, func(b *partition.Block, seg []uint32) {
 		placeSegment(seg, b.RowStart, b.RowPtr, b.Feat, b.Bin, col, sp, bm)
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vero/internal/bitmap"
+	"vero/internal/histogram"
 	"vero/internal/partition"
 )
 
@@ -39,7 +40,7 @@ func randomBlocks(t *testing.T, rng *rand.Rand, blockRows []int, width, maxRow i
 	return bs
 }
 
-// TestSegmentPlacementMatchesRowLookup holds shardRows.place — the segment
+// TestSegmentPlacementMatchesRowLookup holds blockRows.place — the segment
 // kernel driven block by block — to a per-row reference: resolve every
 // instance through BlockSet.Row and scan the row for the split feature.
 // Instances outside the list must keep their bits.
@@ -52,7 +53,7 @@ func TestSegmentPlacementMatchesRowLookup(t *testing.T) {
 	for f := range slotOf {
 		slotOf[f] = int32(f)
 	}
-	rows := shardRows{data: data, slotOf: slotOf}
+	rows := blockRows{blocks: data.Blocks, slotOf: slotOf}
 
 	long, short, empty := 0, 0, 0
 	for i := 0; i < n; i++ {
@@ -85,7 +86,7 @@ func TestSegmentPlacementMatchesRowLookup(t *testing.T) {
 	for name, insts := range lists {
 		for _, feature := range []int{0, width / 2, width - 1, width} {
 			for _, defaultLeft := range []bool{false, true} {
-				sp := resolvedSplit{feature: feature, bin: 9, defaultLeft: defaultLeft}
+				sp := histogram.Split{Feature: feature, Bin: 9, DefaultLeft: defaultLeft}
 				got, want := bitmap.New(n), bitmap.New(n)
 				for i := 0; i < n; i++ { // preset: untouched bits must survive
 					got.SetTo(i, i%3 == 0)
@@ -96,7 +97,7 @@ func TestSegmentPlacementMatchesRowLookup(t *testing.T) {
 					feats, bins := data.Row(int(inst))
 					for k, f := range feats {
 						if f == uint32(feature) {
-							left = int(bins[k]) <= sp.bin
+							left = int(bins[k]) <= sp.Bin
 						}
 					}
 					want.SetTo(int(inst), left)

@@ -15,6 +15,10 @@ import (
 // gain's IEEE-754 bits verbatim (so merging decoded splits is bit-exact),
 // one flag byte (bit 0 valid, bit 1 default-left) and 7 zero pad bytes.
 
+// splitWireBytes is the serialized size of one best-split record
+// (feature id, bin, gain, default direction).
+const splitWireBytes = 24
+
 const (
 	splitFlagValid       = 1 << 0
 	splitFlagDefaultLeft = 1 << 1
@@ -56,4 +60,40 @@ func decodeSplit(b []byte) histogram.Split {
 		Valid:       flags&splitFlagValid != 0,
 		DefaultLeft: flags&splitFlagDefaultLeft != 0,
 	}
+}
+
+// exchangeSplits is the split exchange of every policy whose split search
+// is spread over workers (vertical feature groups, horizontal feature
+// shards): worker w proposes cand(w, nd) for each frontier node, with
+// Feature a global id, serializes its proposals, and the records travel in
+// one all-gather. Every rank merges the same W records in worker order
+// with histogram.Prefer, so the chosen split is identical on every
+// backend. Non-hosted workers' records are zero padding (an invalid
+// split, which Prefer never picks) until the all-gather fills them.
+func (t *trainer) exchangeSplits(frontier []*nodeInfo, cand func(w int, nd *nodeInfo) histogram.Split) map[int32]histogram.Split {
+	recs := make([][]byte, t.w)
+	t.cl.ParallelLocal(phaseSplit, func(w int) {
+		splits := make([]histogram.Split, len(frontier))
+		for i, nd := range frontier {
+			splits[i] = cand(w, nd)
+		}
+		recs[w] = encodeSplits(splits)
+	})
+	for w := range recs {
+		if recs[w] == nil {
+			recs[w] = make([]byte, len(frontier)*splitWireBytes)
+		}
+	}
+	t.cl.AllGatherFixed(phaseSplit, recs)
+	out := make(map[int32]histogram.Split, len(frontier))
+	for i, nd := range frontier {
+		best := histogram.Split{}
+		for w := range recs {
+			if s := decodeSplit(recs[w][i*splitWireBytes:]); histogram.Prefer(s, best) {
+				best = s
+			}
+		}
+		out[nd.id] = best
+	}
+	return out
 }

@@ -356,15 +356,15 @@ func (b *blockScan) pass(hs []*histogram.Hist, lists [][]uint32, grad, hess []fl
 // probed instead. On a read failure the remaining instances keep the
 // default direction; the sticky error aborts the run at the tree boundary,
 // so the garbage placement is never observed.
-func (b *blockScan) place(sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap) {
+func (b *blockScan) place(sp histogram.Split, insts []uint32, bm *bitmap.Bitmap) {
 	s, base := b.s, uint32(b.s.rowLo)
 	for _, inst := range insts {
-		bm.SetTo(int(inst), sp.defaultLeft)
+		bm.SetTo(int(inst), sp.DefaultLeft)
 	}
 	if len(insts) == 0 {
 		return
 	}
-	lo, hi := s.src.ColRange(sp.feature)
+	lo, hi := s.src.ColRange(sp.Feature)
 	lo = s.search(lo, hi, base+insts[0])
 	hi = s.search(lo, hi, base+insts[len(insts)-1]+1)
 	if s.failed() {
@@ -373,7 +373,7 @@ func (b *blockScan) place(sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap) {
 	if probesCheaper(int(hi-lo), len(insts)) {
 		for _, inst := range insts {
 			if bin, ok := s.lookup(lo, hi, base+inst); ok {
-				bm.SetTo(int(inst), int(bin) <= sp.bin)
+				bm.SetTo(int(inst), int(bin) <= sp.Bin)
 			}
 		}
 		return
@@ -386,7 +386,7 @@ func (b *blockScan) place(sp resolvedSplit, insts []uint32, bm *bitmap.Bitmap) {
 				k++
 			}
 			if k < len(insts) && insts[k] == inst {
-				bm.SetTo(int(inst), int(bins[j]) <= sp.bin)
+				bm.SetTo(int(inst), int(bins[j]) <= sp.Bin)
 			}
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"vero/internal/datasets"
 	"vero/internal/failpoint"
 	"vero/internal/histogram"
+	"vero/internal/index"
 	"vero/internal/loss"
 	"vero/internal/sparse"
 	"vero/internal/tree"
@@ -36,16 +37,6 @@ type nodeInfo struct {
 	// subtraction when the quadrant supports it.
 	buildDirect bool
 	parent      int32
-}
-
-// resolvedSplit is a node's winning split translated to global feature ids.
-type resolvedSplit struct {
-	node        int32
-	feature     int // global feature id
-	bin         int
-	gain        float64
-	defaultLeft bool
-	valid       bool
 }
 
 // trainer runs the quadrant-agnostic layer-wise boosting loop. Everything
@@ -111,6 +102,82 @@ func (t *trainer) allocRunState(initScore []float64) {
 	t.hessv = make([]float64, t.n*t.c)
 }
 
+// The four gradient passes below are every loop over preds, grads and
+// hessv outside allocRunState and QD1's instance-to-node passes; the
+// engines decide only where they run (per worker, or replicated). Each
+// accumulator keeps one order: for C = 1 a local sum from +0 (never -0, so
+// adding it into a zeroed destination is exact), for C > 1 in place, both
+// in ascending instance order.
+
+// gradRange refreshes the gradients and hessians of instances [lo, hi).
+func (t *trainer) gradRange(lo, hi int) {
+	labels := t.ds.Labels
+	for i := lo; i < hi; i++ {
+		t.obj.GradHess(t.preds[i*t.c:(i+1)*t.c], labels[i], t.grads[i*t.c:(i+1)*t.c], t.hessv[i*t.c:(i+1)*t.c])
+	}
+}
+
+// sumRows adds the gradient and hessian totals of instances [lo, hi) into
+// the zeroed g and h.
+func (t *trainer) sumRows(lo, hi int, g, h []float64) {
+	if t.c == 1 {
+		var sg, sh float64
+		for i := lo; i < hi; i++ {
+			sg += t.grads[i]
+			sh += t.hessv[i]
+		}
+		g[0] += sg
+		h[0] += sh
+		return
+	}
+	for i := lo; i < hi; i++ {
+		for k := 0; k < t.c; k++ {
+			g[k] += t.grads[i*t.c+k]
+			h[k] += t.hessv[i*t.c+k]
+		}
+	}
+}
+
+// sumInsts adds the gradient and hessian totals of the ascending instance
+// list insts, offset by base, into the zeroed g and h.
+func (t *trainer) sumInsts(insts []uint32, base int, g, h []float64) {
+	if t.c == 1 {
+		var sg, sh float64
+		for _, inst := range insts {
+			sg += t.grads[base+int(inst)]
+			sh += t.hessv[base+int(inst)]
+		}
+		g[0] += sg
+		h[0] += sh
+		return
+	}
+	for _, inst := range insts {
+		gi := (base + int(inst)) * t.c
+		for k := 0; k < t.c; k++ {
+			g[k] += t.grads[gi+k]
+			h[k] += t.hessv[gi+k]
+		}
+	}
+}
+
+// addLeaves adds the learning-rate-scaled leaf weights of tr to the
+// predictions of every instance n2i places on a leaf, offset by base.
+func (t *trainer) addLeaves(tr *tree.Tree, n2i *index.NodeToInstance, base int) {
+	eta := t.cfg.LearningRate
+	for id := range tr.Nodes {
+		n := &tr.Nodes[id]
+		if !n.IsLeaf() {
+			continue
+		}
+		for _, inst := range n2i.Instances(int32(id)) {
+			gi := (base + int(inst)) * t.c
+			for k := 0; k < t.c; k++ {
+				t.preds[gi+k] += eta * n.Weights[k]
+			}
+		}
+	}
+}
+
 func (t *trainer) run(ck *checkpoint) (*Result, error) {
 	initScore := t.obj.InitScore(t.ds.Labels)
 	t.allocRunState(initScore)
@@ -137,7 +204,7 @@ func (t *trainer) run(ck *checkpoint) (*Result, error) {
 	t.sampleHeap()
 	ckptPath := t.checkpointPath()
 	for ti := start; ti < t.cfg.Trees; ti++ {
-		t.computeGradients()
+		t.eng.computeGradients()
 		tr := t.trainTree()
 		// A block read failure is sticky (only a mapped source can fail):
 		// abort at the tree boundary rather than appending a tree built from
@@ -192,10 +259,6 @@ func (t *trainer) run(ck *checkpoint) (*Result, error) {
 	return res, nil
 }
 
-// computeGradients refreshes the per-instance gradient vectors with the
-// engine's work placement.
-func (t *trainer) computeGradients() { t.eng.computeGradients() }
-
 // trainTree grows one tree layer by layer.
 func (t *trainer) trainTree() *tree.Tree {
 	tr := tree.New(t.c)
@@ -238,30 +301,30 @@ func (t *trainer) setLeaf(tr *tree.Tree, nd *nodeInfo) {
 
 // applySplits finalizes leaves, splits the rest, propagates placements and
 // computes child statistics. It returns the next layer's frontier.
-func (t *trainer) applySplits(tr *tree.Tree, frontier []*nodeInfo, splits map[int32]resolvedSplit) []*nodeInfo {
+func (t *trainer) applySplits(tr *tree.Tree, frontier []*nodeInfo, splits map[int32]histogram.Split) []*nodeInfo {
 	type splitJob struct {
 		parent *nodeInfo
-		sp     resolvedSplit
+		sp     histogram.Split
 		left   int32
 		right  int32
 	}
 	var jobs []*splitJob
 	for _, nd := range frontier {
 		sp, ok := splits[nd.id]
-		if !ok || !sp.valid {
+		if !ok || !sp.Valid {
 			t.setLeaf(tr, nd)
 			t.eng.dropHist(nd.id)
 			continue
 		}
-		splitValue := t.binner.Splits[sp.feature][sp.bin]
-		l, r := tr.Split(nd.id, int32(sp.feature), splitValue, uint16(sp.bin), sp.defaultLeft, sp.gain)
+		splitValue := t.binner.Splits[sp.Feature][sp.Bin]
+		l, r := tr.Split(nd.id, int32(sp.Feature), splitValue, uint16(sp.Bin), sp.DefaultLeft, sp.Gain)
 		jobs = append(jobs, &splitJob{parent: nd, sp: sp, left: l, right: r})
 	}
 	if len(jobs) == 0 {
 		return nil
 	}
 
-	layerSplits := make(map[int32]resolvedSplit, len(jobs))
+	layerSplits := make(map[int32]histogram.Split, len(jobs))
 	children := make(map[int32][2]int32, len(jobs))
 	for _, j := range jobs {
 		layerSplits[j.parent.id] = j.sp

@@ -235,9 +235,9 @@ func (e *verticalEngine) prepareVero() error {
 			// Sharded cluster: only the hosted rank's shard was assembled.
 			continue
 		default:
-			data := res.Shards[w].Data
-			e.rows[w] = shardRows{data: data, slotOf: e.slotOf}
-			for _, b := range data.Blocks {
+			blocks := res.Shards[w].Data.Blocks
+			e.rows[w] = blockRows{blocks: blocks, slotOf: e.slotOf}
+			for _, b := range blocks {
 				dataBytes += int64(len(b.RowPtr))*8 + int64(b.NNZ())*6
 			}
 		}
@@ -275,12 +275,7 @@ func (e *verticalEngine) transformReport() partition.ByteReport { return e.trans
 // so the pass is the same at every worker — a replicated step.
 func (e *verticalEngine) computeGradients() {
 	t := e.t
-	labels := t.ds.Labels
-	t.cl.Replicated(phaseGrad, func() {
-		for i := 0; i < t.n; i++ {
-			t.obj.GradHess(t.preds[i*t.c:(i+1)*t.c], labels[i], t.grads[i*t.c:(i+1)*t.c], t.hessv[i*t.c:(i+1)*t.c])
-		}
-	})
+	t.cl.Replicated(phaseGrad, func() { t.gradRange(0, t.n) })
 }
 
 func (e *verticalEngine) resetIndexes() {
@@ -321,16 +316,7 @@ func (e *verticalEngine) dropHist(id int32) {
 // deriveHistograms computes each node's histogram as parent minus built
 // sibling, reusing the parent's storage (the parent entry is consumed).
 func (e *verticalEngine) deriveHistograms(toDerive []*nodeInfo) {
-	e.t.cl.ParallelLocal(phaseHist, func(w int) {
-		hm := e.hist[w]
-		for _, nd := range toDerive {
-			parent := hm[nd.parent]
-			sibling := hm[siblingOf(nd)]
-			parent.Sub(sibling)
-			hm[nd.id] = parent
-			delete(hm, nd.parent)
-		}
-	})
+	e.t.cl.ParallelLocal(phaseHist, func(w int) { subtractSiblings(e.hist[w], toDerive) })
 }
 
 // rootTotals sums the gradients of all instances, as every worker would
@@ -339,23 +325,7 @@ func (e *verticalEngine) rootTotals() ([]float64, []float64) {
 	t := e.t
 	g := make([]float64, t.c)
 	h := make([]float64, t.c)
-	t.cl.Replicated(phaseGrad, func() {
-		if t.c == 1 {
-			var sg, sh float64
-			for i := 0; i < t.n; i++ {
-				sg += t.grads[i]
-				sh += t.hessv[i]
-			}
-			g[0], h[0] = sg, sh
-			return
-		}
-		for i := 0; i < t.n; i++ {
-			for k := 0; k < t.c; k++ {
-				g[k] += t.grads[i*t.c+k]
-				h[k] += t.hessv[i*t.c+k]
-			}
-		}
-	})
+	t.cl.Replicated(phaseGrad, func() { t.sumRows(0, t.n, g, h) })
 	return g, h
 }
 
@@ -451,53 +421,26 @@ func (e *verticalEngine) buildHybrid(w int, nd *nodeInfo, h *histogram.Hist) {
 
 // findSplits has each worker find the best split over its own feature
 // subset, then exchanges the local bests (Section 2.2.1).
-func (e *verticalEngine) findSplits(frontier []*nodeInfo) map[int32]resolvedSplit {
+func (e *verticalEngine) findSplits(frontier []*nodeInfo) map[int32]histogram.Split {
 	t := e.t
-	recs := make([][]byte, t.w)
-	t.cl.ParallelLocal(phaseSplit, func(w int) {
-		splits := make([]histogram.Split, len(frontier))
-		for i, nd := range frontier {
-			s := t.finder.FindBest(e.hist[w][nd.id], nd.totalG, nd.totalH, e.numBins[w])
-			if s.Valid {
-				s.Feature = e.groups[w][s.Feature] // slot -> global id
-			}
-			splits[i] = s
+	return t.exchangeSplits(frontier, func(w int, nd *nodeInfo) histogram.Split {
+		s := t.finder.FindBest(e.hist[w][nd.id], nd.totalG, nd.totalH, e.numBins[w])
+		if s.Valid {
+			s.Feature = e.groups[w][s.Feature] // slot -> global id
 		}
-		recs[w] = encodeSplits(splits)
+		return s
 	})
-	for w := range recs {
-		if recs[w] == nil {
-			recs[w] = make([]byte, len(frontier)*splitWireBytes)
-		}
-	}
-	t.cl.AllGatherFixed(phaseSplit, recs)
-	out := make(map[int32]resolvedSplit, len(frontier))
-	for i, nd := range frontier {
-		best := histogram.Split{}
-		for w := 0; w < t.w; w++ {
-			s := decodeSplit(recs[w][i*splitWireBytes:])
-			if !s.Valid {
-				continue
-			}
-			if histogram.Prefer(s, best) {
-				best = s
-			}
-		}
-		out[nd.id] = resolvedSplit{node: nd.id, feature: best.Feature, bin: best.Bin,
-			gain: best.Gain, defaultLeft: best.DefaultLeft, valid: best.Valid}
-	}
-	return out
 }
 
 // applyLayer computes instance placements at the split owners, broadcasts
 // them as one N-bit bitmap per layer (Section 3.1.3), and updates the
 // indexes from the bitmap. Feature-parallel skips the broadcast: every
 // worker evaluates the same placements on its full copy.
-func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map[int32][2]int32) {
+func (e *verticalEngine) applyLayer(splits map[int32]histogram.Split, children map[int32][2]int32) {
 	t := e.t
 	if t.cfg.FullCopy {
 		t.cl.Replicated(phaseNode, func() {
-			placeAndSplit(csrRows{m: e.fullRows}, e.n2i, e.parts[0], splits, children)
+			placeAndSplit(blockRows{blocks: csrBlock(e.fullRows)}, e.n2i, e.parts[0], splits, children)
 		})
 		return
 	}
@@ -509,7 +452,7 @@ func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map
 		bm.Reset()
 		for parent := range children {
 			sp := splits[parent]
-			if e.ownerOf[sp.feature] == int32(w) {
+			if e.ownerOf[sp.Feature] == int32(w) {
 				e.fillPlacement(w, parent, sp, bm)
 			}
 		}
@@ -572,7 +515,7 @@ func (e *verticalEngine) applyLayer(splits map[int32]resolvedSplit, children map
 // difference — a few bitmap payloads per run — is real data movement
 // and is charged truthfully, so sharded runs account slightly more than
 // the full-image model while still training the identical bytes.
-func (e *verticalEngine) exchangePlacement(splits map[int32]resolvedSplit, children map[int32][2]int32) *bitmap.Bitmap {
+func (e *verticalEngine) exchangePlacement(splits map[int32]histogram.Split, children map[int32][2]int32) *bitmap.Bitmap {
 	t := e.t
 	rank := t.cl.Rank()
 	placement := e.parts[rank]
@@ -581,7 +524,7 @@ func (e *verticalEngine) exchangePlacement(splits map[int32]resolvedSplit, child
 	// rank order.
 	owners := make([]bool, t.w)
 	for parent := range children {
-		owners[e.ownerOf[splits[parent].feature]] = true
+		owners[e.ownerOf[splits[parent].Feature]] = true
 	}
 	// The rank's own shard is merged into only after the last broadcast, so
 	// its payload is exactly this owner's routing decisions.
@@ -611,13 +554,13 @@ func (e *verticalEngine) exchangePlacement(splits map[int32]resolvedSplit, child
 
 // fillPlacement writes the left/right bits of one splitting node, owned by
 // worker w (set bit = left child).
-func (e *verticalEngine) fillPlacement(w int, parent int32, sp resolvedSplit, bm *bitmap.Bitmap) {
+func (e *verticalEngine) fillPlacement(w int, parent int32, sp histogram.Split, bm *bitmap.Bitmap) {
 	insts := e.n2i.Instances(parent)
 	if e.t.cfg.Quadrant == QD4 {
 		e.rows[w].place(sp, insts, bm)
 		return
 	}
-	if sp.defaultLeft {
+	if sp.DefaultLeft {
 		for _, inst := range insts {
 			bm.Set(int(inst))
 		}
@@ -625,13 +568,13 @@ func (e *verticalEngine) fillPlacement(w int, parent int32, sp resolvedSplit, bm
 	// QD3: the owner holds the split feature's full column; one linear
 	// pass with node-membership checks places every present value.
 	cols := e.cols[w]
-	lo, hi := cols.colRange(int(e.slotOf[sp.feature]))
+	lo, hi := cols.colRange(int(e.slotOf[sp.Feature]))
 	cols.scan(lo, hi, 0, func(colInsts []uint32, binsArr []uint16) {
 		for k, inst := range colInsts {
 			if e.i2n.Node(inst) != parent {
 				continue
 			}
-			bm.SetTo(int(inst), int(binsArr[k]) <= sp.bin)
+			bm.SetTo(int(inst), int(binsArr[k]) <= sp.Bin)
 		}
 	})
 }
@@ -646,22 +589,7 @@ func (e *verticalEngine) childStats(nodes []*nodeInfo) {
 			nd.totalG = make([]float64, t.c)
 			nd.totalH = make([]float64, t.c)
 			nd.count = len(insts)
-			if t.c == 1 {
-				var g, h float64
-				for _, inst := range insts {
-					g += t.grads[inst]
-					h += t.hessv[inst]
-				}
-				nd.totalG[0], nd.totalH[0] = g, h
-				continue
-			}
-			for _, inst := range insts {
-				gi := int(inst) * t.c
-				for k := 0; k < t.c; k++ {
-					nd.totalG[k] += t.grads[gi+k]
-					nd.totalH[k] += t.hessv[gi+k]
-				}
-			}
+			t.sumInsts(insts, 0, nd.totalG, nd.totalH)
 		}
 	})
 }
@@ -670,20 +598,5 @@ func (e *verticalEngine) childStats(nodes []*nodeInfo) {
 // index to the predictions of all instances, as every worker would on its
 // own prediction copy.
 func (e *verticalEngine) updatePredictions(tr *tree.Tree) {
-	t := e.t
-	eta := t.cfg.LearningRate
-	t.cl.Replicated(phaseUpdate, func() {
-		for id := range tr.Nodes {
-			n := &tr.Nodes[id]
-			if !n.IsLeaf() {
-				continue
-			}
-			for _, inst := range e.n2i.Instances(int32(id)) {
-				gi := int(inst) * t.c
-				for k := 0; k < t.c; k++ {
-					t.preds[gi+k] += eta * n.Weights[k]
-				}
-			}
-		}
-	})
+	e.t.cl.Replicated(phaseUpdate, func() { e.t.addLeaves(tr, e.n2i, 0) })
 }

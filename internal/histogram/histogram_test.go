@@ -252,15 +252,6 @@ func TestLeafWeights(t *testing.T) {
 	}
 }
 
-func TestLeafObjective(t *testing.T) {
-	f := &Finder{Lambda: 1.0, Gamma: 0.5}
-	got := f.LeafObjective([]float64{2}, []float64{3})
-	want := -0.5*(4.0/4.0) + 0.5
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("objective = %v, want %v", got, want)
-	}
-}
-
 func TestMultiClassGainAggregatesClasses(t *testing.T) {
 	// With two identical classes the gain must be exactly twice the
 	// single-class gain.

@@ -60,8 +60,8 @@ func abs(x float64) float64 {
 
 // Split describes the best split found for one node on one worker.
 type Split struct {
-	// Feature is the worker-local feature slot; callers translate it to a
-	// global feature id.
+	// Feature is the worker-local feature slot as Finder returns it; after
+	// the trainer's split exchange it is the global feature id.
 	Feature int
 	// Bin is the candidate-split index: instances with bin <= Bin go left.
 	Bin int
@@ -207,10 +207,4 @@ func (f *Finder) LeafWeights(totalG, totalH []float64) []float64 {
 		w[k] = -totalG[k] / (totalH[k] + f.Lambda)
 	}
 	return w
-}
-
-// LeafObjective returns the node's contribution to the training objective,
-// -1/2 * sum_k G_k^2/(H_k+lambda) + gamma (Equation 1, per-leaf term).
-func (f *Finder) LeafObjective(totalG, totalH []float64) float64 {
-	return -0.5*f.score(totalG, totalH) + f.Gamma
 }

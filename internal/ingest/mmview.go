@@ -29,15 +29,6 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
 }()
 
-// MapOptions configures how MapCacheFile accesses the image.
-type MapOptions struct {
-	// DisableMmap forces the positional-read (pread) fallback even where
-	// memory mapping is available. Tests use it to prove both access paths
-	// decode identically; operators can use it on filesystems where mmap
-	// misbehaves.
-	DisableMmap bool
-}
-
 // MappedCache is a read-only, out-of-core view over a .vbin cache image.
 //
 // Opening decodes only the O(cols+rows) metadata sections — split tables,
@@ -81,12 +72,13 @@ type MappedCache struct {
 // MapCacheFile opens a .vbin cache as an out-of-core view, preferring
 // mmap and falling back to positional reads where mapping is unavailable.
 func MapCacheFile(path string) (*MappedCache, error) {
-	return MapCacheFileOptions(path, MapOptions{})
+	return mapCacheFile(path, true)
 }
 
-// MapCacheFileOptions opens a .vbin cache as an out-of-core view with
-// explicit access options.
-func MapCacheFileOptions(path string, opts MapOptions) (*MappedCache, error) {
+// mapCacheFile is MapCacheFile with the access mode chosen: useMmap false
+// forces the positional-read (pread) path even where mapping is available,
+// so the tests can hold both paths to the same decoded view.
+func mapCacheFile(path string, useMmap bool) (*MappedCache, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
@@ -100,7 +92,7 @@ func MapCacheFileOptions(path string, opts MapOptions) (*MappedCache, error) {
 		f.Close()
 		return nil, fmt.Errorf("ingest: cache map: %w", err)
 	}
-	if mmapAvailable && !opts.DisableMmap && st.Size() > 0 {
+	if mmapAvailable && useMmap && st.Size() > 0 {
 		if data, merr := mmapFile(f, st.Size()); merr == nil {
 			m.mapped = data
 			m.ownsMap = true

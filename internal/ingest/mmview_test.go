@@ -27,12 +27,12 @@ func openModes(t *testing.T, img []byte) map[string]*MappedCache {
 	t.Helper()
 	path := writeCacheImage(t, img)
 	modes := map[string]*MappedCache{}
-	mm, err := MapCacheFileOptions(path, MapOptions{})
+	mm, err := mapCacheFile(path, true)
 	if err != nil {
 		t.Fatalf("mmap open: %v", err)
 	}
 	modes["mmap"] = mm
-	pr, err := MapCacheFileOptions(path, MapOptions{DisableMmap: true})
+	pr, err := mapCacheFile(path, false)
 	if err != nil {
 		t.Fatalf("pread open: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestMappedCacheBitFlipRejected(t *testing.T) {
 	bad[vbinHeaderSize+len(bad)/2] ^= 0x10
 	path := writeCacheImage(t, bad)
 	for _, disable := range []bool{false, true} {
-		_, err := MapCacheFileOptions(path, MapOptions{DisableMmap: disable})
+		_, err := mapCacheFile(path, !disable)
 		if !errors.Is(err, ErrCacheCorrupt) || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("disableMmap=%v: bit flip: %v", disable, err)
 		}
@@ -207,7 +207,7 @@ func TestMappedCacheFailpoint(t *testing.T) {
 	img := sampleCacheImage(t)
 	path := writeCacheImage(t, img)
 	for _, disable := range []bool{false, true} {
-		m, err := MapCacheFileOptions(path, MapOptions{DisableMmap: disable})
+		m, err := mapCacheFile(path, !disable)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -273,7 +273,7 @@ func TestWarmTranspositionMatchesSerial(t *testing.T) {
 			for _, disable := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/procs%d/nommap=%v", sh.name, procs, disable), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					m, err := MapCacheFileOptions(path, MapOptions{DisableMmap: disable})
+					m, err := mapCacheFile(path, !disable)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -204,11 +204,3 @@ func (m *CSR) SelectColumns(cols []int) *CSR {
 	}
 	return b.Build()
 }
-
-// Density returns nnz / (rows*cols), or 0 for an empty shape.
-func (m *CSR) Density() float64 {
-	if m.rows == 0 || m.cols == 0 {
-		return 0
-	}
-	return float64(m.NNZ()) / (float64(m.rows) * float64(m.cols))
-}

@@ -183,17 +183,6 @@ func TestSelectColumns(t *testing.T) {
 	}
 }
 
-func TestDensity(t *testing.T) {
-	m := buildTestCSR(t)
-	want := 6.0 / 20.0
-	if got := m.Density(); got != want {
-		t.Fatalf("Density() = %v, want %v", got, want)
-	}
-	if (&CSR{}).Density() != 0 {
-		t.Fatal("empty density not 0")
-	}
-}
-
 func TestVerticalHorizontalDecompositionPreservesNNZ(t *testing.T) {
 	// Property: splitting a matrix horizontally or vertically across W
 	// parts preserves the total number of entries.
