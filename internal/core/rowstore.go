@@ -16,11 +16,10 @@ import (
 // ids and bit positions are relative to the worker's first row.
 //
 // The two kinds are different algorithms, not two copies of one: over a
-// materialized row store (blockRows) a node's rows are scanned
-// through histogram.RowScan and placed by placeSegment's lookup in each
-// row — the paper's QD2/QD4 — while the column-major mapped image has no
-// rows to scan and is served by blockScan. prepare picks by
-// Dataset.OutOfCore.
+// materialized row store (blockRows) a node's rows are scanned through
+// histogram.RowScan and placed by placeSegment's lookup in each row — the
+// paper's QD2/QD4 — while the column-major mapped image has no rows to
+// scan and is served by blockScan. prepare picks by Dataset.OutOfCore.
 type rowStore interface {
 	// build accumulates hs[i] over the rows lists[i], ascending — the
 	// node-to-instance index's order.
@@ -51,9 +50,9 @@ func placeAndSplit(rows rowStore, idx *index.NodeToInstance, bm *bitmap.Bitmap, 
 
 // placeSegment is the row-store placement kernel: it places the instances
 // insts — all inside one row segment (rowStart, rowPtr, feat, bin) of a
-// blockRows block — by finding the split column col
-// in each one's row (rows are sorted by feature); an absent value goes the
-// default direction.
+// blockRows block — by finding the split column col in each one's row
+// (rows are sorted by feature); an absent value goes the default
+// direction.
 func placeSegment(insts []uint32, rowStart int, rowPtr []int64, feat []uint32, bin []uint16, col uint32, sp histogram.Split, bm *bitmap.Bitmap) {
 	for _, inst := range insts {
 		r := int(inst) - rowStart
