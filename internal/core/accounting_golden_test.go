@@ -25,18 +25,21 @@ type phaseAccount struct {
 
 // TestGoldenAccounting pins the simulation's communication accounting —
 // every phase's bytes per collective kind and its alpha-beta seconds, bit
-// for bit — for each quadrant and aggregation method at W = 4 over binary
-// and 3-class data. Regenerate (only for an intended change of the cost
+// for bit — for each quadrant and aggregation method, QD3 with the
+// column-wise index and QD4 feature-parallel, at W = 4 over binary and
+// 3-class data. Regenerate (only for an intended change of the cost
 // model) with: go test ./internal/core -run TestGoldenAccounting -update-accounting
 func TestGoldenAccounting(t *testing.T) {
 	type scenario struct {
 		q   Quadrant
 		agg Aggregation
+		sub string // a vertical sub-policy: "columnwise" or "featureparallel"
 	}
 	scenarios := []scenario{
-		{QD1, AggAllReduce}, {QD1, AggReduceScatter}, {QD1, AggParameterServer},
-		{QD2, AggAllReduce}, {QD2, AggReduceScatter}, {QD2, AggParameterServer},
-		{QD3, AggAllReduce}, {QD4, AggAllReduce},
+		{QD1, AggAllReduce, ""}, {QD1, AggReduceScatter, ""}, {QD1, AggParameterServer, ""},
+		{QD2, AggAllReduce, ""}, {QD2, AggReduceScatter, ""}, {QD2, AggParameterServer, ""},
+		{QD3, AggAllReduce, ""}, {QD4, AggAllReduce, ""},
+		{QD3, AggAllReduce, "columnwise"}, {QD4, AggAllReduce, "featureparallel"},
 	}
 	aggNames := map[Aggregation]string{AggAllReduce: "allreduce", AggReduceScatter: "reducescatter", AggParameterServer: "ps"}
 	got := map[string]map[string]phaseAccount{}
@@ -48,11 +51,18 @@ func TestGoldenAccounting(t *testing.T) {
 			ds = testutil.Multi(t, 700, 24, 3, 0.3, 6)
 		}
 		for _, sc := range scenarios {
-			cfg := Config{Quadrant: sc.q, Aggregation: sc.agg, Trees: 3, Layers: 5, Splits: 16}
+			cfg := Config{Quadrant: sc.q, Aggregation: sc.agg, Trees: 3, Layers: 5, Splits: 16,
+				FullCopy: sc.sub == "featureparallel"}
+			if sc.sub == "columnwise" {
+				cfg.ColumnIndex = IndexColumnWise
+			}
 			_, cl := trainQuadrant(t, ds, cfg, 4)
 			name := fmt.Sprintf("C%d/%v", c, sc.q)
 			if sc.q == QD1 || sc.q == QD2 {
 				name += "/" + aggNames[sc.agg]
+			}
+			if sc.sub != "" {
+				name += "/" + sc.sub
 			}
 			got[name] = accountOf(t, name, cl.Stats())
 		}

@@ -17,6 +17,28 @@ import (
 
 var updateModels = flag.Bool("update-models", false, "rewrite testdata/models.golden.json")
 
+// goldenPolicy is one training policy the golden tests pin.
+type goldenPolicy struct {
+	name string
+	cfg  Config
+}
+
+// goldenPolicies are the ten training policies of TestGoldenModels and
+// TestGoldenMemory: every quadrant and aggregation method, QD3's two
+// index plans and QD4 with and without feature-parallel's full copy.
+var goldenPolicies = []goldenPolicy{
+	{"QD1/allreduce", Config{Quadrant: QD1, Aggregation: AggAllReduce}},
+	{"QD1/reducescatter", Config{Quadrant: QD1, Aggregation: AggReduceScatter}},
+	{"QD1/ps", Config{Quadrant: QD1, Aggregation: AggParameterServer}},
+	{"QD2/allreduce", Config{Quadrant: QD2, Aggregation: AggAllReduce}},
+	{"QD2/reducescatter", Config{Quadrant: QD2, Aggregation: AggReduceScatter}},
+	{"QD2/ps", Config{Quadrant: QD2, Aggregation: AggParameterServer}},
+	{"QD3", Config{Quadrant: QD3}},
+	{"QD3/columnwise", Config{Quadrant: QD3, ColumnIndex: IndexColumnWise}},
+	{"QD4", Config{Quadrant: QD4}},
+	{"QD4/featureparallel", Config{Quadrant: QD4, FullCopy: true}},
+}
+
 // TestGoldenModels pins the trained model bytes — the sha256 of
 // Forest.Encode(), so every leaf weight, gain and threshold bit — of each
 // training policy at W = 4: the TestGoldenAccounting scenarios over binary
@@ -30,22 +52,6 @@ var updateModels = flag.Bool("update-models", false, "rewrite testdata/models.go
 func TestGoldenModels(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("model bytes are pinned on amd64; on %s Go may fuse multiply-adds", runtime.GOARCH)
-	}
-	type scenario struct {
-		name string
-		cfg  Config
-	}
-	scenarios := []scenario{
-		{"QD1/allreduce", Config{Quadrant: QD1, Aggregation: AggAllReduce}},
-		{"QD1/reducescatter", Config{Quadrant: QD1, Aggregation: AggReduceScatter}},
-		{"QD1/ps", Config{Quadrant: QD1, Aggregation: AggParameterServer}},
-		{"QD2/allreduce", Config{Quadrant: QD2, Aggregation: AggAllReduce}},
-		{"QD2/reducescatter", Config{Quadrant: QD2, Aggregation: AggReduceScatter}},
-		{"QD2/ps", Config{Quadrant: QD2, Aggregation: AggParameterServer}},
-		{"QD3", Config{Quadrant: QD3}},
-		{"QD3/columnwise", Config{Quadrant: QD3, ColumnIndex: IndexColumnWise}},
-		{"QD4", Config{Quadrant: QD4}},
-		{"QD4/featureparallel", Config{Quadrant: QD4, FullCopy: true}},
 	}
 	got := map[string]string{}
 	train := func(name string, ds *datasets.Dataset, cfg Config) {
@@ -65,13 +71,13 @@ func TestGoldenModels(t *testing.T) {
 		} else {
 			ds = testutil.Multi(t, 700, 24, 3, 0.3, 6)
 		}
-		for _, sc := range scenarios {
+		for _, sc := range goldenPolicies {
 			train(fmt.Sprintf("C%d/%s", c, sc.name), ds, sc.cfg)
 		}
 	}
 	// Square loss is the C = 1 path of every gradient pass.
 	reg := testutil.Regression(t, 700, 24, 0.3, 0.1, 7)
-	for _, sc := range scenarios {
+	for _, sc := range goldenPolicies {
 		if sc.cfg.Aggregation == AggAllReduce || sc.cfg.Quadrant >= QD3 {
 			cfg := sc.cfg
 			cfg.Objective = "square"
