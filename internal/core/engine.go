@@ -2,22 +2,21 @@ package core
 
 import (
 	"vero/internal/histogram"
-	"vero/internal/partition"
 	"vero/internal/tree"
 )
 
-// engine is the quadrant-strategy seam of the trainer: everything the
-// layer-wise boosting loop needs that depends on the data-management
-// policy (partitioning scheme x storage pattern) lives behind this
-// interface. The trainer owns the loop, the shared run state (predictions,
-// gradients, hessians) and the candidate splits; an engine owns the
-// quadrant's data shards, node/instance indexes and histogram maps.
+// engine is the partitioning seam of the trainer: everything the
+// layer-wise boosting loop needs that depends on how the data is
+// partitioned lives behind this interface. The trainer owns the loop, the
+// shared run state (predictions, gradients, hessians) and the candidate
+// splits; an engine owns where work runs, the histogram maps, and each
+// worker's store and nodeIndex (store.go), the storage axis.
 //
 // Two implementations cover Figure 1: horizontalEngine (QD1/QD2, disjoint
 // row ranges with all features, aggregated histograms) and verticalEngine
 // (QD3/QD4, complete columns for disjoint feature subsets, local
-// histograms with placement broadcasts). prep.go constructs the engine
-// matching Config.Quadrant; resolveAuto lets the advisor pick it.
+// histograms with placement broadcasts). prep.go picks the engine and the
+// stores from Config; resolveAuto lets the advisor pick the quadrant.
 type engine interface {
 	// prepare materializes the engine's per-worker data layout (binning,
 	// repartitioning, index and histogram-map allocation), charging the
@@ -59,14 +58,9 @@ type engine interface {
 	// dropHist releases one node's histogram, if present.
 	dropHist(id int32)
 	// usesSubtraction reports whether the engine derives sibling
-	// histograms by subtraction (false only for QD1, whose shared
-	// accumulators cannot retain per-parent state).
+	// histograms by subtraction (false only for QD1, which builds both
+	// children of every split).
 	usesSubtraction() bool
-
-	// transformReport returns the byte report of the engine's data
-	// preparation wire traffic (nonzero only for QD4's
-	// horizontal-to-vertical transformation).
-	transformReport() partition.ByteReport
 }
 
 // siblingOf returns the sibling's node id: children are always created in

@@ -5,39 +5,43 @@ import (
 	"vero/internal/cluster"
 	"vero/internal/histogram"
 	"vero/internal/index"
-	"vero/internal/partition"
 	"vero/internal/sparse"
 	"vero/internal/tree"
 )
 
-// horizontalEngine implements the horizontal quadrants (QD1: column-store
-// + instance-to-node index; QD2: row-store + node-to-instance index).
-// Workers hold disjoint row ranges with all features; histograms are built
-// locally for every feature and aggregated across workers (Figure 4(a)).
+// horizontalEngine implements the horizontal quadrants (QD1, QD2): workers
+// hold disjoint row ranges with all features; every worker's store builds
+// local histograms for every feature, and they are aggregated across
+// workers (Figure 4(a)).
 type horizontalEngine struct {
 	t *trainer
 
-	// flatG/flatH are per-worker arena scratch for the routed column-scan
-	// kernel: one flat buffer pair holds every histogram a worker builds in
-	// a layer, reused (and re-zeroed) layer after layer.
-	flatG, flatH [][]float64
+	// Set by newEngine. open lays out worker w's rows [lo, hi) in the
+	// quadrant's storage and sets its data gauge. The flags are where QD1's
+	// accounting differs from QD2's, as TestGoldenAccounting pins it: QD1
+	// never subtracts and reduces a node's two sides as one payload, QD2
+	// one side at a time. In memory QD2 builds node by node, keeping one
+	// transient local histogram per worker; a mapped store builds a whole
+	// layer in one pass over the data.
+	open       func(e *horizontalEngine, w, lo, hi int) (store, nodeIndex, error)
+	subtract   bool
+	onePayload bool
+	perNode    bool
 
-	rows []rowStore // QD2: per-worker row shards
-	// perNode says QD2 builds and aggregates node by node, keeping one
-	// transient local histogram per worker (materialized rows); a mapped
-	// store builds the whole layer in one pass over the data instead.
-	perNode bool
-	placed  []*bitmap.Bitmap // QD2: per-worker placement scratch
-	cols    []*colStream     // QD1: per-worker column views of row shards
-	n2i     []*index.NodeToInstance
-	i2n     []*index.InstanceToNode
-	agg     map[int32]*histogram.Hist // aggregated histograms, by node id
-	layout  histogram.Layout
+	stores []store
+	idx    []nodeIndex
+	placed []*bitmap.Bitmap // per-worker placement scratch
+	// flatG/flatH are per-worker arenas holding every histogram a worker's
+	// store builds in one pass, reused (and re-zeroed) pass after pass.
+	flatG, flatH [][]float64
+	agg          map[int32]*histogram.Hist // aggregated histograms, by node id
+	layout       histogram.Layout
 }
 
-// prepare sketches candidate splits and gives each worker its row shard
-// in the quadrant's storage pattern: binned and materialized, or — out of
-// core — a reader over the worker's row range of the mapped image.
+// prepare sketches candidate splits and gives each worker its rows in the
+// quadrant's storage pattern. ParallelLocal: on a distributed cluster each
+// rank builds only its hosted worker's structures — the aggregation path
+// (SumHosted) requires the locals' shape to match the hosting.
 func (e *horizontalEngine) prepare() error {
 	t := e.t
 	if _, err := t.distributedSketch(); err != nil {
@@ -50,66 +54,57 @@ func (e *horizontalEngine) prepare() error {
 	e.flatH = make([][]float64, t.w)
 	e.layout = histogram.Layout{NumFeat: t.d, MaxBins: t.maxBins, NumClass: t.c}
 	e.agg = make(map[int32]*histogram.Hist)
-
-	cols := allFeatures(t.d)
+	e.stores = make([]store, t.w)
+	e.idx = make([]nodeIndex, t.w)
+	e.placed = make([]*bitmap.Bitmap, t.w)
 	errs := make([]error, t.w)
-	// binShard materializes worker w's binned row shard.
-	binShard := func(w int) (*sparse.BinnedCSR, error) {
-		return t.binner.BinCSR(t.ds.X.SliceRows(t.ranges[w][0], t.ranges[w][1]))
-	}
-	// ParallelLocal: on a distributed cluster each rank builds only its
-	// hosted worker's structures — the aggregation path (SumHosted)
-	// requires the locals' shape to match the hosting.
-	if t.cfg.Quadrant == QD2 {
-		e.rows = make([]rowStore, t.w)
-		e.n2i = make([]*index.NodeToInstance, t.w)
-		e.placed = make([]*bitmap.Bitmap, t.w)
-		outOfCore := t.ds.OutOfCore()
-		e.perNode = !outOfCore
-		dataGauge := t.cl.Stats().Mem("data")
-		t.cl.ParallelLocal("prep.bin", func(w int) {
-			lo, hi := t.ranges[w][0], t.ranges[w][1]
-			e.n2i[w] = index.NewNodeToInstance(hi - lo)
-			e.placed[w] = bitmap.New(hi - lo)
-			if outOfCore {
-				e.rows[w] = newBlockScan(t.mappedColumns(cols, lo, hi), t.sizes.blockRows)
-				dataGauge.Set(w, t.sizes.perWorker)
-				return
-			}
-			binned, err := binShard(w)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			e.rows[w] = blockRows{blocks: csrBlock(binned), base: lo}
-			dataGauge.Set(w, binnedCSRBytes(binned))
-		})
-		return cluster.FirstError(errs)
-	}
-
-	// QD1: column views of the row shards, instance-to-node index.
-	e.cols = make([]*colStream, t.w)
-	e.i2n = make([]*index.InstanceToNode, t.w)
 	t.cl.ParallelLocal("prep.bin", func(w int) {
 		lo, hi := t.ranges[w][0], t.ranges[w][1]
-		e.i2n[w] = index.NewInstanceToNode(hi - lo)
-		e.cols[w], errs[w] = t.openColumns(w, cols, lo, hi, func() (*sparse.BinnedCSC, error) {
-			binned, err := binShard(w)
-			if err != nil {
-				return nil, err
-			}
-			return binned.ToCSC(), nil
-		})
+		e.placed[w] = bitmap.New(hi - lo)
+		e.stores[w], e.idx[w], errs[w] = e.open(e, w, lo, hi)
 	})
 	return cluster.FirstError(errs)
 }
 
-// usesSubtraction implements engine: QD1's shared accumulators cannot
-// retain per-parent state, so both children always build.
-func (e *horizontalEngine) usesSubtraction() bool { return e.t.cfg.Quadrant != QD1 }
+// openRows is QD2's layout: a row store over the binned shard or — out of
+// core — a block scan of the worker's rows of the mapped image, with a
+// node-to-instance index.
+func (e *horizontalEngine) openRows(w, lo, hi int) (store, nodeIndex, error) {
+	t := e.t
+	idx := &byNode{t: t, n2i: index.NewNodeToInstance(hi - lo), base: lo}
+	dataGauge := t.cl.Stats().Mem("data")
+	if t.ds.OutOfCore() {
+		dataGauge.Set(w, t.sizes.perWorker)
+		return rows{idx, newBlockScan(t.mappedColumns(allFeatures(t.d), lo, hi), t.sizes.blockRows)}, idx, nil
+	}
+	binned, err := t.binner.BinCSR(t.ds.X.SliceRows(lo, hi))
+	if err != nil {
+		return nil, nil, err
+	}
+	dataGauge.Set(w, binnedCSRBytes(binned))
+	return rows{idx, blockRows{blocks: csrBlock(binned), base: lo}}, idx, nil
+}
 
-// transformReport implements engine: no repartitioning happens.
-func (e *horizontalEngine) transformReport() partition.ByteReport { return partition.ByteReport{} }
+// openRoutedColumns is QD1's layout: column views of the row shard with an
+// instance-to-node index.
+func (e *horizontalEngine) openRoutedColumns(w, lo, hi int) (store, nodeIndex, error) {
+	t := e.t
+	cols, err := t.openColumns(w, allFeatures(t.d), lo, hi, func() (*sparse.BinnedCSC, error) {
+		binned, err := t.binner.BinCSR(t.ds.X.SliceRows(lo, hi))
+		if err != nil {
+			return nil, err
+		}
+		return binned.ToCSC(), nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	idx := &byInstance{t: t, i2n: index.NewInstanceToNode(hi - lo), base: lo}
+	return &routedColumns{idx, cols}, idx, nil
+}
+
+// usesSubtraction implements engine.
+func (e *horizontalEngine) usesSubtraction() bool { return e.subtract }
 
 // computeGradients has each worker process its own row range.
 func (e *horizontalEngine) computeGradients() {
@@ -119,17 +114,9 @@ func (e *horizontalEngine) computeGradients() {
 
 func (e *horizontalEngine) resetIndexes() {
 	// Non-hosted workers' indexes are nil on a distributed cluster.
-	if e.t.cfg.Quadrant == QD1 {
-		for _, idx := range e.i2n {
-			if idx != nil {
-				idx.Reset()
-			}
-		}
-		return
-	}
-	for _, idx := range e.n2i {
+	for _, idx := range e.idx {
 		if idx != nil {
-			idx.Reset()
+			idx.reset()
 		}
 	}
 }
@@ -182,131 +169,88 @@ func (e *horizontalEngine) flatScratch(w, n int) (g, h []float64) {
 
 func (e *horizontalEngine) rootTotals() ([]float64, []float64) {
 	t := e.t
-	locals := make([][]float64, t.w)
-	t.cl.ParallelLocal(phaseGrad, func(w int) {
-		acc := make([]float64, 2*t.c)
+	sum := e.sumWorkers(phaseGrad, 2*t.c, func(w int, acc []float64) {
 		t.sumRows(t.ranges[w][0], t.ranges[w][1], acc[:t.c], acc[t.c:])
-		locals[w] = acc
 	})
-	sum := make([]float64, 2*t.c)
-	t.cl.SumHosted(locals, sum)
-	t.cl.AllReduce(phaseGrad, sum)
 	return sum[:t.c], sum[t.c:]
 }
 
-// buildHistograms constructs local histograms and aggregates them per the
-// configured method.
-func (e *horizontalEngine) buildHistograms(toBuild []*nodeInfo) {
+// sumWorkers has each hosted worker fill a zeroed array of n floats, sums
+// the arrays in rank order and all-reduces the sum, charged to phase.
+func (e *horizontalEngine) sumWorkers(phase string, n int, fill func(w int, acc []float64)) []float64 {
 	t := e.t
-	if t.cfg.Quadrant == QD2 {
-		step := len(toBuild)
-		if e.perNode {
-			step = 1
-		}
-		for lo := 0; lo < len(toBuild); lo += step {
-			e.buildRowStore(toBuild[lo : lo+step])
-		}
-		return
-	}
-
-	// QD1 column-store: one pass over each worker's columns updates all
-	// build nodes at once, routing each (instance, bin) entry through the
-	// instance-to-node index (the fused column-scan kernel reads the raw
-	// assignment array and a dense node-to-slot table). Workers fold their
-	// local histograms into shared accumulators right after their pass, so
-	// physical memory stays at two layers of histograms instead of W+1
-	// (the logical per-worker copies are still charged to the memory
-	// gauge).
-	maxID := int32(0)
-	for _, nd := range toBuild {
-		if nd.id > maxID {
-			maxID = nd.id
-		}
-	}
-	slot := make([]int32, maxID+1) // node id -> local slot, -1 = not building
-	for i := range slot {
-		slot[i] = -1
-	}
-	for i, nd := range toBuild {
-		slot[nd.id] = int32(i)
-	}
-	acc := make([]*histogram.Hist, len(toBuild))
-	for i := range acc {
-		acc[i] = t.pool.Get(e.layout)
-	}
-	// merged[w] closes once worker w has folded its partials in; worker
-	// w+1 waits for it, so the floating-point reduction order is the
-	// worker order regardless of goroutine scheduling.
-	merged := make([]chan struct{}, t.w)
-	for w := range merged {
-		merged[w] = make(chan struct{})
-	}
-	t.cl.ParallelLocal(phaseHist, func(w int) {
-		stride := e.layout.FloatsPerSide()
-		ag, ah := e.flatScratch(w, stride*len(toBuild))
-		cols := e.cols[w]
-		nodeOf := e.i2n[w].Assignments()
-		base := t.ranges[w][0]
-		// Chunking a column preserves the per-accumulator addition order.
-		for j := 0; j < t.d && !cols.failed(); j++ {
-			lo, hi := cols.colRange(j)
-			cols.scan(lo, hi, cols.rowLo, func(insts []uint32, bins []uint16) {
-				histogram.ColumnScanRouted(ag, ah, stride, e.layout, j, insts, bins, nodeOf, slot, t.grads, t.hessv, base)
-			})
-		}
-		// A distributed rank hosts one worker; its predecessor's channel is
-		// never closed locally (the reduction below replaces the chain).
-		if w > 0 && t.cl.HostsWorker(w-1) {
-			<-merged[w-1]
-		}
-		for i := range acc {
-			acc[i].Merge(&histogram.Hist{Layout: e.layout,
-				Grad: ag[i*stride : (i+1)*stride], Hess: ah[i*stride : (i+1)*stride]})
-		}
-		close(merged[w])
+	locals := make([][]float64, t.w)
+	t.cl.ParallelLocal(phase, func(w int) {
+		locals[w] = make([]float64, n)
+		fill(w, locals[w])
 	})
+	sum := make([]float64, n)
+	t.cl.SumHosted(locals, sum)
+	t.cl.AllReduce(phase, sum)
+	return sum
+}
+
+// buildHistograms has every worker's store build the nodes' local
+// histograms into zeroed views of the worker's arena, and aggregates them
+// node by node — the whole layer in one pass, or node by node (perNode).
+// Per histogram cell the accumulation order (ascending instances) and the
+// aggregation order over workers do not depend on the grouping of the
+// nodes, so the result is bit-identical either way.
+func (e *horizontalEngine) buildHistograms(toBuild []*nodeInfo) {
+	step := len(toBuild)
+	if e.perNode {
+		step = 1
+	}
+	for lo := 0; lo < len(toBuild); lo += step {
+		e.build(toBuild[lo : lo+step])
+	}
+}
+
+func (e *horizontalEngine) build(nodes []*nodeInfo) {
+	t := e.t
+	stride := e.layout.FloatsPerSide()
+	locals := make([][]*histogram.Hist, t.w)
+	t.cl.ParallelLocal(phaseHist, func(w int) {
+		ag, ah := e.flatScratch(w, stride*len(nodes))
+		hs := make([]*histogram.Hist, len(nodes))
+		for i := range hs {
+			hs[i] = &histogram.Hist{Layout: e.layout,
+				Grad: ag[i*stride : (i+1)*stride], Hess: ah[i*stride : (i+1)*stride]}
+		}
+		e.stores[w].build(hs, nodes)
+		locals[w] = hs
+	})
+	gl, hl := make([][]float64, t.w), make([][]float64, t.w)
 	mem := t.cl.Stats().Mem("histogram")
-	for i, nd := range toBuild {
-		e.reduce(acc[i].Grad, acc[i].Hess)
-		e.agg[nd.id] = acc[i]
+	for i, nd := range nodes {
+		for w, hs := range locals {
+			if hs != nil { // distributed ranks fill only their hosted slot
+				gl[w], hl[w] = hs[i].Grad, hs[i].Hess
+			}
+		}
+		// Reduce straight into a pooled histogram: every histogram the
+		// trainer releases was drawn from the pool (keeping the free list
+		// bounded by the live set). SumHosted folds the workers in rank
+		// order from zero, the order every transport reproduces.
+		agg := t.pool.Get(e.layout)
+		t.cl.SumHosted(gl, agg.Grad)
+		t.cl.SumHosted(hl, agg.Hess)
+		if e.onePayload {
+			e.reduce(agg.Grad, agg.Hess)
+		} else {
+			e.reduce(agg.Grad)
+			e.reduce(agg.Hess)
+		}
+		e.agg[nd.id] = agg
 		for w := 0; w < t.w; w++ {
 			mem.Add(w, e.layout.SizeBytes())
 		}
 	}
 }
 
-// buildRowStore builds the given nodes' local histograms — one pass of
-// each worker's row store over all of them — and aggregates node by node.
-// Per histogram cell the accumulation order (ascending instances) and the
-// per-node aggregation order over workers are the same for every kind of
-// store and any grouping of the nodes, so the result is bit-identical.
-func (e *horizontalEngine) buildRowStore(nodes []*nodeInfo) {
-	t := e.t
-	locals := make([][]*histogram.Hist, len(nodes))
-	for i := range locals {
-		locals[i] = make([]*histogram.Hist, t.w)
-	}
-	t.cl.ParallelLocal(phaseHist, func(w int) {
-		hs := make([]*histogram.Hist, len(nodes))
-		for i := range hs {
-			hs[i] = t.pool.Get(e.layout)
-			locals[i][w] = hs[i]
-		}
-		e.rows[w].build(hs, nodeLists(e.n2i[w], nodes), t.grads, t.hessv)
-	})
-	for i, nd := range nodes {
-		e.aggregate(nd.id, locals[i])
-		for _, h := range locals[i] {
-			if h != nil { // distributed ranks fill only their hosted slot
-				t.pool.Put(h)
-			}
-		}
-	}
-}
-
 // reduce runs the configured aggregation collective over histogram sides
-// that hold this process's merged contribution — QD1's shared
-// accumulators, or a histogram SumHosted filled — charged as one payload.
+// that SumHosted filled with this process's contribution, charged as one
+// payload.
 // On the simulation the sides already are the global sum, so this only
 // charges; on a distributed cluster they come back reduced: fully for
 // all-reduce, per owned feature shard for the scatter variants. The
@@ -339,34 +283,6 @@ func (e *horizontalEngine) featureBounds() []int {
 	return bounds
 }
 
-// aggregate reduces per-worker histograms of one node into the aggregated
-// map, charging the configured collective.
-func (e *horizontalEngine) aggregate(node int32, locals []*histogram.Hist) {
-	t := e.t
-	gl := make([][]float64, t.w)
-	hl := make([][]float64, t.w)
-	for w, h := range locals {
-		if h != nil {
-			gl[w] = h.Grad
-			hl[w] = h.Hess
-		}
-	}
-	// Reduce straight into a pooled histogram: every histogram the trainer
-	// releases was drawn from the pool (keeping the free list bounded by
-	// the live set), and the steady state allocates nothing per node.
-	// The sides are reduced one at a time, each its own charge.
-	agg := t.pool.Get(e.layout)
-	t.cl.SumHosted(gl, agg.Grad)
-	e.reduce(agg.Grad)
-	t.cl.SumHosted(hl, agg.Hess)
-	e.reduce(agg.Hess)
-	e.agg[node] = agg
-	mem := t.cl.Stats().Mem("histogram")
-	for w := 0; w < t.w; w++ {
-		mem.Add(w, e.layout.SizeBytes())
-	}
-}
-
 // findSplits locates each frontier node's best split on the aggregated
 // histograms, with the work placed where the aggregation method puts it: a
 // leader for all-reduce, per-feature-shard workers for reduce-scatter and
@@ -395,101 +311,24 @@ func (e *horizontalEngine) findSplits(frontier []*nodeInfo) map[int32]histogram.
 	return out
 }
 
-// applyLayer updates each worker's local node/instance index; every worker
-// holds all features of its rows, so placements are computed locally — no
-// placement broadcast, only the (tiny) split records travel.
+// applyLayer has each worker's store place its splitting instances and
+// splits its index from the placement; every worker holds all features of
+// its rows, so placements are computed locally — no placement broadcast,
+// only the (tiny) split records travel.
 func (e *horizontalEngine) applyLayer(splits map[int32]histogram.Split, children map[int32][2]int32) {
 	t := e.t
 	t.cl.Broadcast(phaseNode, int64(len(splits))*splitWireBytes)
-	if t.cfg.Quadrant == QD2 {
-		t.cl.ParallelLocal(phaseNode, func(w int) {
-			placeAndSplit(e.rows[w], e.n2i[w], e.placed[w], splits, children)
-		})
-		return
-	}
-	// QD1: instance-to-node updated in one pass; each instance's split
-	// feature value is found by binary search on its column (the
-	// column-store node-splitting cost of Section 3.2.3).
 	t.cl.ParallelLocal(phaseNode, func(w int) {
-		cols := e.cols[w]
-		i2n := e.i2n[w]
-		i2n.SplitLayer(children, func(inst uint32) bool {
-			sp := splits[i2n.Node(inst)]
-			lo, hi := cols.src.ColRange(sp.Feature)
-			bin, ok := cols.lookup(lo, hi, uint32(cols.rowLo)+inst)
-			if !ok {
-				return sp.DefaultLeft
-			}
-			return int(bin) <= sp.Bin
-		})
+		e.stores[w].place(splits, e.placed[w])
+		e.idx[w].split(children, e.placed[w])
 	})
 }
 
 // childStats computes counts and gradient totals of the new children from
 // local rows plus one small all-reduce.
 func (e *horizontalEngine) childStats(nodes []*nodeInfo) {
-	t := e.t
-	stride := 2*t.c + 1 // totals + count
-	locals := make([][]float64, t.w)
-	if t.cfg.Quadrant == QD2 {
-		t.cl.ParallelLocal(phaseNode, func(w int) {
-			acc := make([]float64, stride*len(nodes))
-			for i, nd := range nodes {
-				insts := e.n2i[w].Instances(nd.id)
-				o := acc[i*stride:]
-				t.sumInsts(insts, t.ranges[w][0], o[:t.c], o[t.c:2*t.c])
-				o[2*t.c] = float64(len(insts))
-			}
-			locals[w] = acc
-		})
-	} else {
-		slot := make(map[int32]int, len(nodes))
-		for i, nd := range nodes {
-			slot[nd.id] = i
-		}
-		t.cl.ParallelLocal(phaseNode, func(w int) {
-			acc := make([]float64, stride*len(nodes))
-			i2n := e.i2n[w]
-			base := t.ranges[w][0]
-			if t.c == 1 {
-				for inst, nid := range i2n.Assignments() {
-					i, ok := slot[nid]
-					if !ok {
-						continue
-					}
-					o := i * stride
-					acc[o] += t.grads[base+inst]
-					acc[o+1] += t.hessv[base+inst]
-					acc[o+2]++
-				}
-				locals[w] = acc
-				return
-			}
-			for inst := 0; inst < i2n.Len(); inst++ {
-				i, ok := slot[i2n.Node(uint32(inst))]
-				if !ok {
-					continue
-				}
-				o := i * stride
-				gi := (base + inst) * t.c
-				for k := 0; k < t.c; k++ {
-					acc[o+k] += t.grads[gi+k]
-					acc[o+t.c+k] += t.hessv[gi+k]
-				}
-				acc[o+2*t.c]++
-			}
-			locals[w] = acc
-		})
-	}
-	sum := make([]float64, stride*len(nodes))
-	t.cl.SumHosted(locals, sum)
-	t.cl.AllReduce(phaseNode, sum)
-	for i, nd := range nodes {
-		o := i * stride
-		nd.totalG = append([]float64(nil), sum[o:o+t.c]...)
-		nd.totalH = append([]float64(nil), sum[o+t.c:o+2*t.c]...)
-		nd.count = int(sum[o+2*t.c])
-	}
+	sum := e.sumWorkers(phaseNode, (2*e.t.c+1)*len(nodes), func(w int, acc []float64) { e.idx[w].sums(nodes, acc) })
+	e.t.setChildStats(nodes, sum)
 }
 
 // updatePredictions adds the finished tree's leaf weights to the raw
@@ -498,37 +337,5 @@ func (e *horizontalEngine) childStats(nodes []*nodeInfo) {
 func (e *horizontalEngine) updatePredictions(tr *tree.Tree) {
 	t := e.t
 	t.cl.Broadcast(phaseUpdate, int64(tr.NumLeaves()*t.c)*8)
-	if t.cfg.Quadrant == QD2 {
-		t.cl.ParallelLocal(phaseUpdate, func(w int) { t.addLeaves(tr, e.n2i[w], t.ranges[w][0]) })
-		return
-	}
-	eta := t.cfg.LearningRate
-	t.cl.ParallelLocal(phaseUpdate, func(w int) {
-		i2n := e.i2n[w]
-		base := t.ranges[w][0]
-		for inst := 0; inst < i2n.Len(); inst++ {
-			leaf := &tr.Nodes[i2n.Node(uint32(inst))]
-			gi := (base + inst) * t.c
-			for k := 0; k < t.c; k++ {
-				t.preds[gi+k] += eta * leaf.Weights[k]
-			}
-		}
-	})
-}
-
-// searchColumn binary-searches a column's sorted instance list.
-func searchColumn(insts []uint32, bins []uint16, inst uint32) (uint16, bool) {
-	lo, hi := 0, len(insts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if insts[mid] < inst {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(insts) && insts[lo] == inst {
-		return bins[lo], true
-	}
-	return 0, false
+	t.cl.ParallelLocal(phaseUpdate, func(w int) { e.idx[w].addLeaves(tr) })
 }

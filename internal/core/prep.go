@@ -28,17 +28,31 @@ func (t *trainer) prepare() error {
 	return t.eng.prepare()
 }
 
-// newEngine maps the configured quadrant to its strategy implementation.
-// Config.Quadrant is concrete here: QuadrantAuto was resolved by Train
-// before the trainer was assembled.
+// newEngine picks both axes of the configured policy once: the engine of
+// its partitioning, and the storage layout that gives each worker its
+// store. Config.Quadrant is concrete here: QuadrantAuto was resolved by
+// Train before the trainer was assembled.
 func newEngine(t *trainer) (engine, error) {
-	switch t.cfg.Quadrant {
-	case QD1, QD2:
-		return &horizontalEngine{t: t}, nil
-	case QD3, QD4:
-		return &verticalEngine{t: t}, nil
+	cfg, outOfCore := t.cfg, t.ds.OutOfCore()
+	switch {
+	case cfg.Quadrant == QD1:
+		return &horizontalEngine{t: t, open: (*horizontalEngine).openRoutedColumns, onePayload: true}, nil
+	case cfg.Quadrant == QD2:
+		return &horizontalEngine{t: t, open: (*horizontalEngine).openRows, subtract: true, perNode: !outOfCore}, nil
+	case cfg.Quadrant == QD3 && cfg.ColumnIndex == IndexColumnWise && outOfCore:
+		return nil, fmt.Errorf("core: the column-wise index (Yggdrasil) materializes whole columns and cannot stream; use the hybrid index for out-of-core QD3")
+	case cfg.Quadrant == QD3 && cfg.ColumnIndex == IndexColumnWise:
+		return &verticalEngine{t: t, prep: (*verticalEngine).prepareColumns, own: make([]ownIndex, t.w)}, nil
+	case cfg.Quadrant == QD3:
+		return &verticalEngine{t: t, prep: (*verticalEngine).prepareColumns}, nil
+	case cfg.Quadrant == QD4 && cfg.FullCopy && outOfCore:
+		return nil, fmt.Errorf("core: feature-parallel full copy replicates the dataset on every worker and cannot stream; disable FullCopy for out-of-core QD4")
+	case cfg.Quadrant == QD4 && cfg.FullCopy:
+		return &verticalEngine{t: t, prep: (*verticalEngine).prepareFullCopy, replicated: true}, nil
+	case cfg.Quadrant == QD4:
+		return &verticalEngine{t: t, prep: (*verticalEngine).prepareVero}, nil
 	}
-	return nil, fmt.Errorf("core: unhandled quadrant %v", t.cfg.Quadrant)
+	return nil, fmt.Errorf("core: unhandled quadrant %v", cfg.Quadrant)
 }
 
 // checkMaxBins caches the binner's widest candidate-split count and

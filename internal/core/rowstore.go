@@ -5,7 +5,6 @@ import (
 
 	"vero/internal/bitmap"
 	"vero/internal/histogram"
-	"vero/internal/index"
 	"vero/internal/partition"
 	"vero/internal/sparse"
 )
@@ -27,25 +26,6 @@ type rowStore interface {
 	// place writes the placement bit (set = left child) of every instance
 	// of one splitting node.
 	place(sp histogram.Split, insts []uint32, bm *bitmap.Bitmap)
-}
-
-// nodeLists returns each node's (ascending) instance list.
-func nodeLists(idx *index.NodeToInstance, nodes []*nodeInfo) [][]uint32 {
-	lists := make([][]uint32, len(nodes))
-	for i, nd := range nodes {
-		lists[i] = idx.Instances(nd.id)
-	}
-	return lists
-}
-
-// placeAndSplit applies one layer's splits to an index whose rows one store
-// holds whole (QD2's row shard, feature-parallel's full copy): each
-// splitting node is placed into bm and split from it.
-func placeAndSplit(rows rowStore, idx *index.NodeToInstance, bm *bitmap.Bitmap, splits map[int32]histogram.Split, children map[int32][2]int32) {
-	for parent, ch := range children {
-		rows.place(splits[parent], idx.Instances(parent), bm)
-		idx.Split(parent, ch[0], ch[1], bm)
-	}
 }
 
 // placeSegment is the row-store placement kernel: it places the instances

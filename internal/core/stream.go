@@ -127,8 +127,11 @@ func (c memColumns) SearchInst(lo, hi int64, inst uint32) (int64, error) {
 }
 
 func (c memColumns) LookupInst(lo, hi int64, inst uint32) (uint16, bool, error) {
-	bin, ok := searchColumn(c.m.Inst[lo:hi], c.m.Bin[lo:hi], inst)
-	return bin, ok, nil
+	pos, ok := slices.BinarySearch(c.m.Inst[lo:hi], inst)
+	if !ok {
+		return 0, false, nil
+	}
+	return c.m.Bin[lo+int64(pos)], true, nil
 }
 
 // Fingerprint is empty: a materialized dataset is fingerprinted from its
@@ -264,12 +267,6 @@ func (t *trainer) initStream() error {
 	}
 	if t.ds.Prebin == nil || !t.ds.Prebin.Quantized {
 		return fmt.Errorf("core: out-of-core training requires a binned cache view with its prebin (map a .vbin cache)")
-	}
-	if t.cfg.Quadrant == QD3 && t.cfg.ColumnIndex == IndexColumnWise {
-		return fmt.Errorf("core: the column-wise index (Yggdrasil) materializes whole columns and cannot stream; use the hybrid index for out-of-core QD3")
-	}
-	if t.cfg.Quadrant == QD4 && t.cfg.FullCopy {
-		return fmt.Errorf("core: feature-parallel full copy replicates the dataset on every worker and cannot stream; disable FullCopy for out-of-core QD4")
 	}
 	t.sizes = sizeStream(t.w, t.cfg)
 	return nil

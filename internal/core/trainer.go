@@ -9,8 +9,8 @@ import (
 	"vero/internal/datasets"
 	"vero/internal/failpoint"
 	"vero/internal/histogram"
-	"vero/internal/index"
 	"vero/internal/loss"
+	"vero/internal/partition"
 	"vero/internal/sparse"
 	"vero/internal/tree"
 )
@@ -77,6 +77,9 @@ type trainer struct {
 	sizes streamSizes
 	// peakHeap is the heap high-water mark sampled at tree boundaries.
 	peakHeap uint64
+	// transform is the wire report of QD4's horizontal-to-vertical
+	// transformation, zero for every other layout.
+	transform partition.ByteReport
 
 	// eng is the quadrant strategy prep.go constructed for cfg.Quadrant.
 	eng engine
@@ -102,12 +105,12 @@ func (t *trainer) allocRunState(initScore []float64) {
 	t.hessv = make([]float64, t.n*t.c)
 }
 
-// The four gradient passes below are every loop over preds, grads and
-// hessv outside allocRunState and QD1's instance-to-node passes; the
-// engines decide only where they run (per worker, or replicated). Each
-// accumulator keeps one order: for C = 1 a local sum from +0 (never -0, so
-// adding it into a zeroed destination is exact), for C > 1 in place, both
-// in ascending instance order.
+// The two gradient passes below and the nodeIndex passes (sums, addLeaves)
+// are every loop over preds, grads and hessv outside allocRunState and the
+// histogram kernels; the engines decide only where they run (per worker,
+// or replicated). Each accumulator keeps one order: for C = 1 a local sum
+// from +0 (never -0, so adding it into a zeroed destination is exact), for
+// C > 1 in place, both in ascending instance order.
 
 // gradRange refreshes the gradients and hessians of instances [lo, hi).
 func (t *trainer) gradRange(lo, hi int) {
@@ -138,43 +141,14 @@ func (t *trainer) sumRows(lo, hi int, g, h []float64) {
 	}
 }
 
-// sumInsts adds the gradient and hessian totals of the ascending instance
-// list insts, offset by base, into the zeroed g and h.
-func (t *trainer) sumInsts(insts []uint32, base int, g, h []float64) {
-	if t.c == 1 {
-		var sg, sh float64
-		for _, inst := range insts {
-			sg += t.grads[base+int(inst)]
-			sh += t.hessv[base+int(inst)]
-		}
-		g[0] += sg
-		h[0] += sh
-		return
-	}
-	for _, inst := range insts {
-		gi := (base + int(inst)) * t.c
-		for k := 0; k < t.c; k++ {
-			g[k] += t.grads[gi+k]
-			h[k] += t.hessv[gi+k]
-		}
-	}
-}
-
-// addLeaves adds the learning-rate-scaled leaf weights of tr to the
-// predictions of every instance n2i places on a leaf, offset by base.
-func (t *trainer) addLeaves(tr *tree.Tree, n2i *index.NodeToInstance, base int) {
-	eta := t.cfg.LearningRate
-	for id := range tr.Nodes {
-		n := &tr.Nodes[id]
-		if !n.IsLeaf() {
-			continue
-		}
-		for _, inst := range n2i.Instances(int32(id)) {
-			gi := (base + int(inst)) * t.c
-			for k := 0; k < t.c; k++ {
-				t.preds[gi+k] += eta * n.Weights[k]
-			}
-		}
+// setChildStats unpacks the totals and counts nodeIndex.sums wrote, 2C+1
+// entries per node, into the nodes.
+func (t *trainer) setChildStats(nodes []*nodeInfo, sums []float64) {
+	for i, nd := range nodes {
+		o := sums[i*(2*t.c+1):]
+		nd.totalG = append([]float64(nil), o[:t.c]...)
+		nd.totalH = append([]float64(nil), o[t.c:2*t.c]...)
+		nd.count = int(o[2*t.c])
 	}
 }
 
@@ -199,7 +173,7 @@ func (t *trainer) run(ck *checkpoint) (*Result, error) {
 
 	prepComp, prepComm, _ := t.cl.Stats().Totals()
 	lastComp, lastComm := prepComp, prepComm
-	res := &Result{Forest: forest, StartRound: start, PrepSeconds: prepComp + prepComm, TransformBytes: t.eng.transformReport()}
+	res := &Result{Forest: forest, StartRound: start, PrepSeconds: prepComp + prepComm, TransformBytes: t.transform}
 
 	t.sampleHeap()
 	ckptPath := t.checkpointPath()

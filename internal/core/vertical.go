@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"vero/internal/bitmap"
 	"vero/internal/cluster"
 	"vero/internal/histogram"
@@ -17,45 +19,46 @@ import (
 type verticalEngine struct {
 	t *trainer
 
-	groups   [][]int
-	ownerOf  []int32             // global feature -> worker
-	slotOf   []int32             // global feature -> slot within its group
-	rows     []rowStore          // QD4: per-worker blockified shards, or scans of the mapped image
-	fullRows *sparse.BinnedCSR   // QD4 FullCopy (feature-parallel)
-	cols     []*colStream        // QD3: per-worker full columns (slot-indexed)
-	csc      []*sparse.BinnedCSC // QD3 column-wise: the matrices cw's positions address
-	numBins  [][]int             // per worker, per slot
-	cw       []*index.ColumnWise // QD3 column-wise (Yggdrasil): per worker, over its own columns
-	hist     []map[int32]*histogram.Hist
-	layout   []histogram.Layout
+	// Set by newEngine: the data layout; whether it replicates the data on
+	// every worker (feature-parallel), which places with no broadcast; and,
+	// for QD3's column-wise index, own, the slots for the stores' indexes.
+	prep       func(*verticalEngine) error
+	replicated bool
+	own        []ownIndex
 
-	// n2i (and QD3's i2n) index all N instances, and every worker of a
-	// vertical cluster holds and updates the same one (Section 3: node
-	// splitting does not shrink with W). The copies a process would host —
-	// all W on the simulation, full-image and out-of-core ranks included —
-	// are identical after every layer, so the process holds one: it is
-	// written only inside cluster.Replicated steps and read, possibly
-	// concurrently, by the per-worker histogram and placement passes.
-	n2i *index.NodeToInstance
-	i2n *index.InstanceToNode
+	groups  [][]int
+	ownerOf []int32 // global feature -> worker
+	slotOf  []int32 // global feature -> slot within its group
+	stores  []store
+	owned   []map[int32]histogram.Split // a layer's splits by owner, reused
+	numBins [][]int                     // per worker, per slot
+	hist    []map[int32]*histogram.Hist
+	layout  []histogram.Layout
+
+	// idx (node-to-instance, with QD3's instance-to-node beside it) indexes
+	// all N instances, and every worker of a vertical cluster holds and
+	// updates the same one (Section 3: node splitting does not shrink with
+	// W). The copies a process would host — all W on the simulation,
+	// full-image and out-of-core ranks included — are identical after every
+	// layer, so the process holds one: it is written only inside
+	// cluster.Replicated steps and read, possibly concurrently, by the
+	// per-worker histogram and placement passes.
+	idx *byNode
 
 	// parts holds the per-worker placement bitmaps applyLayer merges,
 	// reused (and cleared) layer after layer; wire is the receive buffer of
 	// a sharded layer's bitmap broadcasts.
 	parts []*bitmap.Bitmap
 	wire  []byte
-
-	transformBytes partition.ByteReport
 }
 
-// prepare sets up the vertical layout: QD4 runs the paper's
-// horizontal-to-vertical transformation, QD3 repartitions raw columns, and
-// feature-parallel keeps a full copy per worker.
-func (e *verticalEngine) prepare() error {
+func (e *verticalEngine) prepare() error { return e.prep(e) }
+
+// groupColumns sketches candidate splits and balances the features over
+// the workers: the start of every vertical layout but Vero's, whose
+// transformation sketches and groups itself.
+func (e *verticalEngine) groupColumns() error {
 	t := e.t
-	if t.cfg.Quadrant == QD4 && !t.cfg.FullCopy {
-		return e.prepareVero()
-	}
 	featCount, err := t.distributedSketch()
 	if err != nil {
 		return err
@@ -64,77 +67,92 @@ func (e *verticalEngine) prepare() error {
 		return err
 	}
 	e.groups = partition.GroupColumnsBalanced(featCount, t.w)
-	e.buildFeatureMaps()
 	e.allocWorkers()
-	dataGauge := t.cl.Stats().Mem("data")
+	return nil
+}
 
-	if t.cfg.Quadrant == QD3 {
-		e.cols = make([]*colStream, t.w)
-		columnWise := t.cfg.ColumnIndex == IndexColumnWise
-		if columnWise {
-			e.csc = make([]*sparse.BinnedCSC, t.w)
-			e.cw = make([]*index.ColumnWise, t.w)
-		}
-		errs := make([]error, t.w)
-		binPrep := func(w int) {
-			e.initWorker(w)
-			// Out of core the worker reads its group's columns off the
-			// mapped image (slot i = the group's i-th feature); otherwise
-			// they are binned into a matrix of their own.
-			e.cols[w], errs[w] = t.openColumns(w, e.groups[w], 0, t.n, func() (*sparse.BinnedCSC, error) {
-				subBinner := &sparse.Binner{Splits: make([][]float32, len(e.groups[w]))}
-				for slot, f := range e.groups[w] {
-					subBinner.Splits[slot] = t.binner.Splits[f]
-				}
-				binned, err := subBinner.BinCSR(t.ds.X.SelectColumns(e.groups[w]))
-				if err != nil {
-					return nil, err
-				}
-				m := binned.ToCSC()
-				if columnWise {
-					colLens := make([]int, m.Cols())
-					for j := range colLens {
-						colLens[j] = m.ColNNZ(j)
-					}
-					e.csc[w], e.cw[w] = m, index.NewColumnWise(colLens)
-				}
-				return m, nil
-			})
-			dataGauge.Add(w, int64(t.n)*4) // + broadcast labels
-		}
-		globalNNZ := t.ds.NNZ()
-		if sh := t.ds.Shard; sh != nil {
-			// A column shard materialized only this rank's feature group;
-			// build hosted-only (applyLayer broadcasts real placement shards
-			// instead of deriving the full layer locally) and charge the
-			// repartition from the replicated global entry count — the local
-			// NNZ differs per rank, and each rank's accounting must equal
-			// the simulation's (the socket tests check it through CommBytes).
-			t.cl.ParallelLocal("prep.bin", binPrep)
-			globalNNZ = sh.GlobalNNZ
-		} else {
-			t.cl.Parallel("prep.bin", binPrep)
-		}
-		if err := cluster.FirstError(errs); err != nil {
-			return err
-		}
-		// Vertical repartition of the raw data, shipped as uncompressed
-		// key-value pairs (QD3 predates Vero's compact transformation).
-		shuffleBytes := globalNNZ * 12 * int64(t.w-1) / int64(t.w)
-		t.cl.ChargeComm("prep.repartition", cluster.OpShuffle, shuffleBytes, t.w-1)
-		// Labels are broadcast so every worker can compute gradients.
-		t.cl.Broadcast("prep.labels", int64(t.n)*4)
-		return nil
+// prepareColumns is QD3's layout: each worker's feature group as full
+// columns, repartitioned from the raw data.
+func (e *verticalEngine) prepareColumns() error {
+	t := e.t
+	if err := e.groupColumns(); err != nil {
+		return err
 	}
+	e.idx.i2n = index.NewInstanceToNode(t.n)
+	dataGauge := t.cl.Stats().Mem("data")
+	errs := make([]error, t.w)
+	binPrep := func(w int) {
+		// Out of core the worker reads its group's columns off the mapped
+		// image (slot i = the group's i-th feature); otherwise they are
+		// binned into a matrix of their own.
+		var csc *sparse.BinnedCSC
+		cols, err := t.openColumns(w, e.groups[w], 0, t.n, func() (*sparse.BinnedCSC, error) {
+			subBinner := &sparse.Binner{Splits: make([][]float32, len(e.groups[w]))}
+			for slot, f := range e.groups[w] {
+				subBinner.Splits[slot] = t.binner.Splits[f]
+			}
+			binned, err := subBinner.BinCSR(t.ds.X.SelectColumns(e.groups[w]))
+			if err != nil {
+				return nil, err
+			}
+			csc = binned.ToCSC()
+			return csc, nil
+		})
+		if errs[w] = err; err != nil {
+			return
+		}
+		hybrid := &hybridColumns{e.idx, cols, e.slotOf}
+		e.stores[w] = hybrid
+		if e.own != nil {
+			colLens := make([]int, csc.Cols())
+			for j := range colLens {
+				colLens[j] = csc.ColNNZ(j)
+			}
+			cw := &columnWise{hybridColumns: hybrid, csc: csc, cw: index.NewColumnWise(colLens)}
+			e.stores[w], e.own[w] = cw, cw
+		}
+		dataGauge.Add(w, int64(t.n)*4) // + broadcast labels
+	}
+	globalNNZ := t.ds.NNZ()
+	if sh := t.ds.Shard; sh != nil {
+		// A column shard materialized only this rank's feature group;
+		// build hosted-only (applyLayer broadcasts real placement shards
+		// instead of deriving the full layer locally) and charge the
+		// repartition from the replicated global entry count — the local
+		// NNZ differs per rank, and each rank's accounting must equal
+		// the simulation's (the socket tests check it through CommBytes).
+		t.cl.ParallelLocal("prep.bin", binPrep)
+		globalNNZ = sh.GlobalNNZ
+	} else {
+		t.cl.Parallel("prep.bin", binPrep)
+	}
+	if err := cluster.FirstError(errs); err != nil {
+		return err
+	}
+	// Vertical repartition of the raw data, shipped as uncompressed
+	// key-value pairs (QD3 predates Vero's compact transformation).
+	shuffleBytes := globalNNZ * 12 * int64(t.w-1) / int64(t.w)
+	t.cl.ChargeComm("prep.repartition", cluster.OpShuffle, shuffleBytes, t.w-1)
+	// Labels are broadcast so every worker can compute gradients.
+	t.cl.Broadcast("prep.labels", int64(t.n)*4)
+	return nil
+}
 
-	// QD4 FullCopy (feature-parallel).
+// prepareFullCopy is feature-parallel's layout: the whole binned dataset on
+// every worker, each accumulating only its feature group.
+func (e *verticalEngine) prepareFullCopy() error {
+	t := e.t
+	if err := e.groupColumns(); err != nil {
+		return err
+	}
 	binned, err := t.binner.BinCSR(t.ds.X)
 	if err != nil {
 		return err
 	}
-	e.fullRows = binned
+	full := rows{e.idx, blockRows{blocks: csrBlock(binned)}}
+	dataGauge := t.cl.Stats().Mem("data")
 	for w := 0; w < t.w; w++ {
-		e.initWorker(w)
+		e.stores[w] = &fullCopy{rows: full, m: binned, ownerOf: e.ownerOf, slotOf: e.slotOf, w: int32(w)}
 		// Feature-parallel's defining cost: the whole dataset on
 		// every worker (Appendix D).
 		dataGauge.Set(w, binnedCSRBytes(binned)+int64(t.n)*4)
@@ -142,36 +160,35 @@ func (e *verticalEngine) prepare() error {
 	return nil
 }
 
-// allocWorkers allocates the process's indexes and placement bitmaps and
-// the per-worker slots initWorker fills.
+// allocWorkers derives the feature maps from groups and allocates the
+// process's index, the placement bitmaps and each worker's histogram
+// layout, map and per-slot bin counts; the layout fills in the stores.
 func (e *verticalEngine) allocWorkers() {
 	t, w := e.t, e.t.w
+	e.ownerOf = slices.Repeat([]int32{-1}, t.d)
+	e.slotOf = make([]int32, t.d)
 	e.numBins = make([][]int, w)
 	e.hist = make([]map[int32]*histogram.Hist, w)
 	e.layout = make([]histogram.Layout, w)
-	e.n2i = index.NewNodeToInstance(t.n)
-	if t.cfg.Quadrant == QD3 {
-		e.i2n = index.NewInstanceToNode(t.n)
+	e.owned = make([]map[int32]histogram.Split, w)
+	for g, feats := range e.groups {
+		e.layout[g] = histogram.Layout{NumFeat: len(feats), MaxBins: t.maxBins, NumClass: t.c}
+		e.owned[g] = make(map[int32]histogram.Split)
+		e.hist[g] = make(map[int32]*histogram.Hist)
+		e.numBins[g] = make([]int, len(feats))
+		for slot, f := range feats {
+			e.ownerOf[f] = int32(g)
+			e.slotOf[f] = int32(slot)
+			e.numBins[g][slot] = len(t.binner.Splits[f])
+		}
 	}
+	e.stores = make([]store, w)
+	e.idx = &byNode{t: t, n2i: index.NewNodeToInstance(t.n)}
 	e.parts = make([]*bitmap.Bitmap, w)
 	for i := range e.parts {
 		e.parts[i] = bitmap.New(t.n)
 	}
 	e.wire = make([]byte, e.parts[0].SizeBytes())
-}
-
-// initWorker builds worker w's histogram layout and map and per-slot bin
-// counts. Slots of workers this rank does not host stay nil (every access
-// runs under ParallelLocal or a nil guard).
-func (e *verticalEngine) initWorker(w int) {
-	t := e.t
-	e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-	e.hist[w] = make(map[int32]*histogram.Hist)
-	numBins := make([]int, len(e.groups[w]))
-	for slot, f := range e.groups[w] {
-		numBins[slot] = len(t.binner.Splits[f])
-	}
-	e.numBins[w] = numBins
 }
 
 // prepareVero runs the horizontal-to-vertical transformation
@@ -211,8 +228,7 @@ func (e *verticalEngine) prepareVero() error {
 	}
 	t.binner = res.Binner
 	e.groups = res.Groups
-	e.transformBytes = res.Bytes
-	e.buildFeatureMaps()
+	t.transform = res.Bytes
 	t.numBinsGlobal = make([]int, t.d)
 	for f := range t.binner.Splits {
 		t.numBinsGlobal[f] = len(t.binner.Splits[f])
@@ -221,7 +237,6 @@ func (e *verticalEngine) prepareVero() error {
 		return err
 	}
 	e.allocWorkers()
-	e.rows = make([]rowStore, t.w)
 	dataGauge := t.cl.Stats().Mem("data")
 	for w := 0; w < t.w; w++ {
 		var dataBytes int64
@@ -229,45 +244,26 @@ func (e *verticalEngine) prepareVero() error {
 		case res.Shards == nil:
 			// A group's i-th feature is the worker's feature slot i, as in
 			// the materialized transformation.
-			e.rows[w] = newBlockScan(t.mappedColumns(e.groups[w], 0, t.n), t.sizes.blockRows)
+			e.stores[w] = rows{e.idx, newBlockScan(t.mappedColumns(e.groups[w], 0, t.n), t.sizes.blockRows)}
 			dataBytes = t.sizes.perWorker
 		case res.Shards[w] == nil:
 			// Sharded cluster: only the hosted rank's shard was assembled.
 			continue
 		default:
 			blocks := res.Shards[w].Data.Blocks
-			e.rows[w] = blockRows{blocks: blocks, slotOf: e.slotOf}
+			e.stores[w] = rows{e.idx, blockRows{blocks: blocks, slotOf: e.slotOf}}
 			for _, b := range blocks {
 				dataBytes += int64(len(b.RowPtr))*8 + int64(b.NNZ())*6
 			}
 		}
-		e.initWorker(w)
 		dataGauge.Set(w, dataBytes+int64(t.n)*4)
 	}
 	return nil
 }
 
-// buildFeatureMaps fills ownerOf and slotOf from groups.
-func (e *verticalEngine) buildFeatureMaps() {
-	e.ownerOf = make([]int32, e.t.d)
-	e.slotOf = make([]int32, e.t.d)
-	for i := range e.ownerOf {
-		e.ownerOf[i] = -1
-	}
-	for g, feats := range e.groups {
-		for slot, f := range feats {
-			e.ownerOf[f] = int32(g)
-			e.slotOf[f] = int32(slot)
-		}
-	}
-}
-
-// usesSubtraction implements engine: both vertical quadrants keep
-// per-node local histograms, so siblings derive by subtraction.
+// usesSubtraction implements engine: the vertical quadrants keep per-node
+// local histograms, so siblings derive by subtraction.
 func (e *verticalEngine) usesSubtraction() bool { return true }
-
-// transformReport implements engine.
-func (e *verticalEngine) transformReport() partition.ByteReport { return e.transformBytes }
 
 // computeGradients processes every instance: each worker needs the
 // gradients of all instances to build histograms for its feature subset
@@ -279,15 +275,12 @@ func (e *verticalEngine) computeGradients() {
 }
 
 func (e *verticalEngine) resetIndexes() {
-	e.n2i.Reset()
-	if e.i2n != nil {
-		e.i2n.Reset()
-	}
+	e.idx.reset()
 	// Nil slots belong to workers this rank does not host (sharded
 	// clusters build hosted-only structures).
-	for _, idx := range e.cw {
-		if idx != nil {
-			idx.Reset()
+	for _, s := range e.own {
+		if s != nil {
+			s.resetIndex()
 		}
 	}
 }
@@ -338,85 +331,11 @@ func (e *verticalEngine) buildHistograms(toBuild []*nodeInfo) {
 			hs[i] = t.pool.Get(e.layout[w])
 			mem.Add(w, e.layout[w].SizeBytes())
 		}
-		switch {
-		case t.cfg.Quadrant == QD4 && !t.cfg.FullCopy:
-			e.rows[w].build(hs, nodeLists(e.n2i, toBuild), t.grads, t.hessv)
-		case t.cfg.Quadrant == QD4: // feature-parallel full copy
-			for i, nd := range toBuild {
-				e.buildFullCopy(w, nd, hs[i])
-			}
-		case t.cfg.ColumnIndex == IndexColumnWise:
-			for i, nd := range toBuild {
-				e.buildColumnWise(w, nd, hs[i])
-			}
-		default:
-			for i, nd := range toBuild {
-				e.buildHybrid(w, nd, hs[i])
-			}
-		}
+		e.stores[w].build(hs, toBuild)
 		for i, nd := range toBuild {
 			e.hist[w][nd.id] = hs[i]
 		}
 	})
-}
-
-// buildFullCopy scans full rows but accumulates only the worker's assigned
-// features — LightGBM feature-parallel (Appendix D).
-func (e *verticalEngine) buildFullCopy(w int, nd *nodeInfo, h *histogram.Hist) {
-	t := e.t
-	h.RowScanOwned(e.n2i.Instances(nd.id), e.fullRows.RowPtr, e.fullRows.Feat, e.fullRows.Bin,
-		e.ownerOf, e.slotOf, int32(w), t.grads, t.hessv)
-}
-
-// buildColumnWise reads each column's node entries directly from the
-// column-wise node-to-instance index (Yggdrasil's plan).
-func (e *verticalEngine) buildColumnWise(w int, nd *nodeInfo, h *histogram.Hist) {
-	t := e.t
-	cols := e.csc[w]
-	cw := e.cw[w]
-	for j := 0; j < cols.Cols(); j++ {
-		insts, binsArr := cols.Col(j)
-		h.ColumnGather(j, cw.Entries(j, nd.id), insts, binsArr, t.grads, t.hessv)
-	}
-}
-
-// buildHybrid is the paper's optimized QD3 plan (Section 5.2.2): columns
-// with few values are scanned linearly against the instance-to-node index;
-// long columns are probed by binary search from the node's instance list.
-// Both arms run fused kernels, but the scan stays per-node: the linear arm
-// is bound by the per-entry instance-to-node probe (Section 3.2.3's
-// column-store index cost), which a multi-node routed pass only makes
-// heavier — measured, routing every entry through a node-to-slot table
-// costs more than the filter scans it replaces.
-func (e *verticalEngine) buildHybrid(w int, nd *nodeInfo, h *histogram.Hist) {
-	t := e.t
-	cols := e.cols[w]
-	nodeOf := e.i2n.Assignments()
-	nodeInsts := e.n2i.Instances(nd.id)
-	for j := range e.groups[w] {
-		lo, hi := cols.colRange(j)
-		colLen := int(hi - lo)
-		if colLen == 0 {
-			continue
-		}
-		if cols.failed() {
-			return
-		}
-		if !probesCheaper(colLen, len(nodeInsts)) {
-			// Linear scan, filtering by the instance-to-node index.
-			cols.scan(lo, hi, 0, func(insts []uint32, binsArr []uint16) {
-				h.ColumnScanNode(j, insts, binsArr, nodeOf, nd.id, t.grads, t.hessv)
-			})
-			continue
-		}
-		for _, inst := range nodeInsts {
-			bin, ok := cols.lookup(lo, hi, inst)
-			if !ok {
-				continue
-			}
-			h.AddFlat(j, int(bin), t.grads, t.hessv, int(inst)*t.c)
-		}
-	}
 }
 
 // findSplits has each worker find the best split over its own feature
@@ -432,35 +351,36 @@ func (e *verticalEngine) findSplits(frontier []*nodeInfo) map[int32]histogram.Sp
 	})
 }
 
-// applyLayer computes instance placements at the split owners, broadcasts
-// them as one N-bit bitmap per layer (Section 3.1.3), and updates the
-// indexes from the bitmap. Feature-parallel skips the broadcast: every
-// worker evaluates the same placements on its full copy.
+// applyLayer has each split's owner place its node through its store,
+// broadcasts the placements as one N-bit bitmap per layer (Section 3.1.3),
+// and updates the indexes from the bitmap. A replicated layout skips the
+// broadcast: every worker evaluates the same placements on its full copy.
 func (e *verticalEngine) applyLayer(splits map[int32]histogram.Split, children map[int32][2]int32) {
 	t := e.t
-	if t.cfg.FullCopy {
+	if e.replicated {
 		t.cl.Replicated(phaseNode, func() {
-			placeAndSplit(blockRows{blocks: csrBlock(e.fullRows)}, e.n2i, e.parts[0], splits, children)
+			e.stores[0].place(splits, e.parts[0])
+			e.idx.split(children, e.parts[0])
 		})
 		return
 	}
 
-	// Each split's owner fills the placement bits for its node; merging
+	// Each split's owner fills the placement bits for its nodes; merging
 	// the per-worker bitmaps yields the layer's placement.
+	for _, m := range e.owned {
+		clear(m)
+	}
+	for parent, sp := range splits {
+		e.owned[e.ownerOf[sp.Feature]][parent] = sp
+	}
 	fill := func(w int) {
-		bm := e.parts[w]
-		bm.Reset()
-		for parent := range children {
-			sp := splits[parent]
-			if e.ownerOf[sp.Feature] == int32(w) {
-				e.fillPlacement(w, parent, sp, bm)
-			}
-		}
+		e.parts[w].Reset()
+		e.stores[w].place(e.owned[w], e.parts[w])
 	}
 	var placement *bitmap.Bitmap
 	if t.ds.Shard != nil {
 		t.cl.ParallelLocal(phaseNode, fill)
-		placement = e.exchangePlacement(splits, children)
+		placement = e.exchangePlacement()
 	} else {
 		// A replicated Parallel even on a distributed cluster (full-image
 		// and out-of-core datasets): the vertical engines materialize or
@@ -476,26 +396,12 @@ func (e *verticalEngine) applyLayer(splits map[int32]histogram.Split, children m
 	}
 
 	// Every worker applies the same bitmap to the same index of all N
-	// instances: one pass per process. QD3's column-wise indexes cover each
-	// worker's own columns and stay per worker.
-	t.cl.Replicated(phaseNode, func() {
-		for parent, ch := range children {
-			e.n2i.Split(parent, ch[0], ch[1], placement)
-		}
-		if e.i2n != nil {
-			e.i2n.SplitLayer(children, func(inst uint32) bool { return placement.Get(int(inst)) })
-		}
-	})
-	if e.cw != nil {
-		t.cl.ParallelLocal(phaseNode, func(w int) {
-			instsOf := func(col int) []uint32 {
-				insts, _ := e.csc[w].Col(col)
-				return insts
-			}
-			for parent, ch := range children {
-				e.cw[w].Split(parent, ch[0], ch[1], placement, instsOf)
-			}
-		})
+	// instances: one pass per process. Indexes a store keeps of its own
+	// (QD3's column-wise ones) cover that worker's columns and stay per
+	// worker.
+	t.cl.Replicated(phaseNode, func() { e.idx.split(children, placement) })
+	if e.own != nil {
+		t.cl.ParallelLocal(phaseNode, func(w int) { e.own[w].splitIndex(children, placement) })
 	}
 }
 
@@ -515,21 +421,17 @@ func (e *verticalEngine) applyLayer(splits map[int32]histogram.Split, children m
 // difference — a few bitmap payloads per run — is real data movement
 // and is charged truthfully, so sharded runs account slightly more than
 // the full-image model while still training the identical bytes.
-func (e *verticalEngine) exchangePlacement(splits map[int32]histogram.Split, children map[int32][2]int32) *bitmap.Bitmap {
+func (e *verticalEngine) exchangePlacement() *bitmap.Bitmap {
 	t := e.t
 	rank := t.cl.Rank()
 	placement := e.parts[rank]
 	// The layer's owner set derives from the (replicated) resolved splits,
 	// so every rank issues the identical broadcast sequence in ascending
 	// rank order.
-	owners := make([]bool, t.w)
-	for parent := range children {
-		owners[e.ownerOf[splits[parent].Feature]] = true
-	}
 	// The rank's own shard is merged into only after the last broadcast, so
 	// its payload is exactly this owner's routing decisions.
 	for w := 0; w < t.w; w++ {
-		if !owners[w] {
+		if len(e.owned[w]) == 0 {
 			continue
 		}
 		if w == rank {
@@ -545,38 +447,11 @@ func (e *verticalEngine) exchangePlacement(splits map[int32]histogram.Split, chi
 		_ = e.parts[w].UnmarshalBinary(e.wire)
 	}
 	for w := 0; w < t.w; w++ {
-		if owners[w] && w != rank {
+		if len(e.owned[w]) > 0 && w != rank {
 			placement.Or(e.parts[w])
 		}
 	}
 	return placement
-}
-
-// fillPlacement writes the left/right bits of one splitting node, owned by
-// worker w (set bit = left child).
-func (e *verticalEngine) fillPlacement(w int, parent int32, sp histogram.Split, bm *bitmap.Bitmap) {
-	insts := e.n2i.Instances(parent)
-	if e.t.cfg.Quadrant == QD4 {
-		e.rows[w].place(sp, insts, bm)
-		return
-	}
-	if sp.DefaultLeft {
-		for _, inst := range insts {
-			bm.Set(int(inst))
-		}
-	}
-	// QD3: the owner holds the split feature's full column; one linear
-	// pass with node-membership checks places every present value.
-	cols := e.cols[w]
-	lo, hi := cols.colRange(int(e.slotOf[sp.Feature]))
-	cols.scan(lo, hi, 0, func(colInsts []uint32, binsArr []uint16) {
-		for k, inst := range colInsts {
-			if e.i2n.Node(inst) != parent {
-				continue
-			}
-			bm.SetTo(int(inst), int(binsArr[k]) <= sp.Bin)
-		}
-	})
 }
 
 // childStats recomputes the child totals from the gradient vectors through
@@ -584,13 +459,9 @@ func (e *verticalEngine) fillPlacement(w int, parent int32, sp histogram.Split, 
 func (e *verticalEngine) childStats(nodes []*nodeInfo) {
 	t := e.t
 	t.cl.Replicated(phaseNode, func() {
-		for _, nd := range nodes {
-			insts := e.n2i.Instances(nd.id)
-			nd.totalG = make([]float64, t.c)
-			nd.totalH = make([]float64, t.c)
-			nd.count = len(insts)
-			t.sumInsts(insts, 0, nd.totalG, nd.totalH)
-		}
+		acc := make([]float64, (2*t.c+1)*len(nodes))
+		e.idx.sums(nodes, acc)
+		t.setChildStats(nodes, acc)
 	})
 }
 
@@ -598,5 +469,5 @@ func (e *verticalEngine) childStats(nodes []*nodeInfo) {
 // index to the predictions of all instances, as every worker would on its
 // own prediction copy.
 func (e *verticalEngine) updatePredictions(tr *tree.Tree) {
-	e.t.cl.Replicated(phaseUpdate, func() { e.t.addLeaves(tr, e.n2i, 0) })
+	e.t.cl.Replicated(phaseUpdate, func() { e.idx.addLeaves(tr) })
 }
