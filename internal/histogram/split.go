@@ -35,7 +35,7 @@ func Prefer(cand, best Split) bool {
 	if !best.Valid {
 		return true
 	}
-	eps := gainTieEps * (abs(best.Gain) + 1)
+	eps := float64(gainTieEps * (abs(best.Gain) + 1)) // rounded: never a fused multiply-add
 	if cand.Gain > best.Gain+eps {
 		return true
 	}
@@ -163,7 +163,7 @@ func (f *Finder) FindBestInRange(hist *Hist, totalG, totalH []float64, numBins [
 					rightG[k] = totalG[k] - leftG[k]
 					rightH[k] = totalH[k] - leftH[k]
 				}
-				gain := 0.5*(f.score(leftG, leftH)+f.score(rightG, rightH)-parentScore) - f.Gamma
+				gain := float64(0.5*(f.score(leftG, leftH)+f.score(rightG, rightH)-parentScore)) - f.Gamma // rounded: never a fused multiply-add
 				if gain > minSplitGain {
 					cand := Split{Feature: feat, Bin: bin, Gain: gain, DefaultLeft: false, Valid: true}
 					if Prefer(cand, best) {
@@ -182,7 +182,7 @@ func (f *Finder) FindBestInRange(hist *Hist, totalG, totalH []float64, numBins [
 					leftG[k] = lg // temporarily fold missing in
 					leftH[k] = lh
 				}
-				gain := 0.5*(f.score(leftG, leftH)+f.score(rightG, rightH)-parentScore) - f.Gamma
+				gain := float64(0.5*(f.score(leftG, leftH)+f.score(rightG, rightH)-parentScore)) - f.Gamma // rounded: never a fused multiply-add
 				if gain > minSplitGain {
 					cand := Split{Feature: feat, Bin: bin, Gain: gain, DefaultLeft: true, Valid: true}
 					if Prefer(cand, best) {

@@ -278,7 +278,7 @@ func (t *viewTransposition) sweep(w *blockWorker, begin func(lo, hi int), visit 
 		begin(lo, hi)
 		for k, j := range t.sel {
 			colLo, colHi := t.m.ColRange(j)
-			e := float64(colHi-colLo) * t.winScale
+			e := float64(float64(colHi-colLo) * t.winScale) // rounded: never a fused multiply-add
 			n := min(int64(hi-lo), int64(e+2*math.Sqrt(e))+16, shardChunk)
 			p := w.cur[k]
 			for p < colHi {

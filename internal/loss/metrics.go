@@ -17,7 +17,7 @@ func RMSE(pred []float64, labels []float32) float64 {
 	var sum float64
 	for i, p := range pred {
 		d := p - float64(labels[i])
-		sum += d * d
+		sum += float64(d * d) // rounded: never a fused multiply-add
 	}
 	return math.Sqrt(sum / float64(len(pred)))
 }
@@ -44,7 +44,7 @@ func AUC(score []float64, labels []float32) float64 {
 			j++
 		}
 		// Average rank of the tie group (1-based ranks i+1 .. j).
-		avgRank := float64(i+1+j) / 2
+		avgRank := float64(float64(i+1+j) / 2) // rounded: never a fused multiply-add
 		for k := i; k < j; k++ {
 			if labels[idx[k]] >= 0.5 {
 				rankSumPos += avgRank
@@ -58,7 +58,7 @@ func AUC(score []float64, labels []float32) float64 {
 	if nPos == 0 || nNeg == 0 {
 		return math.NaN()
 	}
-	return (rankSumPos - nPos*(nPos+1)/2) / (nPos * nNeg)
+	return (rankSumPos - float64(nPos*(nPos+1)/2)) / (nPos * nNeg) // rounded: never a fused multiply-add
 }
 
 // BinaryAccuracy returns the fraction of instances whose raw score sign

@@ -127,7 +127,7 @@ func (s *GK) Query(phi float64) float64 {
 	if phi >= 1 {
 		return s.tuples[len(s.tuples)-1].v
 	}
-	r := phi * float64(s.n)
+	r := float64(phi * float64(s.n)) // rounded: never a fused multiply-add
 	e := s.eps * float64(s.n)
 	// The GK existence guarantee needs a tolerance of at least half the
 	// widest tuple band; with few samples eps*n drops below one rank and
